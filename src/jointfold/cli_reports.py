@@ -462,7 +462,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--num", type=int, default=10, help="number of samples")
         p.add_argument("--seed", type=int, default=1, help="random seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (results are thread-count independent)")
+                       help="ignored: every run is single-threaded; the value is "
+                            "only echoed in the report header")
         p.add_argument("--mem-budget-gib", type=float, default=2.0,
                        help="memory budget for DP tables")
         p.add_argument("--json", dest="as_json", action="store_true",

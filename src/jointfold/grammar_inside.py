@@ -25,7 +25,7 @@ per-cell case enumeration in ``_cases.py``, shared with the sampler).
 from __future__ import annotations
 
 import mmap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,15 +37,12 @@ __all__ = [
     "ChainLabel",
     "LABELS",
     "HY_CLASSES",
-    "ComponentKind",
     "CapacityExceeded",
     "TensorStore",
     "InsideResult",
     "inside",
     "estimate_memory_bytes",
     "hybrid_tables",
-    "tight_recursions",
-    "rt_dt_recursions",
 ]
 
 HY_CLASSES = ("EE", "EK", "KE", "KK")
@@ -124,7 +121,6 @@ _FAMILIES: _Families = {
     "rest": ((4, 6), _GAP_KEYS + tuple((f, L) for f in ("aft_hy", "aft_na")
                                        for L in LABELS)),
 }
-_ALL_KEYS = tuple(k for _lead, keys in _FAMILIES.values() for k in keys)
 
 
 def _out_keys(keys: tuple[tuple, ...]) -> tuple[tuple, ...]:
@@ -141,38 +137,6 @@ _OUT_FAMILIES: _Families = {
     "out_cnb": ((4,), _out_keys(_FAMILIES["cnb"][1])),
     "out_gap": ((2, 6), _out_keys(_GAP_KEYS)),
 }
-
-
-@dataclass(frozen=True)
-class ComponentKind:
-    """Public vocabulary for grammar components.
-
-    ``kind`` names the structural family; ``y1``/``y2`` are the R- and
-    S-side exposure classes actually emitted by the grammar ({E, K}; the
-    multi class never labels a 4D component, see docs/grammar.md §3), and
-    ``y3`` distinguishes the continuation flavour after a hybrid ("A") from
-    the blocked hybrid-after-bare-gap shape ("B").
-    """
-
-    kind: str
-    y1: str = ""
-    y2: str = ""
-    y3: str = ""
-
-    _KINDS = (
-        "arbitrary", "chain", "gap", "double_tight",
-        "tight_r", "tight_s", "tight_rs", "tight_arc",
-        "hybrid", "hybrid_part", "secondary", "isolated",
-    )
-
-    def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown component kind {self.kind!r}")
-        for y in (self.y1, self.y2):
-            if y not in ("", "E", "K"):
-                raise ValueError(f"unreachable exposure class {y!r}")
-        if self.y3 not in ("", "A", "B"):
-            raise ValueError(f"unknown maximality flag {self.y3!r}")
 
 
 class CapacityExceeded(RuntimeError):
@@ -412,7 +376,6 @@ class InsideResult:
     q_total: float
     q_no_interaction: float
     memory_estimate_bytes: int
-    memory_actual_bytes: int
 
     @property
     def q_r(self) -> float:
@@ -482,7 +445,7 @@ def inside(
     return InsideResult(
         R=R, S=S, model=model, sec_r=sec_r, sec_s=sec_s, store=store, ctx=ctx,
         q_total=q_ni + q_int, q_no_interaction=q_ni,
-        memory_estimate_bytes=est, memory_actual_bytes=store.peak_bytes,
+        memory_estimate_bytes=est,
     )
 
 
@@ -622,25 +585,10 @@ def _fill_gaps(store: TensorStore, ctx: _Ctx, p: int, q: int) -> None:
     np.add(rest[0:2], tail, out=rest[2:4])
 
 
-# -- public table views (one full inside run backs all three) ---------------
+# -- public table view -------------------------------------------------------
 
 
 def hybrid_tables(R: Strand, S: Strand, model: EnergyModel) -> dict[str, np.ndarray]:
     """The four anchored hybrid tensors (EE/EK/KE/KK)."""
     res = inside(R, S, model)
     return {cls: res.store[("hy", cls)] for cls in HY_CLASSES}
-
-
-def tight_recursions(R: Strand, S: Strand, model: EnergyModel) -> dict[tuple, np.ndarray]:
-    """Tensors of the four tight-structure kinds (the single-arc kind is the
-    hybrid base diagonal)."""
-    res = inside(R, S, model)
-    out = {k: res.store[k] for k in _ALL_KEYS if k[0] in ("vee", "tri", "box")}
-    out[("arc",)] = res.store[("hy", "EE")][1, 1].copy()
-    return out
-
-
-def rt_dt_recursions(R: Strand, S: Strand, model: EnergyModel) -> dict[tuple, np.ndarray]:
-    """Chain and gap tensors (the right-tight / double-tight block machinery)."""
-    res = inside(R, S, model)
-    return {k: res.store[k] for k in _ALL_KEYS if k[0] in ("chy", "cna", "cnb", "ghy", "gna")}

@@ -61,8 +61,6 @@ class ProbTables:
 
     ``bpp_r``/``bpp_s`` are (L+2)x(L+2) arrays over interior arcs,
     ``bpp_ext`` is (N+2)x(M+2) over exterior arcs; all entries in [0,1].
-    Component probabilities are available through
-    :meth:`component_probability` for every tensor key of the inside store.
     """
 
     res: InsideResult
@@ -70,12 +68,7 @@ class ProbTables:
     bpp_r: np.ndarray
     bpp_s: np.ndarray
     bpp_ext: np.ndarray
-    out_keys: tuple = ()
     tpf_max_deviation: float | None = None
-
-    def component_probability(self, key: tuple) -> np.ndarray:
-        """P(component at cell) in the inside store's [p,q,anchor] layout."""
-        return self.res.store[("out",) + key] * self.res.store[key] / self.z
 
 
 @dataclass
@@ -122,13 +115,6 @@ class TargetTable:
     @property
     def p_opt(self) -> TargetRow | None:
         return self.rows[0] if self.rows else None
-
-
-def _alloc_out(res: InsideResult) -> tuple[tuple, ...]:
-    """Allocate the outside accumulators; return the inside keys they cover."""
-    res.store.alloc_families(_OUT_FAMILIES)
-    return tuple(k[1:] for _lead, keys in _OUT_FAMILIES.values() for k in keys
-                 if k[1] != "hyb")
 
 
 class _OutSweep:
@@ -380,7 +366,7 @@ def outside(res: InsideResult, verify_conservation: bool = False) -> ProbTables:
     relative deviation lands in ``ProbTables.tpf_max_deviation``.  Intended
     for small instances.
     """
-    keys = _alloc_out(res)
+    res.store.alloc_families(_OUT_FAMILIES)
     sweep = _OutSweep(res)
     sweep.seed_top()
     n, m = res.ctx.n, res.ctx.m
@@ -418,7 +404,7 @@ def outside(res: InsideResult, verify_conservation: bool = False) -> ProbTables:
 
     return ProbTables(
         res=res, z=z, bpp_r=bpp_r, bpp_s=bpp_s, bpp_ext=bpp_ext,
-        out_keys=keys, tpf_max_deviation=tpf,
+        tpf_max_deviation=tpf,
     )
 
 

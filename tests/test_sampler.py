@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from jointfold import sampler
+from jointfold._cases import component_cases, iter_all_components
 from jointfold.energy import unit_model
 from jointfold.grammar_inside import inside
 from jointfold.oracle import enumerate_interactions, exact_probabilities
 from jointfold.outside_prob import hybrid_probabilities, outside
-from jointfold.sampler import sample_batch, sample_one
+from jointfold.sampler import NumericalUnderflow, sample_batch, sample_one
 from jointfold.seq_model import Strand, extract_hybrids, validate
 
 from helpers import random_model, random_seq
@@ -33,6 +36,15 @@ class TestSampleOne:
         seq1 = [sample_one(res, np.random.default_rng(9)).key() for _ in range(5)]
         seq2 = [sample_one(res, np.random.default_rng(9)).key() for _ in range(5)]
         assert seq1 == seq2
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    def test_non_finite_or_empty_ensemble_is_refused(self, bad):
+        res = inside(*strands("GAAAC", "GUU"), unit_model(min_hairpin=1))
+        broken = dataclasses.replace(res, q_total=bad)
+        with pytest.raises(NumericalUnderflow, match="partition function"):
+            sample_one(broken, np.random.default_rng(0))
+        with pytest.raises(NumericalUnderflow, match="partition function"):
+            sample_batch(broken, 3, seed=1)
 
 
 class TestDistribution:
@@ -100,6 +112,49 @@ class TestBatch:
         ss = np.random.SeedSequence(5).spawn(1)[0]
         direct = sample_one(res, np.random.Generator(np.random.PCG64(ss)))
         assert one.structures[0].key() == direct.key()
+
+    def test_draws_do_not_depend_on_the_batch(self):
+        model = random_model(np.random.default_rng(8), min_hairpin=1)
+        res = inside(*strands("GCAA", "UUGC"), model)
+        batch = [js.key() for js in sample_batch(res, 40, seed=23).structures]
+        assert len(set(batch)) > 1
+        for k, ss in enumerate(np.random.SeedSequence(23).spawn(40)):
+            direct = sample_one(res, np.random.Generator(np.random.PCG64(ss)))
+            assert batch[k] == direct.key(), k
+        short = [js.key() for js in sample_batch(res, 10, seed=23).structures]
+        assert batch[:10] == short
+
+    def test_blocks_do_not_change_the_batch(self, monkeypatch):
+        model = random_model(np.random.default_rng(8), min_hairpin=1)
+        res = inside(*strands("GCAA", "UUGC"), model)
+        whole = [js.key() for js in sample_batch(res, 40, seed=23).structures]
+        monkeypatch.setattr(sampler, "_BLOCK", 7)
+        assert [js.key() for js in sample_batch(res, 40, seed=23).structures] == whole
+        # a block's error names the draw's index in the whole batch
+        n, m = res.ctx.n, res.ctx.m
+        res.store[("chy", "top")][n, m, n, m] *= 2.0
+        rngs = [np.random.default_rng(k) for k in range(3)]
+        with pytest.raises(NumericalUnderflow, match=r"^draw 7: "):
+            sampler._draw(res, rngs, first=7)
+
+    def test_corrupted_table_fails_loudly(self):
+        model = random_model(np.random.default_rng(8), min_hairpin=1)
+        res = inside(*strands("GCAA", "UUGC"), model)
+        n, m = res.ctx.n, res.ctx.m
+        # the full-span chain cell enters the case sum of the top component
+        res.store[("chy", "top")][n, m, n, m] *= 2.0
+        with pytest.raises(NumericalUnderflow, match=r"^draw \d+: component \('top',\)"):
+            sample_batch(res, 5, seed=1)
+
+    def test_children_are_queued_after_their_parents(self):
+        model = random_model(np.random.default_rng(8), min_hairpin=1)
+        res = inside(*strands("GCAAC", "UUGC"), model)
+        for comp in (("top",), *iter_all_components(res)):
+            parent = sampler._queue_key(res, comp)
+            for _w, children, _em in component_cases(res, comp):
+                for child in children:
+                    if child[0] not in ("sec", "unp"):
+                        assert sampler._queue_key(res, child) > parent, (comp, child)
 
     def test_zero_draws_is_an_error(self):
         res = inside(*strands("A", "U"), unit_model())
