@@ -1,10 +1,10 @@
 """Per-cell production cases of the inside grammar.
 
-This is the scalar, readable transcription of exactly the productions the
-vectorised wave fills in :mod:`jointfold.grammar_inside` implement.  The
-stochastic sampler draws from these cases, and the consistency checks
-recompute every tensor cell from them; any drift between the two
-formulations fails the reconstruction and conservation tests.
+This is the transcription of exactly the productions the vectorised wave
+fills in :mod:`jointfold.grammar_inside` implement.  The stochastic sampler
+draws from these cases, and the consistency checks recompute every tensor
+cell from them; any drift between the two formulations fails the
+reconstruction and conservation tests.
 
 Components are tuples:
 
@@ -22,16 +22,59 @@ A case is ``(weight, children, emissions)``; the component value is the sum
 over cases of the weight times the product of child values.  ``emissions``
 are the arcs fixed by choosing the case: ``("ext", i, h)``, ``("arc_r", i,
 j)`` or ``("arc_s", h, l)``.
+
+The few-case kinds (``top`` and the items) list their cases as tuples.  A
+``chain`` or ``gap`` component has O(NM) cases, so it gives them as one
+weight vector instead (:func:`scored_cases`), the weight times the child
+values of every case, read as slices of the stored child tensors:
+
+* chain: axes (item kind, terminal/continued, x, y) for the first item
+  ``(a..x, c..y)`` of kind hy/vee/tri/box.  The item comes from the
+  start-anchored item stack at ``(a, c)`` times its branch factor; a
+  terminal case multiplies the end-anchored tails ``ctx.tail_r``/
+  ``ctx.tail_s`` at ``(b, d)``, a continued case the gap row (``ghy`` after
+  a hybrid, else ``gna``) at ``(b, d)``.  Entries that are not cases (a
+  part the component excludes, a flush tail that is not empty, a continued
+  case with nothing left to follow) hold 0;
+* gap: axes (case, x1, y1) for the segments ``x..x1-1`` and ``y..y1-1``
+  from ``ctx.sq_any``/``sq_ge1``/``sq_unp`` times the chain parts that
+  start at ``(x1, y1)``; one case after a tight block, three after a hybrid
+  (``_GAP_CASES``).
+
+None of these reads the fill's combined items or its AFT rows, so summing a
+vector is an independent check of the stored cell.  :func:`decode_case`
+maps a vector index back to its case tuple, and :func:`component_cases`
+decodes every index, so the cases are written down once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from functools import lru_cache, partial
+
+import numpy as np
+
 from .grammar_inside import HY_CLASSES, LABELS, InsideResult
 
 ALL_PARTS = ("hy", "na", "nb")
+# axis 0 of a chain weight vector; axis 1 is terminal (0) / continued (1)
+_ITEM_KINDS = ("hy", "vee", "tri", "box")
+_LABEL_AXIS = {name: k for k, name in enumerate(LABELS)}
 
 _SEG_ANY = {"E": "q", "K": "qk"}
 _SEG_GE1 = {"E": "q1", "K": "q1k"}
+_PART_FAMILY = {"hy": "chy", "na": "cna", "nb": "cnb"}
+
+# The cases of a gap, one per plane of its weight vector: the R segment
+# x..x1-1, the S segment y..y1-1 (any structure, at least one branch, or all
+# unpaired) and the parts of the chain that follows from (x1, y1).  After a
+# hybrid, a segment holds a branch or the next item is no hybrid: a hybrid
+# after only unpaired bases would extend the first one.
+_GAP_CASES = {
+    "na": (("any", "any", ALL_PARTS),),
+    "hy": (("ge1", "any", ALL_PARTS), ("unp", "ge1", ALL_PARTS),
+           ("unp", "unp", ("na", "nb"))),
+}
 
 
 def _sec_engine(res: InsideResult, sid: str):
@@ -188,93 +231,137 @@ def component_cases(res: InsideResult, comp: tuple) -> list[tuple]:
                 )
         return out
 
-    if kind == "chain":
-        _, parts, name, a, b, c, d = comp
-        lab = LABELS[name]
-        for item_kind in ("hy", "vee", "tri", "box"):
-            for x in range(a, b + 1):
-                for y in range(c, d + 1):
-                    item, wbr = _chain_item(res, lab, item_kind, a, x, c, y)
-                    # terminal: no further items
-                    if (lab.tail_r == "free" or x == b) and (
-                        lab.tail_s == "free" or y == d
-                    ):
-                        if _part_of(lab, item_kind, True) in parts:
-                            children = [item]
-                            if lab.tail_r == "free":
-                                children.append(
-                                    ("sec", "R", _SEG_ANY[lab.class_r], x + 1, b)
-                                )
-                            if lab.tail_s == "free":
-                                children.append(
-                                    ("sec", "S", _SEG_ANY[lab.class_s], y + 1, d)
-                                )
-                            out.append((wbr, children, []))
-                    # another item follows
-                    if x < b and y < d and _part_of(lab, item_kind, False) in parts:
-                        after = "hy" if item_kind == "hy" else "na"
-                        out.append(
-                            (wbr, [item, ("gap", after, name, x + 1, b, y + 1, d)], [])
-                        )
-        return out
-
-    if kind == "gap":
-        _, after, name, x, b, y, d = comp
-        lab = LABELS[name]
-        any_r = _SEG_ANY[lab.class_r]
-        any_s = _SEG_ANY[lab.class_s]
-        for x1 in range(x, b + 1):
-            for y1 in range(y, d + 1):
-                rest_all = ("chain", ALL_PARTS, name, x1, b, y1, d)
-                if after == "na":
-                    out.append(
-                        (
-                            1.0,
-                            [
-                                ("sec", "R", any_r, x, x1 - 1),
-                                ("sec", "S", any_s, y, y1 - 1),
-                                rest_all,
-                            ],
-                            [],
-                        )
-                    )
-                else:
-                    out.append(
-                        (
-                            1.0,
-                            [
-                                ("sec", "R", _SEG_GE1[lab.class_r], x, x1 - 1),
-                                ("sec", "S", any_s, y, y1 - 1),
-                                rest_all,
-                            ],
-                            [],
-                        )
-                    )
-                    out.append(
-                        (
-                            1.0,
-                            [
-                                ("unp", "R", lab.class_r, x, x1 - 1),
-                                ("sec", "S", _SEG_GE1[lab.class_s], y, y1 - 1),
-                                rest_all,
-                            ],
-                            [],
-                        )
-                    )
-                    out.append(
-                        (
-                            1.0,
-                            [
-                                ("unp", "R", lab.class_r, x, x1 - 1),
-                                ("unp", "S", lab.class_s, y, y1 - 1),
-                                ("chain", ("na", "nb"), name, x1, b, y1, d),
-                            ],
-                            [],
-                        )
-                    )
-        return out
+    if kind in ("chain", "gap"):
+        weights, decode = scored_cases(res, comp)
+        return [case for t in range(weights.size) if (case := decode(t)) is not None]
 
     raise KeyError(f"no cases for component {comp!r}")
+
+
+def _item_slices(res: InsideResult, lab, a: int, c: int, P: int, Q: int) -> np.ndarray:
+    """[item kind, x - a, y - c]: each first item ``(a..x, c..y)`` of a chain
+    times its branch factor, read from the start-anchored item tensors."""
+    out = np.empty((len(_ITEM_KINDS), P, Q))
+    for row, kind in zip(out, _ITEM_KINDS):
+        item, wbr = _chain_item(res, lab, kind, a, a, c, c)
+        np.multiply(res.store[item[:-4]][1 : P + 1, 1 : Q + 1, a, c], wbr, out=row)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _part_mask(lab, parts: tuple) -> np.ndarray:
+    """[item kind, terminal/continued]: 1 where the case belongs to ``parts``.
+
+    Read-only, because every caller shares the cached array."""
+    mask = np.array([
+        [_part_of(lab, kind, terminal) in parts for terminal in (True, False)]
+        for kind in _ITEM_KINDS
+    ], dtype=float)
+    mask.flags.writeable = False
+    return mask
+
+
+def _chain_weights(res: InsideResult, comp: tuple) -> np.ndarray:
+    _, parts, name, a, b, c, d = comp
+    lab = LABELS[name]
+    store, ctx = res.store, res.ctx
+    P, Q = b - a + 1, d - c + 1
+    L = _LABEL_AXIS[name]
+    items = _item_slices(res, lab, a, c, P, Q)
+    w = np.empty((len(_ITEM_KINDS), 2, P, Q))
+    # terminal: the tails x+1..b and y+1..d, end anchored at (b, d)
+    w[:, 0] = items * np.multiply.outer(
+        ctx.tail_r[L, P - 1 :: -1, b], ctx.tail_s[L, Q - 1 :: -1, d])
+    # continued: the gap x+1..b, y+1..d, end anchored at (b, d)
+    w[0, 1] = items[0] * store[("ghy", name)][P - 1 :: -1, Q - 1 :: -1, b, d]
+    w[1:, 1] = items[1:] * store[("gna", name)][P - 1 :: -1, Q - 1 :: -1, b, d]
+    w[:, 1, P - 1, :] = 0.0
+    w[:, 1, :, Q - 1] = 0.0
+    w *= _part_mask(lab, parts)[:, :, None, None]
+    return w.ravel()
+
+
+def _segment_weights(ctx, seg: str, sid: str, cls: str, start: int, size: int):
+    """Weights of the segments ``start..start+g-1``, g = 0..size-1."""
+    table = {"any": ctx.sq_any, "ge1": ctx.sq_ge1, "unp": ctx.sq_unp}[seg]
+    return table[sid][cls][:size, start]
+
+
+def _gap_weights(res: InsideResult, comp: tuple) -> np.ndarray:
+    _, after, name, x, b, y, d = comp
+    lab = LABELS[name]
+    P, Q = b - x + 1, d - y + 1
+    # the chain parts over (x1..b, y1..d), end anchored at (b, d)
+    cut = (slice(P, 0, -1), slice(Q, 0, -1), b, d)
+    cases = _GAP_CASES[after]
+    w = np.empty((len(cases), P, Q))
+    for plane, (seg_r, seg_s, parts) in zip(w, cases):
+        np.multiply.outer(_segment_weights(res.ctx, seg_r, "R", lab.class_r, x, P),
+                          _segment_weights(res.ctx, seg_s, "S", lab.class_s, y, Q),
+                          out=plane)
+        plane *= sum(res.store[(_PART_FAMILY[part], name)][cut]
+                     for part in parts if part != "nb" or lab.has_nb)
+    return w.ravel()
+
+
+def _segment(seg: str, sid: str, cls: str, i: int, j: int) -> tuple:
+    if seg == "unp":
+        return ("unp", sid, cls, i, j)
+    return ("sec", sid, (_SEG_ANY if seg == "any" else _SEG_GE1)[cls], i, j)
+
+
+def decode_case(res: InsideResult, comp: tuple, t: int) -> tuple | None:
+    """The case at index ``t`` of a chain or gap weight vector, or ``None``
+    where the vector holds a structural 0 (see the module docstring)."""
+    kind, tag, name, x, b, y, d = comp  # tag: a chain's parts, a gap's after
+    lab = LABELS[name]
+    P, Q = b - x + 1, d - y + 1
+    plane, cell = divmod(t, P * Q)
+    x1, y1 = divmod(cell, Q)
+    x1 += x
+    y1 += y
+    if kind == "chain":
+        item_kind = _ITEM_KINDS[plane // 2]
+        terminal = plane % 2 == 0
+        if _part_of(lab, item_kind, terminal) not in tag:
+            return None
+        item, wbr = _chain_item(res, lab, item_kind, x, x1, y, y1)
+        if not terminal:
+            if x1 == b or y1 == d:
+                return None
+            after = "hy" if item_kind == "hy" else "na"
+            return (wbr, [item, ("gap", after, name, x1 + 1, b, y1 + 1, d)], [])
+        children = [item]
+        for sid, tail, cls, end, last in (
+            ("R", lab.tail_r, lab.class_r, x1, b), ("S", lab.tail_s, lab.class_s, y1, d)
+        ):
+            if tail == "free":
+                children.append(("sec", sid, _SEG_ANY[cls], end + 1, last))
+            elif end != last:
+                return None
+        return (wbr, children, [])
+    seg_r, seg_s, parts = _GAP_CASES[tag][plane]
+    children = [_segment(seg_r, "R", lab.class_r, x, x1 - 1),
+                _segment(seg_s, "S", lab.class_s, y, y1 - 1),
+                ("chain", parts, name, x1, b, y1, d)]
+    return (1.0, children, [])
+
+
+def scored_cases(
+    res: InsideResult, comp: tuple
+) -> tuple[np.ndarray, Callable[[int], tuple]]:
+    """The value of every case of a 4D component (its weight times its child
+    values) and a map from case index to case tuple.
+
+    Chain and gap components build their weight vector from tensor slices
+    and decode an index on demand; the other kinds score their case list.
+    """
+    kind = comp[0]
+    if kind in ("chain", "gap"):
+        weights = _chain_weights(res, comp) if kind == "chain" else _gap_weights(res, comp)
+        return weights, partial(decode_case, res, comp)
+    cases = component_cases(res, comp)
+    return np.array([case_value(res, case) for case in cases]), cases.__getitem__
 
 
 def case_value(res: InsideResult, case: tuple) -> float:
@@ -287,7 +374,7 @@ def case_value(res: InsideResult, case: tuple) -> float:
 
 
 def recompute_value(res: InsideResult, comp: tuple) -> float:
-    return sum(case_value(res, case) for case in component_cases(res, comp))
+    return float(scored_cases(res, comp)[0].sum())
 
 
 def iter_all_components(res: InsideResult):

@@ -33,6 +33,7 @@ from .outside_prob import (
     target_sites,
 )
 from .sampler import sample_batch
+from .secfold import NumericalUnderflow, check_partition_function
 from .seq_model import Strand, StrandRole, extract_hybrids
 
 __all__ = ["CliError", "RunConfig", "ingest_fasta", "run", "main"]
@@ -227,7 +228,11 @@ def _run_inside(cfg: RunConfig, R: Strand, S: Strand, model: EnergyModel,
             "CapacityExceeded",
             f"tables need {est} bytes, budget {cfg.memory_budget_bytes}",
         )
-    return inside(R, S, model, memory_budget_bytes=cfg.memory_budget_bytes)
+    # an overflowing ensemble is reported by the check below, in one line
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = inside(R, S, model, memory_budget_bytes=cfg.memory_budget_bytes)
+    check_partition_function(res.q_total)
+    return res
 
 
 def _cmd_pf(cfg: RunConfig, stream) -> None:
@@ -431,6 +436,9 @@ def run(cfg: RunConfig, stream=None) -> int:
         _COMMANDS[cfg.command](cfg, stream)
     except CliError as exc:
         print(f"error: {exc.oneline()}", file=sys.stderr)
+        return 1
+    except NumericalUnderflow as exc:
+        print(f"error: NumericalUnderflow: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -42,7 +42,6 @@ __all__ = [
     "InsideResult",
     "inside",
     "estimate_memory_bytes",
-    "hybrid_tables",
 ]
 
 HY_CLASSES = ("EE", "EK", "KE", "KK")
@@ -376,6 +375,8 @@ class InsideResult:
     q_total: float
     q_no_interaction: float
     memory_estimate_bytes: int
+    # the budget ``inside`` was given; ``outside`` holds its tables to it too
+    memory_budget_bytes: int | None = None
 
     @property
     def q_r(self) -> float:
@@ -445,7 +446,7 @@ def inside(
     return InsideResult(
         R=R, S=S, model=model, sec_r=sec_r, sec_s=sec_s, store=store, ctx=ctx,
         q_total=q_ni + q_int, q_no_interaction=q_ni,
-        memory_estimate_bytes=est,
+        memory_estimate_bytes=est, memory_budget_bytes=memory_budget_bytes,
     )
 
 
@@ -583,12 +584,3 @@ def _fill_gaps(store: TensorStore, ctx: _Ctx, p: int, q: int) -> None:
     # AFT = gap + tail
     tail = ctx.tail_r[:, p, jsl, None] * ctx.tail_s[:, q, None, lsl]
     np.add(rest[0:2], tail, out=rest[2:4])
-
-
-# -- public table view -------------------------------------------------------
-
-
-def hybrid_tables(R: Strand, S: Strand, model: EnergyModel) -> dict[str, np.ndarray]:
-    """The four anchored hybrid tensors (EE/EK/KE/KK)."""
-    res = inside(R, S, model)
-    return {cls: res.store[("hy", cls)] for cls in HY_CLASSES}

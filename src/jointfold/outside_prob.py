@@ -38,11 +38,14 @@ from .grammar_inside import (
     _VEE_ITEMS,
     _VEE_LABELS,
     HY_CLASSES,
+    CapacityExceeded,
     InsideResult,
     _chain_sums,
     _combined_items,
     _following,
+    estimate_memory_bytes,
 )
+from .secfold import check_partition_function
 
 __all__ = [
     "ProbTables",
@@ -365,7 +368,18 @@ def outside(res: InsideResult, verify_conservation: bool = False) -> ProbTables:
     production cases (conditional probabilities summing to one); the worst
     relative deviation lands in ``ProbTables.tpf_max_deviation``.  Intended
     for small instances.
+
+    Raises:
+        NumericalUnderflow: ``res.q_total`` is not finite and positive.
+        CapacityExceeded: the inside and outside tables together exceed the
+            ``memory_budget_bytes`` that ``res`` was filled under; nothing
+            is allocated then.
     """
+    check_partition_function(res.q_total)
+    budget = res.memory_budget_bytes
+    est = estimate_memory_bytes(res.ctx.n, res.ctx.m, include_outside=True)
+    if budget is not None and est > budget:
+        raise CapacityExceeded(est, budget)
     res.store.alloc_families(_OUT_FAMILIES)
     sweep = _OutSweep(res)
     sweep.seed_top()

@@ -1,20 +1,32 @@
 """Stochastic traceback: exact Boltzmann samples of joint structures.
 
 At each component the case distribution is the partition-function ratio of
-the mutually exclusive decomposition cases (:mod:`jointfold._cases`); a draw
-picks one case with a single uniform against the prefix sums of the positive
-cases, fixes the case's arcs and continues into its children.
+the mutually exclusive decomposition cases (:mod:`jointfold._cases` for the
+4D components, :meth:`SecEngine.cases` for the secondary cells); a draw picks
+one case with a single uniform against the prefix sums of the positive
+cases, fixes the case's arcs and continues into its children.  This is the
+stochastic traceback of Ding & Lawrence 2003 (NAR 31:7280).
 
 All draws of a call walk together.  A priority queue holds the distinct
-pending 4D components, each with the list of draws waiting on it; popping a
-component builds and scores its cases once, however many draws wait on it,
-and then picks one case per waiting draw.  The queue puts larger span sums
-``(j-i+1)+(l-h+1)`` first and, at equal span sum, ``top``, then ``gap``, then
-``chain``, then the items.  Every child of a case comes strictly later in
-this order than its parent, so a component is popped only after all of its
-parents and is resolved once.  Secondary-segment children (``sec``) are
-sampled per draw as soon as their case is picked; forced-unpaired segments
-(``unp``) fix no arcs.
+pending components, each with the list of draws waiting on it.  Popping a
+component scores its cases once, however many draws wait on it: a chain or
+gap component as one weight vector read from tensor slices, the other 4D
+kinds from their short case lists, a secondary cell ``("sec", sid, kind, i,
+j)`` through :meth:`SecEngine.sample`.  After the one normalisation check,
+every waiting draw takes one uniform from its own generator, in the order of
+the waiting list, and one ``searchsorted`` over the prefix sums picks all of
+their cases (:func:`jointfold.secfold.pick`); each distinct chosen case is
+decoded once and its children are handed to every draw that chose it.
+Forced-unpaired segments (``unp``) and empty secondary segments fix no arcs
+and are not queued.
+
+The queue pops the 4D components first: larger span sums
+``(j-i+1)+(l-h+1)`` first and, at equal span sum, ``top``, then ``gap``,
+then ``chain``, then the items.  The secondary cells follow: larger spans
+first and, at equal span, the table kinds in the reverse of their fill order
+(as in :meth:`SecEngine.outside`).  Every child of a case comes strictly
+later in this order than its parent, so a component is popped only after
+all of its parents and is resolved once.
 
 Each draw consumes uniforms from its own generator only, and it visits its
 own components in the fixed queue order, which depends on nothing but the
@@ -26,15 +38,13 @@ distribution.
 from __future__ import annotations
 
 import heapq
-import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
-from ._cases import case_value, component_cases, component_value
+from ._cases import component_value, scored_cases
 from .grammar_inside import InsideResult
+from .secfold import FILL_ORDER, NumericalUnderflow, check_partition_function, pick
 from .seq_model import JointStructure
 
 __all__ = [
@@ -44,14 +54,12 @@ __all__ = [
     "sample_batch",
 ]
 
-# queue rank of a kind among components of equal span sum; items rank last
+# queue rank of a 4D kind among components of equal span sum; items rank last
 _RANK = {"top": 0, "gap": 1, "chain": 2}
+# queue rank of a secondary table kind among cells of equal span
+_SEC_RANK = {kind: r for r, kind in enumerate(reversed(FILL_ORDER))}
 # draws walked together by one sample_batch pass; bounds the generators held
 _BLOCK = 4096
-
-
-class NumericalUnderflow(RuntimeError):
-    """A case distribution failed to normalise (inside tables corrupt)."""
 
 
 @dataclass(frozen=True)
@@ -65,13 +73,25 @@ class SampleBatch:
 
 
 def _queue_key(res: InsideResult, comp: tuple) -> tuple:
-    """Pop order of a 4D component: larger span sums first, then by kind."""
-    if comp[0] == "top":
+    """Pop order: 4D components by span sum, then secondary cells by span."""
+    kind = comp[0]
+    if kind == "sec":
+        _, _sid, table, i, j = comp
+        return (1, i - j, _SEC_RANK[table], comp)
+    if kind == "top":
         span = res.ctx.n + res.ctx.m
     else:
         i, j, h, l = comp[-4:]
         span = (j - i + 1) + (l - h + 1)
-    return (-span, _RANK.get(comp[0], 3), comp)
+    return (0, -span, _RANK.get(kind, 3), comp)
+
+
+def _by_choice(choices, waiting: list[int]) -> dict:
+    """The waiting draws grouped by the case each of them chose."""
+    groups: dict = {}
+    for choice, k in zip(choices, waiting):
+        groups.setdefault(choice, []).append(k)
+    return groups
 
 
 def _draw(
@@ -85,8 +105,7 @@ def _draw(
             1e-6 relative; the message starts with ``draw <first + k>:``,
             the lowest draw waiting on the component.
     """
-    if not (math.isfinite(res.q_total) and res.q_total > 0.0):
-        raise NumericalUnderflow(f"partition function is {res.q_total!r}")
+    check_partition_function(res.q_total)
     engines = {"R": res.sec_r.engine, "S": res.sec_s.engine}
     # arcs fixed so far, one list per draw: interior on R, on S, exterior
     interior = {"R": [[] for _ in rngs], "S": [[] for _ in rngs]}
@@ -95,51 +114,51 @@ def _draw(
     pending: dict[tuple, list[int]] = {top: list(range(len(rngs)))}
     queue = [_queue_key(res, top)]
 
+    def enqueue(child: tuple, draws: list[int]) -> None:
+        if child in pending:
+            pending[child] += draws
+        else:
+            pending[child] = list(draws)
+            heapq.heappush(queue, _queue_key(res, child))
+
     while queue:
-        comp = heapq.heappop(queue)[2]
+        comp = heapq.heappop(queue)[-1]
         waiting = pending.pop(comp)
-        total = component_value(res, comp)
-        cases = component_cases(res, comp)
-        values = [case_value(res, case) for case in cases]
-        acc = float(sum(values))
-        if not np.isfinite(acc) or abs(acc - total) > 1e-6 * max(abs(total), 1e-300):
+        us = np.array([rngs[k].random() for k in waiting])
+        try:
+            if comp[0] == "sec":
+                chosen = engines[comp[1]].sample(*comp[2:], us)
+            else:
+                weights, decode = scored_cases(res, comp)
+                chosen = pick(weights, component_value(res, comp), us).tolist()
+        except NumericalUnderflow as exc:
             raise NumericalUnderflow(
-                f"draw {first + min(waiting)}: component {comp}: "
-                f"cases sum to {acc!r}, table holds {total!r}"
-            )
-        positive = [case for case, v in zip(cases, values) if v > 0.0]
-        if not positive:
-            raise NumericalUnderflow(
-                f"draw {first + min(waiting)}: component {comp}: no positive case"
-            )
-        prefix = list(accumulate(v for v in values if v > 0.0))
-        # free each case list before the next component's is built
-        del cases, values
-        last = len(prefix) - 1
-        for k in waiting:
-            rng = rngs[k]
-            u = rng.random() * acc
-            _w, children, emissions = positive[min(bisect_left(prefix, u), last)]
+                f"draw {first + min(waiting)}: component {comp}: {exc}"
+            ) from None
+
+        if comp[0] == "sec":
+            sid = comp[1]
+            arcs = interior[sid]
+            for (_w, children, arc), draws in _by_choice(chosen, waiting).items():
+                if arc is not None:
+                    for k in draws:
+                        arcs[k].append(arc)
+                for table, ci, cj in children:
+                    if cj >= ci:
+                        enqueue(("sec", sid, table, ci, cj), draws)
+            continue
+
+        for t, draws in _by_choice(chosen, waiting).items():
+            _w, children, emissions = decode(t)
             for em in emissions:
-                if em[0] == "ext":
-                    exterior[k].append((em[1], em[2]))
-                else:
-                    interior["R" if em[0] == "arc_r" else "S"][k].append((em[1], em[2]))
+                arcs = exterior if em[0] == "ext" else interior[
+                    "R" if em[0] == "arc_r" else "S"]
+                for k in draws:
+                    arcs[k].append((em[1], em[2]))
             for child in children:
-                kind = child[0]
-                if kind == "unp":
+                if child[0] == "unp" or (child[0] == "sec" and child[4] < child[3]):
                     continue
-                if kind == "sec":
-                    _, sid, table, i, j = child
-                    if j >= i:
-                        engines[sid].sample(table, i, j, rng, interior[sid][k])
-                    continue
-                if child in pending:
-                    pending[child].append(k)
-                else:
-                    pending[child] = [k]
-                    heapq.heappush(queue, _queue_key(res, child))
-        del positive, prefix
+                enqueue(child, draws)
 
     return [
         JointStructure(

@@ -21,6 +21,7 @@ and the stochastic traceback, so the three can never drift apart.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +29,40 @@ import numpy as np
 from .energy import EnergyModel
 from .seq_model import Strand
 
-__all__ = ["SecTables", "SecEngine", "fold", "secondary_bpp"]
+__all__ = [
+    "NumericalUnderflow",
+    "SecTables",
+    "SecEngine",
+    "check_partition_function",
+    "fold",
+    "pick",
+    "secondary_bpp",
+]
 
 # Case record: (weight, children, own_arc) where children are (kind, i, j).
 Case = tuple[float, tuple, tuple | None]
 
 _EMPTY_ONE = ("q", "qk")  # tables whose empty interval has value 1
+
+# Fill order of the tables of one cell: a case reads cells of the same span
+# only from kinds earlier in this order.  The helix tables exist only with
+# ``forbid_lone_pairs``.
+FILL_ORDER = ("qend", "qbh", "qb", "qm1", "qm", "q", "q1", "qk", "q1k")
+_HELIX = ("qend", "qbh")
+
+
+class NumericalUnderflow(RuntimeError):
+    """A partition function or a case distribution failed to normalise."""
+
+
+def check_partition_function(q: float) -> None:
+    """Refuse a partition function that is not finite and positive.
+
+    Raises:
+        NumericalUnderflow: ``q`` is NaN, infinite, zero or negative.
+    """
+    if not (math.isfinite(q) and q > 0.0):
+        raise NumericalUnderflow(f"partition function is {float(q)!r}")
 
 
 @dataclass
@@ -69,8 +98,7 @@ class SecEngine:
         self.branch_kind = "qbh" if self.nolp else "qb"
         # Same-cell dependencies pin the order: closed tables fill before the
         # chains that place them; the outside sweep runs the reverse.
-        kinds = ["qend", "qbh"] if self.nolp else []
-        kinds += ["qb", "qm1", "qm", "q", "q1", "qk", "q1k"]
+        kinds = [k for k in FILL_ORDER if self.nolp or k not in _HELIX]
         self.kinds = kinds
         size = self.n + 2
         self.tables: dict[str, np.ndarray] = {
@@ -269,41 +297,43 @@ class SecEngine:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample(self, kind: str, i: int, j: int, rng, arcs: list) -> None:
-        """Draw one substructure of cell (kind,i,j); append arcs."""
-        stack = [(kind, i, j)]
-        while stack:
-            k, a, b = stack.pop()
-            if b <= a - 1:
-                continue
-            total = self.value(k, a, b)
-            if total <= 0.0:
-                raise RuntimeError(f"sampling empty cell ({k},{a},{b})")
-            u = rng.random() * total
-            acc = 0.0
-            chosen = None
-            for w, children, arc in self.cases(k, a, b):
-                prod = w
-                for c in children:
-                    prod *= self.value(*c)
-                acc += prod
-                if u <= acc:
-                    chosen = (children, arc)
-                    break
-            if chosen is None:  # numerical slack: take the last nonzero case
-                for w, children, arc in reversed(self.cases(k, a, b)):
-                    prod = w
-                    for c in children:
-                        prod *= self.value(*c)
-                    if prod > 0.0:
-                        chosen = (children, arc)
-                        break
-            if chosen is None:
-                raise RuntimeError(f"no case to sample in ({k},{a},{b})")
-            children, arc = chosen
-            if arc is not None:
-                arcs.append(arc)
-            stack.extend(children)
+    def sample(self, kind: str, i: int, j: int, us: np.ndarray) -> list[Case]:
+        """The case of cell (kind, i, j) that each uniform of ``us`` picks.
+
+        The cases are built and scored once, however many uniforms there
+        are; see :func:`pick` for the rule and the normalisation check.
+
+        Raises:
+            NumericalUnderflow: the cases do not sum to the stored cell.
+        """
+        cases = self.cases(kind, i, j)
+        weights = np.array(
+            [w * math.prod(self.value(*c) for c in children) for w, children, _arc in cases]
+        )
+        return [cases[t] for t in pick(weights, self.value(kind, i, j), us)]
+
+
+def pick(weights: np.ndarray, total: float, us: np.ndarray) -> np.ndarray:
+    """The index of the case that each uniform of ``us``, in [0, 1), picks.
+
+    Case ``t`` is picked with probability ``weights[t] / total``: each
+    uniform is scaled to the sum of the positive weights and located in
+    their prefix sums with ``searchsorted(side="left")``, the first case
+    whose prefix sum reaches it.
+
+    Raises:
+        NumericalUnderflow: the weights do not sum to ``total`` within 1e-6
+            relative, or none of them is positive.
+    """
+    acc = float(weights.sum())
+    if not math.isfinite(acc) or abs(acc - total) > 1e-6 * max(abs(total), 1e-300):
+        raise NumericalUnderflow(f"cases sum to {acc!r}, table holds {float(total)!r}")
+    positive = np.flatnonzero(weights > 0.0)
+    if positive.size == 0:
+        raise NumericalUnderflow("no positive case")
+    prefix = np.cumsum(weights[positive])
+    at = np.searchsorted(prefix, us * prefix[-1], side="left")
+    return positive[np.minimum(at, positive.size - 1)]
 
 
 def fold(strand: Strand, model: EnergyModel) -> SecTables:

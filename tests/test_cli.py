@@ -126,6 +126,23 @@ class TestPf:
         assert "CapacityExceeded:" in capsys.readouterr().err
 
 
+class TestInvalidNumbers:
+    @pytest.mark.parametrize("command", ["pf", "targets", "sample"])
+    def test_overflowing_ensemble_is_a_one_line_error(self, command, fasta, tmp_path,
+                                                       capsys):
+        # exterior arcs of weight ~1e282: any two of them overflow
+        params = tmp_path / "p.txt"
+        params.write_text("ext_arc = -400\n")
+        path = fasta(">r\nGGGCCC\n>s\nGGGCCC\n")
+        status, text = capture(
+            cfg(command, [path], params_path=str(params), outdir=str(tmp_path))
+        )
+        assert status == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: NumericalUnderflow: partition function is \S+\n", err)
+        assert not any(l and not l.startswith("#") for l in text.splitlines())
+
+
 class TestTargets:
     def test_line_format(self):
         assert format_target_line(52, 60, 0.83) == "52,60: 83.0%"

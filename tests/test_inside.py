@@ -7,11 +7,12 @@ from jointfold._cases import verify_reconstruction
 from jointfold.energy import unit_model
 from jointfold.grammar_inside import (
     CapacityExceeded,
+    HY_CLASSES,
     estimate_memory_bytes,
-    hybrid_tables,
     inside,
 )
 from jointfold.oracle import enumerate_interactions
+from jointfold.outside_prob import outside
 from jointfold.seq_model import Strand
 
 from helpers import au_rich_seq, random_model, random_seq
@@ -108,6 +109,12 @@ class TestSymmetry:
             assert q1 == pytest.approx(q2, rel=1e-12)
 
 
+def hybrid_tables(R, S, model):
+    """The four anchored hybrid tensors (EE/EK/KE/KK) of the inside store."""
+    store = inside(R, S, model).store
+    return {cls: store[("hy", cls)] for cls in HY_CLASSES}
+
+
 class TestHybridTables:
     def test_anchored_prefix_counts(self):
         R, S = strands("AAA", "UUU")
@@ -157,3 +164,16 @@ class TestCapacity:
         est = estimate_memory_bytes(8, 8, include_outside=False)
         assert res.memory_estimate_bytes == est
         assert abs(res.store.peak_bytes - est) <= 0.25 * est
+
+    def test_outside_keeps_to_the_inside_budget(self):
+        R, S = strands("GACUGA", "GACUGA")
+        budget = (estimate_memory_bytes(6, 6, include_outside=False)
+                  + estimate_memory_bytes(6, 6, include_outside=True)) // 2
+        res = inside(R, S, unit_model(), memory_budget_bytes=budget)
+        assert res.memory_budget_bytes == budget
+        peak = res.store.peak_bytes
+        with pytest.raises(CapacityExceeded) as err:
+            outside(res)
+        assert err.value.required_bytes == estimate_memory_bytes(6, 6, include_outside=True)
+        assert err.value.budget_bytes == budget
+        assert res.store.peak_bytes == peak

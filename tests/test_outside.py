@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from jointfold.energy import unit_model
 from jointfold.grammar_inside import inside
 from jointfold.oracle import enumerate_interactions, exact_probabilities
 from jointfold.outside_prob import hybrid_probabilities, outside, target_sites
-from jointfold.secfold import secondary_bpp
+from jointfold.secfold import NumericalUnderflow, secondary_bpp
 from jointfold.seq_model import Strand
 
 from helpers import random_model, random_seq
@@ -178,3 +180,20 @@ class TestTargetSites:
         res, prob = pipeline("GACU", "AGUC", model)
         hyb = hybrid_probabilities(res, prob)
         assert target_sites(hyb).rows == []
+
+
+class TestInvalidNumbers:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    def test_non_finite_or_empty_ensemble_is_refused(self, bad):
+        res = inside(*strands("GAAAC", "GUU"), unit_model(min_hairpin=1))
+        peak = res.store.peak_bytes
+        with pytest.raises(NumericalUnderflow, match="partition function is"):
+            outside(dataclasses.replace(res, q_total=bad))
+        assert res.store.peak_bytes == peak
+
+    def test_overflowing_weights_are_refused(self):
+        model = dataclasses.replace(unit_model(), ext_default=-400.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = inside(*strands("GGGCCC", "GGGCCC"), model)
+            with pytest.raises(NumericalUnderflow, match="partition function is"):
+                outside(res)

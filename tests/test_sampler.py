@@ -1,18 +1,27 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from jointfold import sampler
-from jointfold._cases import component_cases, iter_all_components
+from jointfold._cases import (
+    case_value,
+    component_cases,
+    component_value,
+    decode_case,
+    iter_all_components,
+    scored_cases,
+)
 from jointfold.energy import unit_model
 from jointfold.grammar_inside import inside
 from jointfold.oracle import enumerate_interactions, exact_probabilities
 from jointfold.outside_prob import hybrid_probabilities, outside
 from jointfold.sampler import NumericalUnderflow, sample_batch, sample_one
+from jointfold.secfold import pick
 from jointfold.seq_model import Strand, extract_hybrids, validate
 
 from helpers import random_model, random_seq
@@ -20,6 +29,43 @@ from helpers import random_model, random_seq
 
 def strands(r: str, s_internal: str):
     return Strand.query(r), Strand.target_internal(s_internal)
+
+
+def close(a: float, b: float, rel: float = 1e-12) -> bool:
+    return abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+class TestWeightVectors:
+    @pytest.mark.parametrize("theta, r, s", [(0, "GCAU", "UGCA"), (1, "GGCAU", "AUGC"),
+                                             (2, "GCAAUC", "GUUC")])
+    def test_vectors_sum_to_the_cells_and_decode_to_their_cases(self, theta, r, s):
+        model = random_model(np.random.default_rng(30 + theta), min_hairpin=theta)
+        res = inside(*strands(r, s), model)
+        checked = 0
+        for comp in iter_all_components(res):
+            if comp[0] not in ("chain", "gap"):
+                continue
+            weights, _decode = scored_cases(res, comp)
+            assert close(float(weights.sum()), component_value(res, comp)), comp
+            for t, w in enumerate(weights):
+                case = decode_case(res, comp, t)
+                if case is None:
+                    assert w == 0.0, (comp, t)
+                else:
+                    assert close(case_value(res, case), float(w)), (comp, t, case)
+                    checked += w > 0.0
+        assert checked > 1000
+
+    def test_pick_takes_the_first_prefix_sum_reaching_the_uniform(self):
+        weights = np.array([0.0, 1.0, 0.0, 3.0])
+        us = np.array([0.0, 0.25, 0.2500001, 0.999])
+        assert pick(weights, 4.0, us).tolist() == [1, 1, 3, 3]
+        with pytest.raises(NumericalUnderflow, match="cases sum to"):
+            pick(weights, 4.5, us)
+        with pytest.raises(NumericalUnderflow, match="cases sum to"):
+            pick(np.array([1.0, np.nan]), 1.0, us)
+        with pytest.raises(NumericalUnderflow, match="no positive case"):
+            pick(np.zeros(3), 0.0, us)
 
 
 class TestSampleOne:
@@ -76,6 +122,28 @@ class TestDistribution:
             if sigma == 0.0:
                 continue
             assert abs(emp.get(key, 0) / n - p) <= 4.5 * sigma
+
+    def test_multi_item_chains_pass_chi_square(self):
+        from scipy import stats
+
+        # 178 structures; a third of the mass has two or more hybrids, so the
+        # draws run through chains of several items and the gaps between them
+        r, s = "UGGCC", "AAAAU"
+        model = random_model(np.random.default_rng(10), min_hairpin=0)
+        res = inside(*strands(r, s), model)
+        exact = exact_probabilities(enumerate_interactions(*strands(r, s), model))
+        probs = {js.key(): p for js, p in exact["structures"]}
+        multi = {js.key() for js, _p in exact["structures"] if len(extract_hybrids(js)) >= 2}
+        assert sum(probs[key] for key in multi) > 0.3
+        n = 20000
+        emp = Counter(js.key() for js in sample_batch(res, n, seed=11).structures)
+        assert set(emp) <= set(probs)
+        # Pearson's test over the cells expected >= 5 times, the rest pooled
+        big = [key for key, p in probs.items() if n * p >= 5]
+        observed = [emp.get(key, 0) for key in big] + [n - sum(emp.get(k, 0) for k in big)]
+        expected = [n * probs[key] for key in big] + [n * (1 - sum(probs[k] for k in big))]
+        pvalue = stats.chisquare(observed, expected).pvalue
+        assert pvalue >= 0.001, f"chi-square p={pvalue}"
 
     def test_hybrid_footprint_frequencies(self):
         res = inside(*strands("AAA", "UUU"), unit_model())
@@ -146,15 +214,41 @@ class TestBatch:
         with pytest.raises(NumericalUnderflow, match=r"^draw \d+: component \('top',\)"):
             sample_batch(res, 5, seed=1)
 
+    def test_corrupted_secondary_cell_fails_loudly(self):
+        # without exterior arcs every interior arc is drawn from a qb cell
+        model = random_model(np.random.default_rng(4), min_hairpin=1).without_interaction()
+        res = inside(*strands("GGGAAACCC", "GGAUCC"), model)
+        arcs = Counter(arc for js in sample_batch(res, 200, seed=2).structures
+                       for arc in js.interior_r)
+        (i, j), _count = arcs.most_common(1)[0]
+        res.sec_r.engine.tables["qb"][i, j] *= 1.5
+        with pytest.raises(NumericalUnderflow, match=r"^draw \d+: component \('sec', 'R', "):
+            sample_batch(res, 200, seed=2)
+
     def test_children_are_queued_after_their_parents(self):
         model = random_model(np.random.default_rng(8), min_hairpin=1)
-        res = inside(*strands("GCAAC", "UUGC"), model)
+        for nolp in (False, True):
+            self._check_queue_order(
+                inside(*strands("GCAAC", "UUGC"),
+                       dataclasses.replace(model, forbid_lone_pairs=nolp)))
+
+    @staticmethod
+    def _check_queue_order(res):
+        key = functools.partial(sampler._queue_key, res)
         for comp in (("top",), *iter_all_components(res)):
-            parent = sampler._queue_key(res, comp)
             for _w, children, _em in component_cases(res, comp):
                 for child in children:
-                    if child[0] not in ("sec", "unp"):
-                        assert sampler._queue_key(res, child) > parent, (comp, child)
+                    if child[0] != "unp":
+                        assert key(child) > key(comp), (comp, child)
+        for sid, engine in (("R", res.sec_r.engine), ("S", res.sec_s.engine)):
+            for kind in engine.kinds:
+                for i in range(1, engine.n + 1):
+                    for j in range(i, engine.n + 1):
+                        cell = ("sec", sid, kind, i, j)
+                        for _w, children, _arc in engine.cases(kind, i, j):
+                            for ck, ci, cj in children:
+                                if cj >= ci:
+                                    assert key(("sec", sid, ck, ci, cj)) > key(cell)
 
     def test_zero_draws_is_an_error(self):
         res = inside(*strands("A", "U"), unit_model())
