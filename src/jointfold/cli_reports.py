@@ -33,7 +33,7 @@ from .outside_prob import (
     target_sites,
 )
 from .sampler import sample_batch
-from .secfold import NumericalUnderflow, check_partition_function
+from .secfold import NumericalUnderflow
 from .seq_model import Strand, StrandRole, extract_hybrids
 
 __all__ = ["CliError", "RunConfig", "ingest_fasta", "run", "main"]
@@ -62,7 +62,6 @@ class RunConfig:
     threshold: float = 0.1
     num: int = 10
     seed: int = 1
-    threads: int = 1
     memory_budget_bytes: int = DEFAULT_BUDGET_BYTES
     as_json: bool = False
     no_interaction: bool = False
@@ -132,7 +131,7 @@ def _s_user(pos: int, m: int) -> int:
 def _header(cfg: RunConfig, model: EnergyModel, extra: str = "") -> str:
     lines = [
         f"# jointfold {__version__} {cfg.command}",
-        f"# model={model.fingerprint()} seed={cfg.seed} threads={cfg.threads}",
+        f"# model={model.fingerprint()} seed={cfg.seed}",
         "# coordinates: R positions 5'->3'; S reported 5'->3'"
         " (internally indexed from its 3' end)",
     ]
@@ -228,11 +227,9 @@ def _run_inside(cfg: RunConfig, R: Strand, S: Strand, model: EnergyModel,
             "CapacityExceeded",
             f"tables need {est} bytes, budget {cfg.memory_budget_bytes}",
         )
-    # an overflowing ensemble is reported by the check below, in one line
+    # an overflowing ensemble is refused by ``inside`` itself, in one line
     with np.errstate(over="ignore", invalid="ignore"):
-        res = inside(R, S, model, memory_budget_bytes=cfg.memory_budget_bytes)
-    check_partition_function(res.q_total)
-    return res
+        return inside(R, S, model, memory_budget_bytes=cfg.memory_budget_bytes)
 
 
 def _cmd_pf(cfg: RunConfig, stream) -> None:
@@ -469,9 +466,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="report regions with probability above this")
         p.add_argument("--num", type=int, default=10, help="number of samples")
         p.add_argument("--seed", type=int, default=1, help="random seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="ignored: every run is single-threaded; the value is "
-                            "only echoed in the report header")
         p.add_argument("--mem-budget-gib", type=float, default=2.0,
                        help="memory budget for DP tables")
         p.add_argument("--json", dest="as_json", action="store_true",
@@ -493,7 +487,6 @@ def main(argv: list[str] | None = None) -> int:
         threshold=args.threshold,
         num=args.num,
         seed=args.seed,
-        threads=args.threads,
         memory_budget_bytes=int(args.mem_budget_gib * 1024**3),
         as_json=args.as_json,
         no_interaction=args.no_interaction,

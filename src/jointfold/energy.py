@@ -115,11 +115,6 @@ class EnergyModel:
     def stack(self, outer: str, inner: str) -> float:
         return self.stack_overrides.get((outer, inner), self.stack_default)
 
-    def exterior_arc(self, pairtype: str) -> float:
-        return self.ext_overrides.get(
-            (pairtype[0], pairtype[1]), self.ext_default
-        ) if isinstance(pairtype, str) else self.ext_default
-
     def g_int(self, i1: int, h1: int, j: int, l: int) -> float:
         """Two-sided gap energy of a hybrid extension step (size-based)."""
         return self.g_int_sizes(j - i1 - 1, l - h1 - 1)

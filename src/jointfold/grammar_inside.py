@@ -10,27 +10,43 @@ axes with constant position offsets.
 Each tensor family is one stacked allocation with the chain label (or item
 kind) as a leading axis (``_FAMILIES``); ``store[key]`` is a view of one
 slice.  A wave (fixed span pair) therefore fills all labels, hybrid classes
-and tight kinds at once: at most 8 ``numpy.einsum`` calls and one matrix
-product (hybrids 1, tight blocks 3, chains 2 plus the product that forms the
-branch-weighted item of every chain row, gaps 2).  The outside transpose in
-:mod:`jointfold.outside_prob` makes at most 19 einsum calls and 2 matrix
-products per wave (gaps 4, chains 4 + 2, items 11).  Averaged over the
-waves of a 12x12 pair that is 6 inside and 14 outside einsum calls.
+and tight kinds at once.
+
+Each wave production of ``docs/grammar.md`` §4 is declared once, in
+``_WAVE``: an einsum over named operands (a stored family, a ``_Ctx`` array
+or a derived operand), the index of each operand built from the wave's spans,
+a guard, and where each operand's outside weight goes (``_Prod``).  The
+derived operands (the branch-weighted items, the chain sums CH_all/CH_nohy,
+the tail product and the AFT cache rows) are declared with their forward and
+their transpose.  The inside fill evaluates ``_WAVE`` in order
+(``_fill_wave``); the outside pass (:mod:`jointfold.outside_prob`) walks it
+in reverse through one transpose rule (``_transpose_wave``): for ``C =
+einsum(A, B, ...)`` it adds ``einsum(C_out, B, ... -> A)`` into A's outside
+target at A's own index, so a production and its transpose cannot drift
+apart.  Per wave that is at most 8 ``numpy.einsum`` calls and one matrix
+product inside (hybrids 1, tight blocks 3, chains 2, gaps 2), and at most 13
+einsum calls and 2 matrix products in the transpose (gaps 4, chains 4, tight
+blocks 5; the hybrid step is a plain product), plus 3 for the readouts of
+:mod:`jointfold.outside_prob`.
 
 Under a unit model every entry is an ensemble count; the brute-force oracle
 checks both the counts and the weighted sums cell for cell (via the
 per-cell case enumeration in ``_cases.py``, shared with the sampler).
+``_cases.py`` is written out by hand on purpose: generated from ``_WAVE``,
+the reconstruction check would compare the declarations with themselves.
 """
 
 from __future__ import annotations
 
 import mmap
+import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .energy import EnergyModel
-from .secfold import SecTables, fold
+from .secfold import SecTables, check_partition_function, fold
 from .seq_model import Strand
 
 __all__ = [
@@ -113,13 +129,22 @@ _GAP_KEYS = tuple((f, L) for f in ("ghy", "gna") for L in LABELS)
 # Stacked tensor families: name -> (leading stack shape, keys in C order).
 # Items are start anchored [.., p, q, i, h]; chains and the "rest" rows
 # (gap tensors, then the derived AFT continuations) end anchored [.., p, q, j, l].
+# Rows 1:4 of "rest" (gna, aft_na, aft_hy) are what may follow an item; they
+# pair with the row blocks EX, NA, HY of the combined items, and the chain
+# rows they feed (cna, cna, chy) then come in ascending order.
 _FAMILIES: _Families = {
     "items": ((9,), _ITEM_ORDER),
-    "chain": ((2, 6), tuple((f, L) for f in ("chy", "cna") for L in LABELS)),
+    "chain": ((2, 6), tuple((f, L) for f in ("cna", "chy") for L in LABELS)),
     "cnb": ((4,), tuple(("cnb", lab.name) for lab in _NB_LABS)),
-    "rest": ((4, 6), _GAP_KEYS + tuple((f, L) for f in ("aft_hy", "aft_na")
+    "rest": ((4, 6), _GAP_KEYS + tuple((f, L) for f in ("aft_na", "aft_hy")
                                        for L in LABELS)),
 }
+
+# The terms of GHY/GNA over CH_all (docs/grammar.md §4): the segment kind on
+# R and on S; the first two fill GHY, the last GNA.  The bare GHY term over
+# CH_nohy has unpaired segments on both strands.  Unpaired segments are
+# constants: only R rows 1:3 carry outside weight.
+_GAP_TERMS = (("unp", "ge1"), ("ge1", "any"), ("any", "any"))
 
 
 def _out_keys(keys: tuple[tuple, ...]) -> tuple[tuple, ...]:
@@ -136,6 +161,12 @@ _OUT_FAMILIES: _Families = {
     "out_cnb": ((4,), _out_keys(_FAMILIES["cnb"][1])),
     "out_gap": ((2, 6), _out_keys(_GAP_KEYS)),
 }
+# The outside family of each inside one; "rest" has one for its gap rows only.
+_OUT_OF = {"items": "out_items", "chain": "out_chain", "cnb": "out_cnb",
+           "rest": "out_gap"}
+# The _Ctx arrays whose outside weight feeds base-pair probabilities (through
+# the secondary tables); every other _Ctx operand is a constant.
+_SEGMENTS = ("kq_r", "kq_s", "gap_r", "gap_s", "tail_r", "tail_s")
 
 
 class CapacityExceeded(RuntimeError):
@@ -205,9 +236,6 @@ class TensorStore:
     def __getitem__(self, key: tuple) -> np.ndarray:
         return self.arrays[key]
 
-    def __contains__(self, key: tuple) -> bool:
-        return key in self.arrays
-
 
 class _Ctx:
     """Precomputed per-run grids: admissibility, weights, segment diagonals."""
@@ -253,14 +281,17 @@ class _Ctx:
 
         # Segment diagonals, start anchored: sq_*[strand][cls][g, x] is the
         # weight of a segment of length g starting at x; end anchored tq_*.
+        # A flush tail is empty: weight 1 at length 0.
         self.sq_any, self.sq_ge1, self.sq_unp = {}, {}, {}
-        self.tq_any = {}
+        self.tq_any, self.tq_flush = {}, {}
         for sid, sec, ln in (("R", sec_r, n), ("S", sec_s, m)):
             eng = sec.engine
             self.sq_any[sid] = {}
             self.sq_ge1[sid] = {}
             self.sq_unp[sid] = {}
             self.tq_any[sid] = {}
+            self.tq_flush[sid] = np.zeros((ln + 2, ln + 2))
+            self.tq_flush[sid][0, :] = 1.0
             for cls, anyk, ge1k in (("E", "q", "q1"), ("K", "qk", "q1k")):
                 sq = np.zeros((ln + 2, ln + 2))
                 s1 = np.zeros((ln + 2, ln + 2))
@@ -285,10 +316,6 @@ class _Ctx:
                 self.sq_ge1[sid][cls] = s1
                 self.sq_unp[sid][cls] = su
                 self.tq_any[sid][cls] = tq
-        self.tq_flush_r = np.zeros((n + 2, n + 2))
-        self.tq_flush_r[0, :] = 1.0
-        self.tq_flush_s = np.zeros((m + 2, m + 2))
-        self.tq_flush_s[0, :] = 1.0
         self._label_stacks()
 
     def _adm_grid(self, strand: Strand) -> np.ndarray:
@@ -303,50 +330,37 @@ class _Ctx:
                     arr[p, i] = 1.0
         return arr
 
-    def tq_r(self, label: ChainLabel) -> np.ndarray:
-        if label.tail_r == "flush":
-            return self.tq_flush_r
-        return self.tq_any["R"][label.class_r]
-
-    def tq_s(self, label: ChainLabel) -> np.ndarray:
-        if label.tail_s == "flush":
-            return self.tq_flush_s
-        return self.tq_any["S"][label.class_s]
-
     def _label_stacks(self) -> None:
         """Per-label operand stacks, indexed like the label axis of the store."""
 
         def per_label(fn) -> np.ndarray:
             return np.stack([fn(lab) for lab in _LABS])
 
-        sq_r, sq_s = self.sq_any["R"], self.sq_any["S"]
-        # gap segment factors: term t of the GNA/GHY sums is gap_r[t] (x)
-        # gap_s[t] over a chain sum; t = GNA, GHY(A, R arc), GHY(A, S arc)
-        # over CH_all, then GHY(both bare) over CH_nohy
-        self.gap_r = np.stack([
-            per_label(lambda lab: sq_r[lab.class_r]),
-            per_label(lambda lab: self.sq_ge1["R"][lab.class_r]),
-            per_label(lambda lab: self.sq_unp["R"][lab.class_r]),
-            per_label(lambda lab: self.sq_unp["R"][lab.class_r]),
-        ])
-        self.gap_s = np.stack([
-            per_label(lambda lab: sq_s[lab.class_s]),
-            per_label(lambda lab: sq_s[lab.class_s]),
-            per_label(lambda lab: self.sq_ge1["S"][lab.class_s]),
-            per_label(lambda lab: self.sq_unp["S"][lab.class_s]),
-        ])
-        self.tail_r = per_label(self.tq_r)
-        self.tail_s = per_label(self.tq_s)
+        # gap segment factors: term t of _GAP_TERMS is gap_r[t] (x) gap_s[t]
+        # over CH_all; the bare GHY term is bare_r (x) bare_s over CH_nohy
+        seg = {"any": self.sq_any, "ge1": self.sq_ge1, "unp": self.sq_unp}
+        self.gap_r = np.stack([per_label(lambda lab: seg[kr]["R"][lab.class_r])
+                               for kr, _ks in _GAP_TERMS])
+        self.gap_s = np.stack([per_label(lambda lab: seg[ks]["S"][lab.class_s])
+                               for _kr, ks in _GAP_TERMS])
+        self.bare_r = per_label(lambda lab: self.sq_unp["R"][lab.class_r])
+        self.bare_s = per_label(lambda lab: self.sq_unp["S"][lab.class_s])
+        self.tail_r = per_label(lambda lab: self.tq_flush["R"] if lab.tail_r == "flush"
+                                else self.tq_any["R"][lab.class_r])
+        self.tail_s = per_label(lambda lab: self.tq_flush["S"] if lab.tail_s == "flush"
+                                else self.tq_any["S"][lab.class_s])
         self.step_stack = np.stack([self.step[c] for c in HY_CLASSES])
+        # the segment inside a tight block's closing arc
+        self.kq_r, self.kq_s = self.sq_any["R"]["K"], self.sq_any["S"]["K"]
 
         # branch[row, t]: weight of item t in the combined item of one chain
         # row.  Row blocks, one row per label each: EX (the kinds a flush
         # label excludes from CNA's tail, docs/grammar.md §4; zero for
-        # top/box), HY (the label's hybrid class), NA (the other tight kinds)
-        # and ALL = NA + EX.  Each kind carries its branch factor.
+        # top/box), NA (the other tight kinds) and HY (the label's hybrid
+        # class).  Each kind carries its branch factor.
         nl = len(_LABS)
-        self.branch = np.zeros((4 * nl, len(_ITEM_ORDER)))
-        ex, hy, na, all_ = (self.branch[k * nl:(k + 1) * nl] for k in range(4))
+        self.branch = np.zeros((3 * nl, len(_ITEM_ORDER)))
+        ex, na, hy = (self.branch[k * nl:(k + 1) * nl] for k in range(3))
         for row, lab in enumerate(_LABS):
             hy[row, _ITEM_ORDER.index(("hy", lab.hy_class))] = 1.0
             wbr_r = self.kb if lab.class_r == "K" else 1.0
@@ -356,9 +370,10 @@ class _Ctx:
                 (("tri", lab.class_r), wbr_s, lab.tail_s == "flush"),
                 (("box",), wbr_r * wbr_s, lab.has_nb),
             ):
-                t = _ITEM_ORDER.index(key)
-                (ex if excluded else na)[row, t] = wbr
-                all_[row, t] = wbr
+                (ex if excluded else na)[row, _ITEM_ORDER.index(key)] = wbr
+        # the transpose of the combined items; the hybrid rows come twice, the
+        # second time for the block-placement rows 9:13 of out_items
+        self.to_items = np.concatenate((self.branch.T, self.branch.T[_HY]))
 
 
 @dataclass
@@ -421,6 +436,8 @@ def inside(
 
     Raises:
         CapacityExceeded: the estimate exceeds ``memory_budget_bytes``.
+        NumericalUnderflow: ``q_total`` is not finite and positive (the
+            weights overflow or underflow float64).
     """
     est = estimate_memory_bytes(len(R), len(S), include_outside=False)
     if memory_budget_bytes is not None and est > memory_budget_bytes:
@@ -434,20 +451,27 @@ def inside(
     store.alloc_families(_FAMILIES)
 
     _init_aft_edges(store, ctx)
-    for t in range(2, n + m + 1):
-        for p in range(max(1, t - m), min(n, t - 1) + 1):
-            q = t - p
-            _fill_items(store, ctx, p, q)
-            _fill_chains(store, ctx, p, q)
-            _fill_gaps(store, ctx, p, q)
+    src = _operands(store, ctx)
+    for p, q in _waves(n, m):
+        w = _Wave(ctx, p, q)
+        if p == q == 1:  # the hybrid base case
+            store.stacks["items"][_HY, 1, 1, 1 : n + 1, 1 : m + 1] = ctx.wext[1 : n + 1, 1 : m + 1]
+        _fill_wave(src, w)
 
     q_ni = sec_r.q_total() * sec_s.q_total()
-    q_int = _top_interaction_sum(store, ctx)
+    q_total = q_ni + _top_interaction_sum(store, ctx)
+    check_partition_function(q_total)
     return InsideResult(
         R=R, S=S, model=model, sec_r=sec_r, sec_s=sec_s, store=store, ctx=ctx,
-        q_total=q_ni + q_int, q_no_interaction=q_ni,
+        q_total=q_total, q_no_interaction=q_ni,
         memory_estimate_bytes=est, memory_budget_bytes=memory_budget_bytes,
     )
+
+
+def _waves(n: int, m: int) -> list[tuple[int, int]]:
+    """Span pairs (p, q) in fill order: by p + q, then by p."""
+    return [(p, t - p) for t in range(2, n + m + 1)
+            for p in range(max(1, t - m), min(n, t - 1) + 1)]
 
 
 def _top_interaction_sum(store: TensorStore, ctx: _Ctx) -> float:
@@ -477,110 +501,345 @@ def _init_aft_edges(store: TensorStore, ctx: _Ctx) -> None:
     aft[:, :, 1 : n + 1, 0, :, :] = ctx.tail_r[:, 1 : n + 1, :, None]
 
 
-def _fill_items(store: TensorStore, ctx: _Ctx, p: int, q: int) -> None:
-    n, m = ctx.n, ctx.m
-    nI, nH = n - p + 1, m - q + 1
-    isl = slice(1, nI + 1)
-    hsl = slice(1, nH + 1)
-    jsl = slice(p, p + nI)
-    lsl = slice(q, q + nH)
-    items, chain = store.stacks["items"], store.stacks["chain"]
+# -- the wave productions ------------------------------------------------------
 
-    # hybrids, all four classes at once
-    if p == 1 and q == 1:
-        items[_HY, 1, 1, 1 : n + 1, 1 : m + 1] = ctx.wext[1 : n + 1, 1 : m + 1]
-    elif p >= 2 and q >= 2:
-        # step for prefix spans (dp,dq): gaps (p-dp-1, q-dq-1)
-        kern = ctx.step_stack[:, p - 2 :: -1, q - 2 :: -1][:, : p - 1, : q - 1]
-        np.einsum("cabih,cab,ih->cih", items[_HY, 1:p, 1:q, isl, hsl], kern,
-                  ctx.wext[jsl, lsl], out=items[_HY, p, q, isl, hsl])
-
-    # The content chain of a tight block is CHY+CNA (summed over axis k).
-    # tight_r (closed by an R arc): content chain is S-flush with span q
-    if p >= 3 and ctx.arc_r[p]:
-        lead = ctx.sq_any["R"]["K"][0 : p - 2, 2 : 2 + nI]
-        chains = chain[:, _VEE_LABELS, p - 2 : 0 : -1, q, p - 1 : p - 1 + nI, lsl]
-        np.einsum("kcgih,gi,i->cih", chains, lead, ctx.close_r[p, isl],
-                  out=items[_VEE_ITEMS, p, q, isl, hsl])
-
-    # tight_s (closed by an S arc)
-    if q >= 3 and ctx.arc_s[q]:
-        lead = ctx.sq_any["S"]["K"][0 : q - 2, 2 : 2 + nH]
-        chains = chain[:, _TRI_LABELS, p, q - 2 : 0 : -1, jsl, q - 1 : q - 1 + nH]
-        np.einsum("kcgih,gh,h->cih", chains, lead, ctx.close_s[q, hsl],
-                  out=items[_TRI_ITEMS, p, q, isl, hsl])
-
-    # tight_rs (closed on both strands)
-    if p >= 3 and q >= 3 and ctx.arc_r[p] and ctx.arc_s[q]:
-        lead_r = ctx.sq_any["R"]["K"][0 : p - 2, 2 : 2 + nI]
-        lead_s = ctx.sq_any["S"]["K"][0 : q - 2, 2 : 2 + nH]
-        chains = chain[:, _BOX_LABEL, p - 2 : 0 : -1, q - 2 : 0 : -1,
-                       p - 1 : p - 1 + nI, q - 1 : q - 1 + nH]
-        np.einsum("kabih,ai,bh,i,h->ih", chains, lead_r, lead_s,
-                  ctx.close_r[p, isl], ctx.close_s[q, hsl],
-                  out=items[_BOX_ITEM, p, q, isl, hsl])
+_ALL = slice(None)
 
 
-def _combined_items(store: TensorStore, ctx: _Ctx, p: int, q: int,
-                    rows: slice) -> np.ndarray:
-    """``ctx.branch[rows]`` applied to the items over spans 1..p x 1..q.
+def _rev(k: int) -> slice:
+    """Spans k, k-1, ..., 1."""
+    return slice(k, 0, -1)
 
-    Returns ``[row block, label, a, b, i, h]``: the item of spans (a+1, b+1)
-    starting at (i, h), one combined item per chain row.
+
+def _down(k: int) -> slice:
+    """Spans k, k-1, ..., 0."""
+    return slice(k, None, -1)
+
+
+class _Wave:
+    """The span pair (p, q) of one wave and the anchor slices of its cells."""
+
+    def __init__(self, ctx: _Ctx, p: int, q: int):
+        nI, nH = ctx.n - p + 1, ctx.m - q + 1
+        self.p, self.q = p, q
+        self.I, self.H = slice(1, nI + 1), slice(1, nH + 1)  # cell starts
+        self.J, self.L = slice(p, p + nI), slice(q, q + nH)  # cell ends
+        # the content of a tight block starts after and ends before its arc
+        self.I2, self.H2 = slice(2, nI + 2), slice(2, nH + 2)
+        self.J1, self.L1 = slice(p - 1, p - 1 + nI), slice(q - 1, q - 1 + nH)
+        self.tight_r = p >= 3 and bool(ctx.arc_r[p])
+        self.tight_s = q >= 3 and bool(ctx.arc_s[q])
+
+
+# Derived operands: formed per wave, never stored; their outside weight is
+# gathered per wave and passed back by their own transpose.
+_DERIVED = {"tail", "ci", "ch_all", "ch_nohy"}
+_INLINE: dict[str, _Prod] = {}
+
+
+def _has_outside(name: str) -> bool:
+    return name in _OUT_OF or name in _SEGMENTS or name in _DERIVED
+
+
+def _broadcast(letters: str, target: str) -> tuple:
+    """Index that gives an array with ``letters`` the axes of ``target``."""
+    assert [c for c in target if c in letters] == list(letters), (letters, target)
+    return tuple(_ALL if c in letters else None for c in target)
+
+
+class _Prod:
+    """One wave production and its transpose.
+
+    ``text`` is the einsum with named operands, ``"lhs[ij] = a[ik] b[kj]"``;
+    a name is a stored family, a ``_Ctx`` array or a derived operand.
+    ``at(wave)`` gives the index of the lhs and of each operand; ``when``
+    guards the wave.  With ``rows``, result row k is summed into lhs row
+    ``rows[k]``; with ``add``, the result is added to the lhs.  An ``inline``
+    production defines a derived operand that is never formed: a consumer
+    reads its operands instead, indexing only their shared leading axis.
+    ``live`` maps an operand to the rows of its leading axis (taken whole by
+    ``at``) that carry outside weight; the other rows are constants.
+
+    The transpose into operand A of ``C = einsum(A, B, ...)`` adds
+    ``einsum(C_out, B, ... -> A)`` to A's outside target at A's own index: a
+    letter of A that no other operand carries is broadcast, and a product
+    that sums over nothing is a plain ``*``.  Constants (the ``_Ctx`` arrays
+    not in ``_SEGMENTS``) have no target; those whose letters are all C's
+    are multiplied into ``C_out`` once, before the transposes.
     """
-    nI, nH = ctx.n - p + 1, ctx.m - q + 1
-    block = store.stacks["items"][:, 1 : p + 1, 1 : q + 1, 1 : nI + 1, 1 : nH + 1]
-    return (ctx.branch[rows] @ block.reshape(len(_ITEM_ORDER), -1)).reshape(
-        (-1, len(_LABS), p, q, nI, nH))
+
+    def __init__(self, text: str, at: Callable, when=None, rows=None, add=False,
+                 inline=False, live=None):
+        (self.lhs, out), *self.ops = re.findall(r"(\w+)\[(\w+)\]", text)
+        self.at, self.when, self.add, self.inline = at, when, add, inline
+        self.rows = rows and np.array(rows)
+        # the result rows summed into each lhs row (one or two)
+        self.groups = rows and [(r, [k for k, x in enumerate(rows) if x == r]) for r in set(rows)]
+        assert not rows or max(len(ks) for _r, ks in self.groups) <= 2
+        # (operand, factor or None, name, letters) of each einsum argument
+        self.leaves = [(k, f, *leaf) for k, op in enumerate(self.ops) for f, leaf in (
+            enumerate(_INLINE[op[0]].ops) if op[0] in _INLINE else [(None, op)])]
+        self.spec = ",".join(leaf[3] for leaf in self.leaves) + "->" + out
+        # constants carried by C's letters alone are multiplied into C_out once
+        self.fold = [(j, _broadcast(leaf[3], out)) for j, leaf in enumerate(self.leaves)
+                     if not _has_outside(leaf[2]) and set(leaf[3]) <= set(out)]
+        folded = {j for j, _bc in self.fold}
+        self.grads = []
+        for k, (name, spec) in enumerate(self.ops):
+            if _has_outside(name):
+                others = [j for j, leaf in enumerate(self.leaves)
+                          if leaf[0] != k and j not in folded]
+                specs = [out] + [self.leaves[j][3] for j in others]
+                res = "".join(c for c in spec if c in "".join(specs))
+                how = (",".join(specs) + "->" + res if len(specs) > 2 or set(res) != set("".join(specs))
+                       else [_broadcast(x, res) for x in specs])
+                lv = (live or {}).get(name)
+                cuts = [lv and spec[0] in x and (_ALL,) * x.index(spec[0]) + (lv,) for x in specs]
+                reads = {self.leaves[j][2] for j in others} & _DERIVED
+                pad = None if res == spec else _broadcast(res, spec)
+                self.grads.append((k + 1, name, others, how, pad, lv, cuts, reads))
+
+    def _args(self, src: dict, w: _Wave, idx: tuple, derived: bool) -> list:
+        """The einsum arguments (the derived ones only if ``derived``)."""
+        at = idx[1:]
+        if len(self.leaves) > len(self.ops):  # factor f of an inline operand k
+            at = [idx[k + 1] if f is None else idx[k + 1] + _INLINE[self.ops[k][0]].at(w)[f + 1][1:]
+                  for k, f, _name, _spec in self.leaves]
+        return [src[leaf[2]][i] if derived or leaf[2] not in _DERIVED else None
+                for leaf, i in zip(self.leaves, at)]
+
+    def fill(self, src: dict, w: _Wave) -> None:
+        if self.inline or (self.when is not None and not self.when(w)):
+            return
+        idx = self.at(w)
+        args, lhs = self._args(src, w, idx, True), src[self.lhs][idx[0]]
+        if self.rows is not None:
+            res = np.einsum(self.spec, *args)
+            for row, ks in self.groups:
+                if len(ks) == 1:
+                    lhs[row] = res[ks[0]]
+                else:
+                    np.add(res[ks[0]], res[ks[1]], out=lhs[row])
+        elif self.add:
+            lhs += np.einsum(self.spec, *args)
+        else:
+            np.einsum(self.spec, *args, out=lhs)
+
+    def transpose(self, src: dict, out: dict, adj: dict, w: _Wave) -> None:
+        """Pass on the outside weight of the lhs.  A transpose that reads the
+        value of a derived operand waits for that operand's own transpose
+        (``_after``): its value and its outside weight are never held at once."""
+        if self.when is not None and not self.when(w):
+            return
+        idx = self.at(w)
+        o = adj.pop(self.lhs) if self.inline else out[self.lhs][idx[0]]
+        if self.rows is not None:
+            o = o[self.rows]
+        args = self._args(src, w, idx, False)
+        for j, bc in self.fold:
+            o = o * args[j][bc]
+        for grad in self.grads:
+            if grad[-1]:
+                adj.setdefault("after", []).append((self, grad, o, idx, args))
+            else:
+                self.apply(src, out, adj, w, grad, o, idx, args)
+
+    def apply(self, src: dict, out: dict, adj: dict, w: _Wave, grad: tuple,
+              o: np.ndarray, idx: tuple, args: list) -> None:
+        op, name, others, how, pad, live, cuts, _reads = grad
+        if _reads:
+            args = self._args(src, w, idx, True)
+        arrays = [o] + [args[j] for j in others]
+        if live is not None:
+            arrays = [a[cut] if cut else a for a, cut in zip(arrays, cuts)]
+        if name == "rest":  # the AFT rows take the product unformed
+            return _AFT.following(out, adj, w, *arrays)
+        c = np.einsum(how, *arrays) if isinstance(how, str) else arrays[0][how[0]] * arrays[1][how[1]]
+        c = c if pad is None else c[pad]
+        target = idx[op] if live is None else (live,) + idx[op][1:]
+        if name not in _DERIVED:
+            out[name][target] += c
+        elif name in adj:
+            adj[name][target] += c
+        else:  # the first weight of the reverse walk covers the whole operand
+            adj[name] = c
 
 
-def _following(store: TensorStore, p: int, q: int, jsl: slice, lsl: slice,
-               fams: slice) -> np.ndarray:
-    """Rest rows that follow an item in a chain ending at (j, l), reversed so
-    that axis (a, b) pairs with the item of spans (a+1, b+1)."""
-    return store.stacks["rest"][fams, :, p - 1 :: -1, q - 1 :: -1, jsl, lsl]
+def _after(src: dict, out: dict, adj: dict, w: _Wave, names: tuple) -> None:
+    """Run the waiting transposes that read the values of ``names``, just
+    formed, then drop those values."""
+    for prod, grad, *rest in adj.pop("after", []):
+        if grad[-1].intersection(names):
+            prod.apply(src, out, adj, w, grad, *rest)
+        else:
+            adj.setdefault("after", []).append((prod, grad, *rest))
+    for name in names:
+        src.pop(name, None)
 
 
-def _fill_chains(store: TensorStore, ctx: _Ctx, p: int, q: int) -> None:
-    jsl = slice(p, ctx.n + 1)
-    lsl = slice(q, ctx.m + 1)
-    # rows EX, HY, NA against GNA, AFT_hy, AFT_na
-    items = _combined_items(store, ctx, p, q, slice(0, 18))
-    parts = np.einsum("xlabih,xlabih->xlih", items,
-                      _following(store, p, q, jsl, lsl, slice(1, 4)))
-    chain = store.stacks["chain"][:, :, p, q, jsl, lsl]
-    chain[0] = parts[1]
-    np.add(parts[2], parts[0], out=chain[1])
-    # CNB: the excluded kinds followed by the tail alone
-    np.einsum("labih,lai,lbh->lih", items[0, _NB], ctx.tail_r[_NB, p - 1 :: -1, jsl],
-              ctx.tail_s[_NB, q - 1 :: -1, lsl], out=store.stacks["cnb"][:, p, q, jsl, lsl])
+class _CombinedItems:
+    """Derived ``ci[x, l, a, b, i, h]``: the items of spans (a+1, b+1)
+    starting at (i, h), weighted by row block x (EX, NA, HY) of
+    ``ctx.branch`` for chain label l.  Its transpose ``ctx.to_items`` also
+    fills the block placements of the hybrid classes."""
+
+    @staticmethod
+    def at(w: _Wave) -> tuple:
+        return (_ALL, slice(1, w.p + 1), slice(1, w.q + 1), w.I, w.H)
+
+    def fill(self, src: dict, w: _Wave) -> None:
+        items = src["items"][self.at(w)]
+        ci = src["branch"] @ items.reshape(len(items), -1)
+        src["ci"] = ci.reshape((3, len(_LABS)) + items.shape[1:])
+
+    def transpose(self, src: dict, out: dict, adj: dict, w: _Wave) -> None:
+        o = adj.pop("ci")
+        block = out["items"][self.at(w)]
+        block += (src["to_items"] @ o.reshape(o.shape[0] * o.shape[1], -1)).reshape(
+            block.shape)
+        del o  # before the value is formed
+        self.fill(src, w)
+        _after(src, out, adj, w, ("ci",))
 
 
-def _chain_sums(store: TensorStore, p: int, q: int, jsl: slice, lsl: slice):
-    """CH_all and CH_nohy over chain spans 1..p x 1..q, reversed (g = p - rp)."""
-    block = (slice(p, 0, -1), slice(q, 0, -1), jsl, lsl)
-    chain = store.stacks["chain"]
-    nohy = chain[(1, slice(None)) + block].copy()
-    nohy[_NB] += store.stacks["cnb"][(slice(None),) + block]
-    return nohy + chain[(0, slice(None)) + block], nohy
+class _ChainSums:
+    """Derived CH_nohy = CNA + CNB and CH_all = CHY + CH_nohy, over chain spans
+    p..1 x q..1 (reversed: axis (a, b) pairs with gap lengths (a, b))."""
+
+    @staticmethod
+    def at(w: _Wave) -> tuple:
+        return (_rev(w.p), _rev(w.q), w.J, w.L)
+
+    def fill(self, src: dict, w: _Wave) -> None:
+        chain = src["chain"][(_ALL, _ALL) + self.at(w)]
+        nohy = chain[0].copy()
+        nohy[_NB] += src["cnb"][(_ALL,) + self.at(w)]
+        src["ch_nohy"], src["ch_all"] = nohy, nohy + chain[1]
+
+    def transpose(self, src: dict, out: dict, adj: dict, w: _Wave) -> None:
+        o_all, o_nohy = adj.pop("ch_all"), adj.pop("ch_nohy")
+        chain = out["chain"][(_ALL, _ALL) + self.at(w)]
+        chain[1] += o_all
+        o_nohy += o_all
+        chain[0] += o_nohy
+        out["cnb"][(_ALL,) + self.at(w)] += o_nohy[_NB]
+        del o_all, o_nohy  # before the values are formed
+        self.fill(src, w)
+        _after(src, out, adj, w, ("ch_all", "ch_nohy"))
 
 
-def _fill_gaps(store: TensorStore, ctx: _Ctx, p: int, q: int) -> None:
-    nI, nH = ctx.n - p + 1, ctx.m - q + 1
-    jsl = slice(p, p + nI)
-    lsl = slice(q, q + nH)
-    xsl = slice(1, nI + 1)
-    ysl = slice(1, nH + 1)
+class _Aft:
+    """The AFT rows (rest rows 2:4: aft_na, aft_hy) = G + TAIL, a stored cache
+    formed at its own wave.  It has no outside family: the outside weight of
+    the rows read after an item (rest rows 1:4: gna, aft_na, aft_hy) goes
+    straight to out_gap and to the derived TAIL (:meth:`following`)."""
 
-    all_block, nohy_block = _chain_sums(store, p, q, jsl, lsl)
-    # the terms of ctx.gap_r over CH_all, then the bare one over CH_nohy
-    terms = np.einsum("labih,tlai,tlbh->tlih", all_block,
-                      ctx.gap_r[0:3, :, 0:p, xsl], ctx.gap_s[0:3, :, 0:q, ysl])
-    rest = store.stacks["rest"][:, :, p, q, jsl, lsl]
-    rest[1] = terms[0]
-    np.add(terms[1], terms[2], out=rest[0])
-    rest[0] += np.einsum("labih,lai,lbh->lih", nohy_block,
-                         ctx.gap_r[3, :, 0:p, xsl], ctx.gap_s[3, :, 0:q, ysl])
-    # AFT = gap + tail
-    tail = ctx.tail_r[:, p, jsl, None] * ctx.tail_s[:, q, None, lsl]
-    np.add(rest[0:2], tail, out=rest[2:4])
+    def fill(self, src: dict, w: _Wave) -> None:
+        rest = src["rest"][:, :, w.p, w.q, w.J, w.L]
+        tail = src["tail_r"][:, w.p, w.J, None] * src["tail_s"][:, w.q, None, w.L]
+        np.add(rest[1::-1], tail, out=rest[2:4])
+
+    def transpose(self, src: dict, out: dict, adj: dict, w: _Wave) -> None:
+        pass
+
+    @staticmethod
+    def following(out: dict, adj: dict, w: _Wave, o: np.ndarray, ci: np.ndarray) -> None:
+        """Pass on the outside weight ``o x ci`` of the rest rows gna, aft_na,
+        aft_hy read after an item: to out_gap (gap spans of at least 1; span 0
+        is the tail alone) and, from the AFT rows, to TAIL."""
+        adj["tail"] = np.einsum("xlih,xlabih->labih", o[1:], ci[1:])
+        p, q = w.p, w.q
+        if p > 1 and q > 1:
+            o, ci = o[:, :, None, None], ci[:, :, : p - 1, : q - 1]
+            gaps = out["rest"][:, :, _rev(p - 1), _rev(q - 1), w.J, w.L]
+            gna = o[0] * ci[0]
+            gna += o[1] * ci[1]
+            gaps[1] += gna
+            gaps[0] += o[2] * ci[2]
+
+
+_TAIL = _Prod("tail[labih] = tail_r[lai] tail_s[lbh]",
+              lambda w: (None, (_ALL, _down(w.p - 1), w.J), (_ALL, _down(w.q - 1), w.L)),
+              inline=True)
+_INLINE["tail"] = _TAIL
+_CI, _SUMS, _AFT = _CombinedItems(), _ChainSums(), _Aft()
+
+# The productions of one wave (docs/grammar.md §4), in fill order.
+_WAVE = (
+    # HY[c](i,j;h,l) = ext_arc(j,l) * sum HY[c](i,i1;h,h1) * step_c
+    _Prod("items[cih] = items[cabih] step_stack[cab] wext[ih]",
+          lambda w: ((_HY, w.p, w.q, w.I, w.H),
+                     (_HY, slice(1, w.p), slice(1, w.q), w.I, w.H),
+                     (_ALL, _down(w.p - 2), _down(w.q - 2)), (w.J, w.L)),
+          when=lambda w: w.p >= 2 and w.q >= 2),
+    # VEE[Ys], TRI[Yr], BOX: the content chain is CHY + CNA (axis k)
+    _Prod("items[cih] = chain[kcgih] kq_r[gi] close_r[i]",
+          lambda w: ((_VEE_ITEMS, w.p, w.q, w.I, w.H),
+                     (_ALL, _VEE_LABELS, _rev(w.p - 2), w.q, w.J1, w.L),
+                     (slice(0, w.p - 2), w.I2), (w.p, w.I)),
+          when=lambda w: w.tight_r),
+    _Prod("items[cih] = chain[kcgih] kq_s[gh] close_s[h]",
+          lambda w: ((_TRI_ITEMS, w.p, w.q, w.I, w.H),
+                     (_ALL, _TRI_LABELS, w.p, _rev(w.q - 2), w.J, w.L1),
+                     (slice(0, w.q - 2), w.H2), (w.q, w.H)),
+          when=lambda w: w.tight_s),
+    _Prod("items[ih] = chain[kabih] kq_r[ai] kq_s[bh] close_r[i] close_s[h]",
+          lambda w: ((_BOX_ITEM, w.p, w.q, w.I, w.H),
+                     (_ALL, _BOX_LABEL, _rev(w.p - 2), _rev(w.q - 2), w.J1, w.L1),
+                     (slice(0, w.p - 2), w.I2), (slice(0, w.q - 2), w.H2),
+                     (w.p, w.I), (w.q, w.H)),
+          when=lambda w: w.tight_r and w.tight_s),
+    _TAIL,
+    _CI,
+    # CNB: the excluded kinds (row block EX) followed by the tail alone
+    _Prod("cnb[lih] = ci[labih] tail[labih]",
+          lambda w: ((_ALL, w.p, w.q, w.J, w.L), (0, _NB), (_NB,))),
+    # CNA, CHY: an item, then the rows that may follow it
+    _Prod("chain[xlih] = ci[xlabih] rest[xlabih]",
+          lambda w: ((_ALL, _ALL, w.p, w.q, w.J, w.L), (),
+                     (slice(1, 4), _ALL, _down(w.p - 1), _down(w.q - 1), w.J, w.L)),
+          rows=(0, 0, 1)),
+    _SUMS,
+    # GHY, GNA: the terms of _GAP_TERMS over CH_all, then the bare GHY term
+    _Prod("rest[tlih] = ch_all[labih] gap_r[tlai] gap_s[tlbh]",
+          lambda w: ((slice(0, 2), _ALL, w.p, w.q, w.J, w.L), (),
+                     (_ALL, _ALL, slice(0, w.p), w.I), (_ALL, _ALL, slice(0, w.q), w.H)),
+          rows=(0, 0, 1), live={"gap_r": slice(1, 3)}),
+    _Prod("rest[lih] = ch_nohy[labih] bare_r[lai] bare_s[lbh]",
+          lambda w: ((0, _ALL, w.p, w.q, w.J, w.L), (),
+                     (_ALL, slice(0, w.p), w.I), (_ALL, slice(0, w.q), w.H)),
+          add=True),
+    _AFT,
+)
+
+
+def _operands(store: TensorStore, ctx: _Ctx) -> dict:
+    """Every array a production may read, by name: the _Ctx arrays and the
+    stored families."""
+    return {**vars(ctx), **store.stacks}
+
+
+# The derived values that the fill drops after each production: those it
+# reads last.
+_LAST_READ = {name: k for k, prod in enumerate(_WAVE)
+              for name in {leaf[2] for leaf in getattr(prod, "leaves", ())} & _DERIVED}
+_DROP = [[name for name, k in _LAST_READ.items() if k == last] for last in range(len(_WAVE))]
+
+
+def _fill_wave(src: dict, w: _Wave) -> None:
+    """Evaluate the productions of one wave in order."""
+    for prod, drop in zip(_WAVE, _DROP):
+        prod.fill(src, w)
+        for name in drop:
+            del src[name]
+
+
+def _transpose_wave(src: dict, out: dict, w: _Wave) -> None:
+    """Add the transpose of every production of one wave, in reverse order.
+
+    ``out`` maps each inside family (``_OUT_OF``) and each of ``_SEGMENTS``
+    to its outside accumulator.
+    """
+    adj: dict = {}
+    for prod in reversed(_WAVE):
+        prod.transpose(src, out, adj, w)

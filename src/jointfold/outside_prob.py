@@ -1,13 +1,18 @@
 """Outside pass: component, base-pair, hybrid and target-site probabilities.
 
 The sweep visits waves in the reverse of the inside order and applies the
-transpose of every inside production: for a term ``C += A * B * k`` it
-accumulates ``out_A += out_C * B * k`` and ``out_B += out_C * A * k``.  The
-outside value of a cell times its inside value, divided by the total
+transpose of every production that :mod:`jointfold.grammar_inside` declares
+in ``_WAVE``; nothing here restates a production.  For ``C = einsum(A, B,
+...)`` the transpose adds ``einsum(C_out, B, ... -> A)`` into A's outside
+target at A's own index: the outside family of a stored operand, a per-label
+segment accumulator for a ``_Ctx`` segment factor, nothing for a constant.
+The outside value of a cell times its inside value, divided by the total
 partition function, is the probability that a parse contains the component
 at that cell; the top-level placements seed the sweep.  Like the fill, each
 wave transposes every chain label, hybrid class and tight kind at once on the
-stacked tensor families of the inside store.
+stacked tensor families of the inside store: at most 13 ``numpy.einsum``
+calls and 2 matrix products per wave, and 3 einsum calls for the readouts
+into the base-pair masses.
 
 Base-pair probabilities combine three sources: tight-block closing arcs
 (read off the block tensors directly), arcs inside secondary segments
@@ -25,24 +30,21 @@ import numpy as np
 
 from ._cases import verify_reconstruction
 from .grammar_inside import (
-    _BOX_ITEM,
-    _BOX_LABEL,
+    _GAP_TERMS,
     _HY,
     _LABS,
-    _NB,
     _OUT_FAMILIES,
+    _OUT_OF,
     _R_CLOSED,
     _S_CLOSED,
-    _TRI_ITEMS,
-    _TRI_LABELS,
-    _VEE_ITEMS,
-    _VEE_LABELS,
+    _SEGMENTS,
     HY_CLASSES,
     CapacityExceeded,
     InsideResult,
-    _chain_sums,
-    _combined_items,
-    _following,
+    _operands,
+    _transpose_wave,
+    _Wave,
+    _waves,
     estimate_memory_bytes,
 )
 from .secfold import check_partition_function
@@ -136,13 +138,6 @@ class _OutSweep:
             sid: {k: np.zeros((ln + 2, ln + 2)) for k in ("q", "qk")}
             for sid, ln in (("R", n), ("S", m))
         }
-        # per-label accumulators, folded into out_sq / out_tq by exposure
-        # class at the end: the gap factors (axis 0 as in ctx.gap_r/gap_s)
-        # and the chain tails (flush-tail rows are constants and dropped)
-        self.acc_gap_r = np.zeros((2,) + self.ctx.gap_r.shape[1:])
-        self.acc_gap_s = np.zeros((3,) + self.ctx.gap_s.shape[1:])
-        self.acc_tail_r = np.zeros(self.ctx.tail_r.shape)
-        self.acc_tail_s = np.zeros(self.ctx.tail_s.shape)
         # interval accumulators (i,j) for top-level segments
         self.out_iv = {
             sid: {k: np.zeros((ln + 2, ln + 2)) for k in ("q",)}
@@ -151,10 +146,12 @@ class _OutSweep:
         self.bpp_ext_mass = np.zeros((n + 2, m + 2))
         self.bpr_diag = np.zeros((n + 2, n + 2))  # [p, i]: R tight closers
         self.bps_diag = np.zeros((m + 2, m + 2))
-        # chain rows EX, HY, NA -> outside item rows, then the hybrid rows
-        # again for the block-placement accumulators
-        rows = self.ctx.branch[0:18].T
-        self.to_items = np.concatenate((rows, rows[_HY]))
+        # the outside target of every operand the productions transpose into:
+        # the outside families, and per-label segment accumulators that are
+        # folded into out_sq / out_tq by exposure class at the end
+        stacks = self.store.stacks
+        self.out = {f: stacks[o] for f, o in _OUT_OF.items()}
+        self.out.update({k: np.zeros_like(getattr(self.ctx, k)) for k in _SEGMENTS})
 
     # -- seeds ---------------------------------------------------------------
 
@@ -183,160 +180,40 @@ class _OutSweep:
                     if m - q >= 1:
                         self.out_iv["S"]["q"][1, m - q] += wr * chain_val
 
-    # -- per-wave transposes, all labels at once ------------------------------
+    # -- per-wave readouts ------------------------------------------------------
 
-    def gaps(self, p: int, q: int) -> None:
-        ctx, stacks = self.ctx, self.store.stacks
-        nI, nH = self.n - p + 1, self.m - q + 1
-        jsl = slice(p, p + nI)
-        lsl = slice(q, q + nH)
-        xsl = slice(1, nI + 1)
-        ysl = slice(1, nH + 1)
-        chain_rows = (slice(p, 0, -1), slice(q, 0, -1), jsl, lsl)
-
-        o_gap = stacks["out_gap"][:, :, p, q, jsl, lsl]  # [ghy, gna]
-        o_terms = o_gap[[1, 0, 0]]  # outside weight of the terms over CH_all
-        seg_r = ctx.gap_r[:, :, 0:p, xsl]
-        seg_s = ctx.gap_s[:, :, 0:q, ysl]
-        all_block = _chain_sums(self.store, p, q, jsl, lsl)[0]
-
-        # into the chains: CH_all gets the three terms over it, CH_nohy also
-        # the bare one
-        out_chain = stacks["out_chain"][(slice(None), slice(None)) + chain_rows]
-        to_all = np.einsum("tlih,tlai,tlbh->labih", o_terms, seg_r[0:3], seg_s[0:3])
-        out_chain[0] += to_all
-        to_all += np.einsum("lih,lai,lbh->labih", o_gap[0], seg_r[3], seg_s[3])
-        out_chain[1] += to_all
-        stacks["out_cnb"][(slice(None),) + chain_rows] += to_all[_NB]
-
-        # into the segment factors of the terms over CH_all (the unpaired
-        # factors are constants)
-        self.acc_gap_r[:, :, 0:p, xsl] += np.einsum(
-            "tlih,labih,tlbh->tlai", o_terms[0:2], all_block, seg_s[0:2])
-        self.acc_gap_s[:, :, 0:q, ysl] += np.einsum(
-            "tlih,labih,tlai->tlbh", o_terms, all_block, seg_r[0:3])
-
-    def chains(self, p: int, q: int) -> None:
-        """Transpose of (combined item) x (following rest row) for all rows."""
-        ctx, stacks = self.ctx, self.store.stacks
-        nI, nH = self.n - p + 1, self.m - q + 1
-        jsl = slice(p, p + nI)
-        lsl = slice(q, q + nH)
-        item_blk = (slice(None), slice(1, p + 1), slice(1, q + 1),
-                    slice(1, nI + 1), slice(1, nH + 1))
-        tail_r = ctx.tail_r[:, p - 1 :: -1, jsl]
-        tail_s = ctx.tail_s[:, q - 1 :: -1, lsl]
-        o_chain = stacks["out_chain"][:, :, p, q, jsl, lsl]  # [chy, cna]
-        o_cnb = stacks["out_cnb"][:, p, q, jsl, lsl]
-
-        # into the items: rows EX, HY, NA were contracted with GNA (+ the
-        # tail, through CNB), AFT_hy and AFT_na
-        partner = o_chain[[1, 0, 1], :, None, None] * _following(
-            self.store, p, q, jsl, lsl, slice(1, 4))
-        partner[0, _NB] += np.einsum("lih,lai,lbh->labih", o_cnb,
-                                     tail_r[_NB], tail_s[_NB])
-        stacks["out_items"][item_blk] += (
-            self.to_items @ partner.reshape(self.to_items.shape[1], -1)
-        ).reshape((-1, p, q, nI, nH))
-        del partner  # before the combined items below: peak temporaries
-
-        # into the gap tensors (rows with gap spans >= 1 only): AFT_hy = GHY
-        # + tail follows the HY rows, GNA follows every tight kind (ALL)
-        items = _combined_items(self.store, ctx, p, q, slice(None))
-        if p > 1 and q > 1:
-            gap_rows = (slice(None), slice(None), slice(p - 1, 0, -1),
-                        slice(q - 1, 0, -1), jsl, lsl)
-            stacks["out_gap"][gap_rows] += (
-                o_chain[:, :, None, None] * items[1::2, :, : p - 1, : q - 1])
-
-        # into the free tails, through rows EX (CNB), HY (CHY) and NA (CNA);
-        # the flush tails are constants, their rows are dropped at the end
-        o_rows = np.zeros((3,) + o_chain.shape[1:])
-        o_rows[0, _NB] = o_cnb
-        o_rows[1:] = o_chain
-        by_tail = np.einsum("xlih,xlabih->labih", o_rows, items[0:3])
-        self.acc_tail_r[:, 0:p, jsl] += np.einsum(
-            "labih,lbh->lai", by_tail, tail_s)[:, ::-1]
-        self.acc_tail_s[:, 0:q, lsl] += np.einsum(
-            "labih,lai->lbh", by_tail, tail_r)[:, ::-1]
-
-    def items(self, p: int, q: int) -> None:
-        ctx, stacks = self.ctx, self.store.stacks
-        nI, nH = self.n - p + 1, self.m - q + 1
-        isl = slice(1, nI + 1)
-        hsl = slice(1, nH + 1)
-        jsl = slice(p, p + nI)
-        lsl = slice(q, q + nH)
-        out_items, out_chain = stacks["out_items"], stacks["out_chain"]
-        chain = stacks["chain"]
-
-        # exterior-arc mass of the hybrids, closing-arc mass of the tight
-        # blocks (R-closed and S-closed kinds) at this wave
-        o_items = out_items[:, p, q, isl, hsl]
-        in_items = stacks["items"][:, p, q, isl, hsl]
-        self.bpp_ext_mass[jsl, lsl] += np.einsum(
+    def readouts(self, w: _Wave) -> None:
+        """Exterior-arc mass of the hybrids and closing-arc mass of the tight
+        blocks (R-closed and S-closed kinds) at one wave."""
+        p, q = w.p, w.q
+        o_items = self.out["items"][:, p, q, w.I, w.H]
+        in_items = self.store.stacks["items"][:, p, q, w.I, w.H]
+        self.bpp_ext_mass[w.J, w.L] += np.einsum(
             "cih,cih->ih", o_items[_HY], in_items[_HY])
-        if ctx.arc_r[p]:
-            self.bpr_diag[p, isl] += np.einsum(
+        if self.ctx.arc_r[p]:
+            self.bpr_diag[p, w.I] += np.einsum(
                 "cih,cih->i", o_items[_R_CLOSED], in_items[_R_CLOSED])
-        if ctx.arc_s[q]:
-            self.bps_diag[q, hsl] += np.einsum(
+        if self.ctx.arc_s[q]:
+            self.bps_diag[q, w.H] += np.einsum(
                 "cih,cih->h", o_items[_S_CLOSED], in_items[_S_CLOSED])
 
-        # hybrid prefix peeling
-        if p >= 2 and q >= 2:
-            kern = ctx.step_stack[:, p - 2 :: -1, q - 2 :: -1][:, : p - 1, : q - 1]
-            out_items[_HY, 1:p, 1:q, isl, hsl] += np.einsum(
-                "cih,ih,cab->cabih", o_items[_HY], ctx.wext[jsl, lsl], kern)
-
-        # the content chain is CHY+CNA: the same weight goes to both parts
-        # tight_r
-        if p >= 3 and ctx.arc_r[p]:
-            lead = ctx.sq_any["R"]["K"][0 : p - 2, 2 : 2 + nI]
-            oa = ctx.close_r[p, isl, None] * o_items[_VEE_ITEMS]
-            rows = (slice(None), _VEE_LABELS, slice(p - 2, 0, -1), q,
-                    slice(p - 1, p - 1 + nI), lsl)
-            out_chain[rows] += np.einsum("cih,gi->cgih", oa, lead)
-            self.out_sq["R"]["qk"][0 : p - 2, 2 : 2 + nI] += np.einsum(
-                "cih,kcgih->gi", oa, chain[rows])
-
-        # tight_s
-        if q >= 3 and ctx.arc_s[q]:
-            lead = ctx.sq_any["S"]["K"][0 : q - 2, 2 : 2 + nH]
-            oa = ctx.close_s[q, hsl] * o_items[_TRI_ITEMS]
-            rows = (slice(None), _TRI_LABELS, p, slice(q - 2, 0, -1), jsl,
-                    slice(q - 1, q - 1 + nH))
-            out_chain[rows] += np.einsum("cih,gh->cgih", oa, lead)
-            self.out_sq["S"]["qk"][0 : q - 2, 2 : 2 + nH] += np.einsum(
-                "cih,kcgih->gh", oa, chain[rows])
-
-        # tight_rs
-        if p >= 3 and q >= 3 and ctx.arc_r[p] and ctx.arc_s[q]:
-            lead_r = ctx.sq_any["R"]["K"][0 : p - 2, 2 : 2 + nI]
-            lead_s = ctx.sq_any["S"]["K"][0 : q - 2, 2 : 2 + nH]
-            oa = ctx.close_r[p, isl, None] * ctx.close_s[q, hsl] * o_items[_BOX_ITEM]
-            rows = (slice(None), _BOX_LABEL, slice(p - 2, 0, -1), slice(q - 2, 0, -1),
-                    slice(p - 1, p - 1 + nI), slice(q - 1, q - 1 + nH))
-            out_chain[rows] += np.einsum("ih,ai,bh->abih", oa, lead_r, lead_s)
-            self.out_sq["R"]["qk"][0 : p - 2, 2 : 2 + nI] += np.einsum(
-                "ih,kabih,bh->ai", oa, chain[rows], lead_s)
-            self.out_sq["S"]["qk"][0 : q - 2, 2 : 2 + nH] += np.einsum(
-                "ih,kabih,ai->bh", oa, chain[rows], lead_r)
-
     def fold_label_accumulators(self) -> None:
-        """Add the per-label accumulators into the per-class diagonals."""
-        any_kind = {"E": "q", "K": "qk"}
-        ge1_kind = {"E": "q1", "K": "q1k"}
+        """Add the per-label segment accumulators into the per-class diagonals
+        (unpaired factors and flush tails are constants and dropped)."""
+        kinds = {"any": {"E": "q", "K": "qk"}, "ge1": {"E": "q1", "K": "q1k"}}
+        out = self.out
+        self.out_sq["R"]["qk"] += out["kq_r"]
+        self.out_sq["S"]["qk"] += out["kq_s"]
         for k, lab in enumerate(_LABS):
-            self.out_sq["R"][any_kind[lab.class_r]] += self.acc_gap_r[0, k]
-            self.out_sq["R"][ge1_kind[lab.class_r]] += self.acc_gap_r[1, k]
-            self.out_sq["S"][any_kind[lab.class_s]] += (
-                self.acc_gap_s[0, k] + self.acc_gap_s[1, k])
-            self.out_sq["S"][ge1_kind[lab.class_s]] += self.acc_gap_s[2, k]
+            for t, (seg_r, seg_s) in enumerate(_GAP_TERMS):
+                if seg_r in kinds:
+                    self.out_sq["R"][kinds[seg_r][lab.class_r]] += out["gap_r"][t, k]
+                if seg_s in kinds:
+                    self.out_sq["S"][kinds[seg_s][lab.class_s]] += out["gap_s"][t, k]
             if lab.tail_r == "free":
-                self.out_tq["R"][any_kind[lab.class_r]] += self.acc_tail_r[k]
+                self.out_tq["R"][kinds["any"][lab.class_r]] += out["tail_r"][k]
             if lab.tail_s == "free":
-                self.out_tq["S"][any_kind[lab.class_s]] += self.acc_tail_s[k]
+                self.out_tq["S"][kinds["any"][lab.class_s]] += out["tail_s"][k]
 
     # -- finalisation --------------------------------------------------------
 
@@ -384,12 +261,11 @@ def outside(res: InsideResult, verify_conservation: bool = False) -> ProbTables:
     sweep = _OutSweep(res)
     sweep.seed_top()
     n, m = res.ctx.n, res.ctx.m
-    for t in range(n + m, 1, -1):
-        for p in range(max(1, t - m), min(n, t - 1) + 1):
-            q = t - p
-            sweep.gaps(p, q)
-            sweep.chains(p, q)
-            sweep.items(p, q)
+    src = _operands(res.store, res.ctx)
+    for p, q in reversed(_waves(n, m)):
+        w = _Wave(res.ctx, p, q)
+        _transpose_wave(src, sweep.out, w)
+        sweep.readouts(w)
     sweep.fold_label_accumulators()
 
     z = res.q_total

@@ -160,14 +160,6 @@ class TestTargets:
         for line in data_lines:
             assert pattern.match(line), line
 
-    def test_deterministic_across_thread_counts(self, fasta):
-        path = fasta(">r\nGAAAC\n>s\nGUUUC\n")
-        _s1, t1 = capture(cfg("targets", [path], threads=1))
-        _s2, t2 = capture(cfg("targets", [path], threads=8))
-        assert t1.replace("threads=8", "threads=1") == t2.replace(
-            "threads=8", "threads=1"
-        )
-
 
 class TestSample:
     def test_byte_identical_for_fixed_seed(self, fasta):

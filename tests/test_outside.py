@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -96,6 +97,51 @@ class TestTpfConservation:
         assert res.q_total == prob.z
         # the root's case conditionals sum to exactly one
         assert recompute_value(res, ("top",)) == pytest.approx(prob.z, rel=1e-12)
+
+
+class TestEnergyShifts:
+    """Beyond the oracle's reach: shifting a set of energies by ``-delta*rt``
+    multiplies each structure's weight by ``exp(delta)`` per feature they
+    price, so the slope of ``log q_total`` is the expected feature count,
+    which the outside pass gives as a sum of probabilities."""
+
+    DELTA = 1e-4
+
+    @classmethod
+    def slope(cls, R, S, model, names) -> float:
+        log_q = []
+        for sign in (1, -1):
+            shift = -sign * cls.DELTA * model.rt
+            changes = {}
+            for name in names:
+                value = getattr(model, name)
+                changes[name] = ({k: v + shift for k, v in value.items()}
+                                 if isinstance(value, dict) else value + shift)
+            log_q.append(math.log(inside(R, S, dataclasses.replace(model, **changes)).q_total))
+        return (log_q[0] - log_q[1]) / (2 * cls.DELTA)
+
+    @pytest.mark.parametrize("seed, n, m, min_hairpin, forbid_lone_pairs", [
+        (301, 9, 10, 0, False), (302, 11, 9, 1, False), (303, 12, 10, 2, True)])
+    def test_slopes_are_expected_counts(self, seed, n, m, min_hairpin, forbid_lone_pairs):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, min_hairpin=min_hairpin,
+                             forbid_lone_pairs=forbid_lone_pairs)
+        R, S = strands(random_seq(rng, n), random_seq(rng, m))
+        res = inside(R, S, model)
+        prob = outside(res)
+        ext = prob.bpp_ext.sum()
+        for names, expected in (
+            # every exterior arc
+            (("ext_default", "ext_overrides"), ext),
+            # every hybrid extension step: a hybrid of k arcs takes k - 1
+            (("sigma0",), ext - hybrid_probabilities(res, prob).total.sum()),
+            # every interior arc closes exactly one loop
+            (("hairpin_init", "interior_init", "stack_default", "stack_overrides",
+              "multi_init", "kiss_init"),
+             np.triu(prob.bpp_r, 1).sum() + np.triu(prob.bpp_s, 1).sum()),
+        ):
+            assert expected > 1e-3, names
+            assert self.slope(R, S, model, names) == pytest.approx(expected, rel=1e-6), names
 
 
 class TestFactorisedEnsemble:
@@ -194,6 +240,5 @@ class TestInvalidNumbers:
     def test_overflowing_weights_are_refused(self):
         model = dataclasses.replace(unit_model(), ext_default=-400.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            res = inside(*strands("GGGCCC", "GGGCCC"), model)
             with pytest.raises(NumericalUnderflow, match="partition function is"):
-                outside(res)
+                inside(*strands("GGGCCC", "GGGCCC"), model)
