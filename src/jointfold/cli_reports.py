@@ -465,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threshold", type=float, default=0.1,
                        help="report regions with probability above this")
         p.add_argument("--num", type=int, default=10, help="number of samples")
-        p.add_argument("--seed", type=int, default=1, help="random seed")
+        p.add_argument("--seed", type=int, default=1, help="random seed (>= 0)")
         p.add_argument("--mem-budget-gib", type=float, default=2.0,
                        help="memory budget for DP tables")
         p.add_argument("--json", dest="as_json", action="store_true",
@@ -497,6 +497,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if cfg.command == "sample" and cfg.num < 1:
         print("error: BadConfig: --num must be >= 1", file=sys.stderr)
+        return 1
+    if cfg.command == "sample" and cfg.seed < 0:
+        print("error: BadConfig: --seed must be >= 0", file=sys.stderr)
         return 1
     return run(cfg)
 

@@ -7,16 +7,20 @@ one case with a single uniform against the prefix sums of the positive
 cases, fixes the case's arcs and continues into its children.  This is the
 stochastic traceback of Ding & Lawrence 2003 (NAR 31:7280).
 
-All draws of a call walk together.  A priority queue holds the distinct
-pending components, each with the list of draws waiting on it.  Popping a
-component scores its cases once, however many draws wait on it: a chain or
-gap component as one weight vector read from tensor slices, the other 4D
-kinds from their short case lists, a secondary cell ``("sec", sid, kind, i,
-j)`` through :meth:`SecEngine.sample`.  After the one normalisation check,
-every waiting draw takes one uniform from its own generator, in the order of
-the waiting list, and one ``searchsorted`` over the prefix sums picks all of
-their cases (:func:`jointfold.secfold.pick`); each distinct chosen case is
-decoded once and its children are handed to every draw that chose it.
+All draws of a call walk together, and their bookkeeping is held in index
+arrays.  A priority queue holds the distinct pending components, each with
+the arrays of draws waiting on it.  Popping a component scores its cases
+once, however many draws wait on it: a chain or gap component as one weight
+vector read from tensor slices, the other 4D kinds from their short case
+lists, a secondary cell ``("sec", sid, kind, i, j)`` through
+:meth:`SecEngine.sample`.  After the one normalisation check, the waiting
+draws take one uniform each from their own streams with one fancy index
+(:meth:`jointfold._streams.Streams.take`), and one ``searchsorted`` over
+the prefix sums picks all of their cases
+(:func:`jointfold.secfold.pick_with_slack`).  One stable ``argsort`` groups
+the draws by chosen case; each distinct case is decoded once, its arcs are
+recorded once as (draws, arc) and its children are handed to the group.
+Each draw's arcs are assembled from these records at the end.
 Forced-unpaired segments (``unp``) and empty secondary segments fix no arcs
 and are not queued.
 
@@ -28,11 +32,14 @@ first and, at equal span, the table kinds in the reverse of their fill order
 later in this order than its parent, so a component is popped only after
 all of its parents and is resolved once.
 
-Each draw consumes uniforms from its own generator only, and it visits its
-own components in the fixed queue order, which depends on nothing but the
-draw itself.  So a draw does not depend on the batch size or on the other
-draws of the batch.  The traversal order does not affect the sampled
-distribution.
+Each draw consumes uniforms from its own stream only, and it visits its own
+components in the fixed queue order, which depends on nothing but the draw
+itself.  So a draw does not depend on the batch size or on the other draws
+of the batch.  The traversal order does not affect the sampled
+distribution.  In :func:`sample_batch` the streams are numpy's spawned PCG64
+streams computed as arrays (:mod:`jointfold._streams`); :func:`sample_one`
+takes its uniforms from the numpy generator it is given, through the same
+walk.
 """
 
 from __future__ import annotations
@@ -44,7 +51,13 @@ import numpy as np
 
 from ._cases import component_value, scored_cases
 from .grammar_inside import InsideResult
-from .secfold import FILL_ORDER, NumericalUnderflow, check_partition_function, pick
+from ._streams import Streams
+from .secfold import (
+    FILL_ORDER,
+    NumericalUnderflow,
+    check_partition_function,
+    pick_with_slack,
+)
 from .seq_model import JointStructure
 
 __all__ = [
@@ -58,18 +71,26 @@ __all__ = [
 _RANK = {"top": 0, "gap": 1, "chain": 2}
 # queue rank of a secondary table kind among cells of equal span
 _SEC_RANK = {kind: r for r, kind in enumerate(reversed(FILL_ORDER))}
-# draws walked together by one sample_batch pass; bounds the generators held
+# the arc set an emission of a 4D case joins
+_ARC_SET = {"ext": "ext", "arc_r": "R", "arc_s": "S"}
+# draws walked together by one sample_batch pass; bounds what is held per draw
 _BLOCK = 4096
 
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Reproducible batch of sampled structures."""
+    """Reproducible batch of sampled structures.
+
+    ``case_slack`` is the largest normalisation slack,
+    ``|sum(cases) - stored| / stored``, over the components the batch
+    visited (at most 1e-6, or the batch would have failed).
+    """
 
     structures: tuple[JointStructure, ...]
     seed: int
     model_fingerprint: str
     draw_count: int
+    case_slack: float = 0.0
 
 
 def _queue_key(res: InsideResult, comp: tuple) -> tuple:
@@ -86,18 +107,42 @@ def _queue_key(res: InsideResult, comp: tuple) -> tuple:
     return (0, -span, _RANK.get(kind, 3), comp)
 
 
-def _by_choice(choices, waiting: list[int]) -> dict:
-    """The waiting draws grouped by the case each of them chose."""
-    groups: dict = {}
-    for choice, k in zip(choices, waiting):
-        groups.setdefault(choice, []).append(k)
-    return groups
+def _groups(chosen: np.ndarray, waiting: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(case, draws that chose it) for each distinct case of ``chosen``."""
+    if chosen.size == 1 or not (chosen != chosen[0]).any():
+        return [(int(chosen[0]), waiting)]
+    order = np.argsort(chosen, kind="stable")
+    ranked = chosen[order]
+    head = np.empty(ranked.size, bool)
+    head[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    draws = waiting[order]
+    bounds = starts.tolist() + [ranked.size]
+    return [
+        (t, draws[a:b]) for t, a, b in zip(ranked[starts].tolist(), bounds, bounds[1:])
+    ]
+
+
+def _per_draw(records: list[tuple[np.ndarray, tuple]], n: int) -> list[list[tuple]]:
+    """The arcs of each of ``n`` draws from (draws, arc) records."""
+    if not records:
+        return [[] for _ in range(n)]
+    draws = np.concatenate([d for d, _arc in records])
+    ids = np.repeat(np.arange(len(records)), [d.size for d, _arc in records])
+    order = np.argsort(draws, kind="stable")
+    arcs = [records[r][1] for r in ids[order].tolist()]
+    bounds = np.searchsorted(draws[order], np.arange(n + 1)).tolist()
+    return [arcs[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _draw(
-    res: InsideResult, rngs: list[np.random.Generator], first: int = 0
-) -> list[JointStructure]:
-    """One structure per generator; draw ``k`` uses only ``rngs[k]``.
+    res: InsideResult, streams, first: int = 0
+) -> tuple[list[JointStructure], float]:
+    """One structure per stream, and the largest normalisation slack met.
+
+    ``streams`` is a :class:`Streams` or a list of numpy generators, one per
+    draw; draw ``k`` takes its uniforms from stream ``k`` only.
 
     Raises:
         NumericalUnderflow: ``q_total`` is not finite and positive, or a
@@ -106,70 +151,69 @@ def _draw(
             the lowest draw waiting on the component.
     """
     check_partition_function(res.q_total)
+    n = len(streams)
+    if isinstance(streams, Streams):
+        take = streams.take
+    else:
+        def take(rows: np.ndarray) -> np.ndarray:
+            return np.array([streams[k].random() for k in rows.tolist()])
     engines = {"R": res.sec_r.engine, "S": res.sec_s.engine}
-    # arcs fixed so far, one list per draw: interior on R, on S, exterior
-    interior = {"R": [[] for _ in rngs], "S": [[] for _ in rngs]}
-    exterior = [[] for _ in rngs]
+    # (draws, arc) records: interior arcs on R, on S, exterior arcs
+    arcs: dict[str, list] = {"R": [], "S": [], "ext": []}
+    slack = 0.0
     top = ("top",)
-    pending: dict[tuple, list[int]] = {top: list(range(len(rngs)))}
+    pending: dict[tuple, list[np.ndarray]] = {top: [np.arange(n)]}
     queue = [_queue_key(res, top)]
 
-    def enqueue(child: tuple, draws: list[int]) -> None:
+    def enqueue(child: tuple, draws: np.ndarray) -> None:
         if child in pending:
-            pending[child] += draws
+            pending[child].append(draws)
         else:
-            pending[child] = list(draws)
+            pending[child] = [draws]
             heapq.heappush(queue, _queue_key(res, child))
 
     while queue:
         comp = heapq.heappop(queue)[-1]
-        waiting = pending.pop(comp)
-        us = np.array([rngs[k].random() for k in waiting])
+        parts = pending.pop(comp)
+        waiting = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        us = take(waiting)
         try:
             if comp[0] == "sec":
-                chosen = engines[comp[1]].sample(*comp[2:], us)
+                cases, chosen, dev = engines[comp[1]].sample(*comp[2:], us)
             else:
                 weights, decode = scored_cases(res, comp)
-                chosen = pick(weights, component_value(res, comp), us).tolist()
+                chosen, dev = pick_with_slack(weights, component_value(res, comp), us)
         except NumericalUnderflow as exc:
             raise NumericalUnderflow(
-                f"draw {first + min(waiting)}: component {comp}: {exc}"
+                f"draw {first + int(waiting.min())}: component {comp}: {exc}"
             ) from None
+        slack = max(slack, dev)
 
         if comp[0] == "sec":
             sid = comp[1]
-            arcs = interior[sid]
-            for (_w, children, arc), draws in _by_choice(chosen, waiting).items():
+            for t, draws in _groups(chosen, waiting):
+                _w, children, arc = cases[t]
                 if arc is not None:
-                    for k in draws:
-                        arcs[k].append(arc)
+                    arcs[sid].append((draws, arc))
                 for table, ci, cj in children:
                     if cj >= ci:
                         enqueue(("sec", sid, table, ci, cj), draws)
             continue
 
-        for t, draws in _by_choice(chosen, waiting).items():
+        for t, draws in _groups(chosen, waiting):
             _w, children, emissions = decode(t)
-            for em in emissions:
-                arcs = exterior if em[0] == "ext" else interior[
-                    "R" if em[0] == "arc_r" else "S"]
-                for k in draws:
-                    arcs[k].append((em[1], em[2]))
+            for kind, a, b in emissions:
+                arcs[_ARC_SET[kind]].append((draws, (a, b)))
             for child in children:
                 if child[0] == "unp" or (child[0] == "sec" and child[4] < child[3]):
                     continue
                 enqueue(child, draws)
 
-    return [
-        JointStructure(
-            n=res.ctx.n,
-            m=res.ctx.m,
-            interior_r=frozenset(arcs_r),
-            interior_s=frozenset(arcs_s),
-            exterior=tuple(sorted(ext)),
-        )
-        for arcs_r, arcs_s, ext in zip(interior["R"], interior["S"], exterior)
+    structures = [
+        JointStructure(n=res.ctx.n, m=res.ctx.m, interior_r=r, interior_s=s, exterior=e)
+        for r, s, e in zip(*(_per_draw(arcs[key], n) for key in ("R", "S", "ext")))
     ]
+    return structures, slack
 
 
 def sample_one(res: InsideResult, rng: np.random.Generator) -> JointStructure:
@@ -180,40 +224,45 @@ def sample_one(res: InsideResult, rng: np.random.Generator) -> JointStructure:
             visited component's cases do not sum to its stored value within
             1e-6 relative.
     """
-    return _draw(res, [rng])[0]
+    return _draw(res, [rng])[0][0]
 
 
 def sample_batch(res: InsideResult, n: int, seed: int) -> SampleBatch:
     """Draw ``n`` independent structures, reproducibly for a fixed seed.
 
-    Draw ``k`` runs on its own generator, seeded with
-    ``SeedSequence(seed, spawn_key=(k,))``, the ``k``-th child of
-    ``SeedSequence(seed).spawn(n)``.  All draws walk the pending components
-    together, so a component that several draws reach is scored once for all
-    of them; each draw still takes its uniforms from its own generator in an
-    order fixed by the draw alone.  Draw ``k`` is therefore
-    ``sample_one(res, Generator(PCG64(SeedSequence(seed).spawn(n)[k])))``
+    Draw ``k`` runs on its own stream, the uniforms of
+    ``Generator(PCG64(SeedSequence(seed, spawn_key=(k,))))``, the ``k``-th
+    child of ``SeedSequence(seed).spawn(n)``.  The streams are not numpy
+    objects: :class:`jointfold._streams.Streams` seeds and steps all of them
+    as arrays and yields the same uniforms bit for bit.  All draws walk the
+    pending components together, so a component that several draws reach
+    is scored once for all of them; each draw still takes its uniforms from
+    its own stream in an order fixed by the draw alone.  Draw ``k`` is
+    therefore ``sample_one(res, Generator(PCG64(SeedSequence(seed).spawn(n)[k])))``
     whatever ``n`` is, and the draws are walked in blocks of ``_BLOCK``
-    without changing the batch; the blocks bound the generators held at
-    once (each is ~1.7 KB).
+    without changing the batch.  A block bounds what the streams hold at
+    once: ``_streams._UNIFORMS`` uniforms drawn ahead per draw (256 B) and
+    the stream state, 1.2 MB for a full block of 4096 draws, and 2.2 MB at
+    the peak while uniforms are drawn.
 
     Raises:
-        ValueError: n < 1.
+        ValueError: n < 1, or seed < 0 (refused by the seeding, as by
+            numpy's ``SeedSequence``).
         NumericalUnderflow: from any draw, annotated with the draw index.
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
     structures: list[JointStructure] = []
+    slack = 0.0
     for first in range(0, n, _BLOCK):
-        rngs = [
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))))
-            for k in range(first, min(n, first + _BLOCK))
-        ]
-        structures += _draw(res, rngs, first)
-        del rngs
+        streams = Streams(seed, np.arange(first, min(n, first + _BLOCK), dtype=np.uint64))
+        block, block_slack = _draw(res, streams, first)
+        structures += block
+        slack = max(slack, block_slack)
     return SampleBatch(
         structures=tuple(structures),
         seed=seed,
         model_fingerprint=res.model.fingerprint(),
         draw_count=n,
+        case_slack=slack,
     )

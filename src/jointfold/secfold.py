@@ -36,6 +36,7 @@ __all__ = [
     "check_partition_function",
     "fold",
     "pick",
+    "pick_with_slack",
     "secondary_bpp",
 ]
 
@@ -297,11 +298,14 @@ class SecEngine:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample(self, kind: str, i: int, j: int, us: np.ndarray) -> list[Case]:
-        """The case of cell (kind, i, j) that each uniform of ``us`` picks.
+    def sample(
+        self, kind: str, i: int, j: int, us: np.ndarray
+    ) -> tuple[list[Case], np.ndarray, float]:
+        """The cases of cell (kind, i, j), the index of the case that each
+        uniform of ``us`` picks, and the cell's normalisation slack.
 
         The cases are built and scored once, however many uniforms there
-        are; see :func:`pick` for the rule and the normalisation check.
+        are; see :func:`pick_with_slack` for the rule and the check.
 
         Raises:
             NumericalUnderflow: the cases do not sum to the stored cell.
@@ -310,11 +314,14 @@ class SecEngine:
         weights = np.array(
             [w * math.prod(self.value(*c) for c in children) for w, children, _arc in cases]
         )
-        return [cases[t] for t in pick(weights, self.value(kind, i, j), us)]
+        return (cases, *pick_with_slack(weights, self.value(kind, i, j), us))
 
 
-def pick(weights: np.ndarray, total: float, us: np.ndarray) -> np.ndarray:
-    """The index of the case that each uniform of ``us``, in [0, 1), picks.
+def pick_with_slack(
+    weights: np.ndarray, total: float, us: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The index of the case that each uniform of ``us``, in [0, 1), picks,
+    and the normalisation slack ``|sum(weights) - total| / total``.
 
     Case ``t`` is picked with probability ``weights[t] / total``: each
     uniform is scaled to the sum of the positive weights and located in
@@ -322,18 +329,24 @@ def pick(weights: np.ndarray, total: float, us: np.ndarray) -> np.ndarray:
     whose prefix sum reaches it.
 
     Raises:
-        NumericalUnderflow: the weights do not sum to ``total`` within 1e-6
-            relative, or none of them is positive.
+        NumericalUnderflow: the slack exceeds 1e-6 (or the sum is not
+            finite), or no weight is positive.
     """
     acc = float(weights.sum())
-    if not math.isfinite(acc) or abs(acc - total) > 1e-6 * max(abs(total), 1e-300):
+    slack = abs(acc - total) / max(abs(total), 1e-300)
+    if not math.isfinite(acc) or slack > 1e-6:
         raise NumericalUnderflow(f"cases sum to {acc!r}, table holds {float(total)!r}")
-    positive = np.flatnonzero(weights > 0.0)
+    positive = (weights > 0.0).nonzero()[0]
     if positive.size == 0:
         raise NumericalUnderflow("no positive case")
-    prefix = np.cumsum(weights[positive])
-    at = np.searchsorted(prefix, us * prefix[-1], side="left")
-    return positive[np.minimum(at, positive.size - 1)]
+    prefix = weights[positive].cumsum()
+    at = prefix.searchsorted(us * prefix[-1], side="left")
+    return positive.take(at, mode="clip"), slack
+
+
+def pick(weights: np.ndarray, total: float, us: np.ndarray) -> np.ndarray:
+    """The case indices of :func:`pick_with_slack`, without the slack."""
+    return pick_with_slack(weights, total, us)[0]
 
 
 def fold(strand: Strand, model: EnergyModel) -> SecTables:

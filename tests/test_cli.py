@@ -11,6 +11,7 @@ from jointfold.cli_reports import (
     RunConfig,
     format_target_line,
     ingest_fasta,
+    main,
     read_matrix_tsv,
     run,
 )
@@ -180,6 +181,13 @@ class TestSample:
         assert text.count("structure ") == 2
         rows = [l for l in text.splitlines() if l.startswith(("R ", "S ", "E "))]
         assert len(rows) == 2 * 5
+
+    def test_negative_seed_is_a_one_line_error(self, fasta, capsys):
+        path = fasta(">r\nAAA\n>s\nUUU\n")
+        assert main(["sample", path, "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: BadConfig: --seed must be >= 0\n"
+        assert captured.out == ""
 
 
 class TestMatrices:

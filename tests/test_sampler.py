@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from jointfold import sampler
+from jointfold import _streams, sampler
 from jointfold._cases import (
     case_value,
     component_cases,
@@ -261,3 +261,57 @@ class TestBatch:
         batch = sample_batch(res, 2, seed=1)
         assert batch.model_fingerprint == model.fingerprint()
         assert batch.draw_count == 2
+
+
+class TestStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 11,
+                                      np.int64(2**40 + 9)])
+    def test_uniforms_are_numpys_bit_for_bit(self, seed):
+        # keys of one and of two 32-bit words; rows advance at their own pace
+        # and take more uniforms than one block holds
+        keys = list(range(300)) + [2**32, 2**32 + 7, 2**45 + 1]
+        streams = _streams.Streams(seed, np.array(keys, np.uint64))
+        got: list[list[float]] = [[] for _ in keys]
+        pace = np.random.default_rng(seed % 2**32)
+        for _ in range(120):
+            rows = np.flatnonzero(pace.random(len(keys)) < 0.4)
+            for r, u in zip(rows.tolist(), streams.take(rows).tolist()):
+                got[r].append(u)
+        assert min(map(len, got)) > _streams._UNIFORMS
+        for k, us in zip(keys, got):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))))
+            want = rng.random(len(us))
+            assert np.array_equal(np.array(us).view(np.uint64), want.view(np.uint64)), k
+
+    def test_block_of_one_uniform_does_not_change_the_batch(self, monkeypatch):
+        model = random_model(np.random.default_rng(8), min_hairpin=1)
+        res = inside(*strands("GCAAC", "UUGC"), model)
+        whole = [js.key() for js in sample_batch(res, 60, seed=29).structures]
+        monkeypatch.setattr(_streams, "_UNIFORMS", 1)
+        assert [js.key() for js in sample_batch(res, 60, seed=29).structures] == whole
+
+    def test_negative_seed_is_refused(self):
+        res = inside(*strands("A", "U"), unit_model())
+        with pytest.raises(ValueError, match="non-negative"):
+            sample_batch(res, 2, seed=-1)
+
+
+class TestCaseSlack:
+    def test_normal_batch_is_within_the_check(self):
+        model = random_model(np.random.default_rng(8), min_hairpin=1)
+        res = inside(*strands("GCAAC", "UUGC"), model)
+        batch = sample_batch(res, 200, seed=4)
+        assert 0.0 <= batch.case_slack <= 1e-6
+
+    def test_a_perturbed_cell_shows_in_the_slack(self):
+        model = random_model(np.random.default_rng(8), min_hairpin=1)
+        res = inside(*strands("GCAA", "UUGC"), model)
+        n, m = res.ctx.n, res.ctx.m
+        # the full-span chain cell is a case of the top component; a change
+        # below the 1e-6 check leaves the batch intact and shows in the slack
+        cell = res.store[("chy", "top")][n, m, n, m]
+        res.store[("chy", "top")][n, m, n, m] *= 1.0 + 5e-7
+        top_slack = 5e-7 * cell / res.q_total
+        assert top_slack > 1e-7
+        batch = sample_batch(res, 200, seed=1)
+        assert top_slack * (1 - 1e-6) <= batch.case_slack <= 1e-6
