@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -462,8 +463,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--params", dest="params_path", default=None,
                        help=f"energy parameter file (default ${PARAMS_ENV})")
         p.add_argument("--outdir", default=".", help="artifact directory")
-        p.add_argument("--threshold", type=float, default=0.1,
-                       help="report regions with probability above this")
+        p.add_argument("--threshold", type=float, default=0.1, help=(
+            "draw contact regions with probability above this / 100"
+            if name == "dotplot" else "report regions with probability above this"))
         p.add_argument("--num", type=int, default=10, help="number of samples")
         p.add_argument("--seed", type=int, default=1, help="random seed (>= 0)")
         p.add_argument("--mem-budget-gib", type=float, default=2.0,
@@ -479,6 +481,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if not (math.isfinite(args.mem_budget_gib) and args.mem_budget_gib > 0.0):
+        print("error: BadConfig: --mem-budget-gib must be finite and > 0", file=sys.stderr)
+        return 1
     cfg = RunConfig(
         command=args.command,
         inputs=args.inputs,
@@ -492,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
         no_interaction=args.no_interaction,
         max_structures=args.max_structures,
     )
-    if cfg.threshold < 0.0 or cfg.threshold > 1.0:
+    if not 0.0 <= cfg.threshold <= 1.0:
         print("error: BadConfig: threshold must be in [0,1]", file=sys.stderr)
         return 1
     if cfg.command == "sample" and cfg.num < 1:

@@ -218,21 +218,19 @@ class _OutSweep:
     # -- finalisation --------------------------------------------------------
 
     def sec_seeds(self, sid: str) -> dict[str, np.ndarray]:
+        """Outside weights of one strand's 2D cells, gathered from the
+        diagonal accumulators: ``out_sq[kind][g, i]`` and ``out_tq[kind][g,
+        j]`` both belong to cell ``(i, j)`` with ``g = j - i + 1``."""
         ln = self.n if sid == "R" else self.m
         eng = (self.ctx.sec_r if sid == "R" else self.ctx.sec_s).engine
         seeds = {k: np.zeros((ln + 2, ln + 2)) for k in eng.kinds}
+        i, j = np.triu_indices(ln)
+        i, j = i + 1, j + 1
+        g = j - i + 1
         for kind, diag in self.out_sq[sid].items():
-            for g in range(1, ln + 1):
-                for x in range(1, ln - g + 2):
-                    w = diag[g, x]
-                    if w != 0.0:
-                        seeds[kind][x, x + g - 1] += w
+            seeds[kind][i, j] += diag[g, i]
         for kind, diag in self.out_tq[sid].items():
-            for g in range(1, ln + 1):
-                for j in range(g, ln + 1):
-                    w = diag[g, j]
-                    if w != 0.0:
-                        seeds[kind][j - g + 1, j] += w
+            seeds[kind][i, j] += diag[g, j]
         for kind, iv in self.out_iv[sid].items():
             seeds[kind] += iv
         return seeds

@@ -14,20 +14,28 @@ of 2D tables per strand:
 * ``qm``/``qm1`` - multi-class helpers used inside ``qb``.
 
 The multi- and kissing-class tables are one recursion instantiated with two
-affine weight classes.  Every recursion is written once as a per-cell case
-enumeration (:meth:`SecEngine.cases`) shared by the fill, the outside sweep
-and the stochastic traceback, so the three can never drift apart.
+affine weight classes.  Every recursion is written twice.  The per-cell case
+enumeration (:meth:`SecEngine.cases`) is the scalar reference, and the
+stochastic traceback (:meth:`SecEngine.sample`) draws from it.  The fill and
+the outside sweep read the span declarations of :meth:`SecEngine._declared`
+instead: each production of one span, for every start position at once, as
+child-cell offsets and a weight per case (:class:`_SpanProd`).  The fill
+evaluates a production as a gather, a product and a sum; the outside sweep
+evaluates its transpose as a scatter-add (``numpy.bincount``), because
+interior-loop children repeat across start positions.  The tests check
+every cell of both against :meth:`SecEngine.cases`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .energy import EnergyModel
-from .seq_model import Strand
+from .seq_model import ALPHABET, BASE_CODE, Strand
 
 __all__ = [
     "NumericalUnderflow",
@@ -87,6 +95,65 @@ class SecTables:
         return float(self.q[1, len(self.strand)])
 
 
+@dataclass(frozen=True)
+class _Cases:
+    """The cases of one table at every span, for every start position.
+
+    The tables of an engine are planes of one array, ``flat`` is that array
+    flattened, and ``cell`` holds the flat index of cell ``(i, i)`` of the
+    first plane for each start position ``i`` of span ``s``.  Cell ``(i, i
+    + s - 1)`` of the table, at flat index ``at + cell + s - 1``, is
+    ``scale[cell + s - 1] * sum_c weights[c] * flat[cell + left[c]] *
+    flat[cell + right[c]]`` over the cases ``c`` in ``bounds[s-1]:bounds[s]``.
+    ``scale`` (the closing arc's admissibility, one plane) is None for 1.
+    A case with one child, or none, reads the constant plane of ones.
+    """
+
+    at: int
+    scale: np.ndarray | None
+    bounds: list[int]
+    weights: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+
+    def evaluate(self, flat: np.ndarray, cell: np.ndarray, s: int) -> None:
+        """Fill the span's cells: a gather, a product and a sum."""
+        lo, hi = self.bounds[s - 1], self.bounds[s]
+        if lo == hi:
+            return
+        c = cell[:, None]
+        total = (flat[c + self.left[lo:hi]] * flat[c + self.right[lo:hi]]
+                 * self.weights[lo:hi]).sum(axis=1)
+        if self.scale is not None:
+            total *= self.scale[cell + s - 1]
+        flat[self.at + cell + s - 1] = total
+
+    def transpose(self, flat: np.ndarray, acc: np.ndarray, cell: np.ndarray, s: int) -> None:
+        """Pass the outside weights of the span's cells in ``acc`` (laid out
+        like ``flat``) on to their children: the scatter transpose of
+        :meth:`evaluate`.  A child cell repeats across start positions, so
+        the adds go through ``numpy.add.at``."""
+        lo, hi = self.bounds[s - 1], self.bounds[s]
+        o = acc[self.at + cell + s - 1]
+        if lo == hi or not o.any():
+            return
+        if self.scale is not None:
+            o *= self.scale[cell + s - 1]
+        c = cell[:, None]
+        left, right = (c + self.left[lo:hi]).ravel(), (c + self.right[lo:hi]).ravel()
+        ow = (o[:, None] * self.weights[lo:hi]).ravel()
+        np.add.at(acc, left, ow * flat[right])
+        np.add.at(acc, right, ow * flat[left])
+
+
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For ``counts[s - 1]`` cases at span ``s``: the span and the index
+    ``t`` within its span of every case."""
+    counts = np.maximum(counts, 0)
+    s = np.repeat(np.arange(1, counts.size + 1), counts)
+    return s, np.arange(s.size) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 class SecEngine:
     """Recursion definitions and storage for one strand under one model."""
 
@@ -102,19 +169,22 @@ class SecEngine:
         kinds = [k for k in FILL_ORDER if self.nolp or k not in _HELIX]
         self.kinds = kinds
         size = self.n + 2
-        self.tables: dict[str, np.ndarray] = {
-            k: np.zeros((size, size)) for k in kinds
-        }
+        # the tables, then the constant planes that the span declarations
+        # read: ones, and the stack weight of (i+1, j-1) inside each arc (i, j)
+        self._planes = np.zeros((len(kinds) + 2, size, size))
+        self.tables: dict[str, np.ndarray] = dict(zip(kinds, self._planes))
         for k in _EMPTY_ONE:
             for i in range(1, size):
                 self.tables[k][i, i - 1] = 1.0
         # loop weights that depend on sizes only, read by cases() for every cell
         self._w_multi_init = model.w_multi_init
         self._w_multi_branch = model.w_multi_branch
-        self._w_interior = [
-            [model.w_interior(a, b) for b in range(self.n)] for a in range(self.n)
+        self._w_interior = [  # a + b < L: the loops that fit
+            [model.w_interior(a, b) for b in range(self.n - a)] for a in range(self.n)
         ]
         self._w_multi_unpaired = [model.w_multi_unpaired ** k for k in range(size)]
+        self._diag = np.arange(1, self.n + 1) * (size + 1)  # flat index of (i, i)
+        self._cases: list[_Cases] | None = None
         self._filled = False
 
     # -- admissibility ----------------------------------------------------
@@ -211,6 +281,106 @@ class SecEngine:
             raise KeyError(f"unknown table kind {kind!r}")
         return out
 
+    # -- declarations ------------------------------------------------------
+
+    def _declared(self) -> list[_Cases]:
+        """The cases of :meth:`cases`, per kind in :data:`FILL_ORDER`, for
+        every span at once; built once per engine.
+
+        Each production is declared once, over arrays of the span ``s`` and
+        an index ``t`` of its cases within the span.  A child ``(kind, r,
+        c)`` of the cell ``(i, j)``, ``j = i + s - 1``, is the cell ``(i + r,
+        i + c)`` of that kind's plane.  An empty prefix reads the constant 1
+        (the value of ``q[i, i-1]``).
+        """
+        if self._cases is not None:
+            return self._cases
+        m = self.model
+        n, size, bk = self.n, self.n + 2, self.branch_kind
+        area = size * size
+        theta = m.min_hairpin
+        plane = {k: p * area for p, k in enumerate(self.kinds)}
+        plane["one"], plane["stack"] = len(self.kinds) * area, (len(self.kinds) + 1) * area
+        ones, stack = self._planes[-2:]
+        ones[...] = 1.0
+        # per arc (i, j), 1-based: admissibility, and the stack weight of
+        # (i+1, j-1) inside it wherever that stack is a case of (i, j)
+        codes = np.array([BASE_CODE[b] for b in self.seq], dtype=np.intp)
+        pair_ok = np.array([[m.pairable(a, b) for b in ALPHABET] for a in ALPHABET])
+        ii, jj = np.indices((size, size))
+        adm = np.zeros((size, size))
+        adm[1:-1, 1:-1] = pair_ok[codes[:, None], codes[None, :]]
+        adm *= jj - ii - 1 >= theta
+        w_stack = np.zeros((4, 4, 4, 4))
+        for (a, b), (c, d) in itertools.product(m.pairs, itertools.product(ALPHABET, repeat=2)):
+            w_stack[BASE_CODE[a], BASE_CODE[b], BASE_CODE[c], BASE_CODE[d]] = m.w_stack(a + b, c + d)
+        i, j = np.nonzero((adm[1:-1, 1:-1] != 0.0) & (jj - ii >= 3)[:n, :n])
+        stack[i + 1, j + 1] = w_stack[codes[i], codes[j], codes[i + 1], codes[j - 1]]
+        helix = adm.copy()
+        helix[1:-1, 1:-1] *= adm[2:, :-2]  # (i, j) and (i+1, j-1) admissible
+        w_hairpin = np.array([m.w_hairpin(k) for k in range(n)])
+        # interior loops with a and b unpaired bases on the two sides, the
+        # stack (0, 0) left out, ordered by a + b: a span's loops are a prefix
+        a, b = np.indices((n, n)).reshape(2, -1)
+        order = np.lexsort((a, a + b))[1: n * (n + 1) // 2]
+        a, b = a[order], b[order]
+        w_interior = np.concatenate(self._w_interior)[a * n - a * (a - 1) // 2 + b]
+        w_unp = np.array(self._w_multi_unpaired)
+        wmb, wmi = m.w_multi_branch, m.w_multi_init
+
+        spans = np.arange(1, n + 1)
+        closes = spans >= theta + 2  # spans whose arcs can be admissible
+        one = ("one", 0, 0)
+        groups: dict[str, list] = {k: [] for k in self.kinds}
+
+        def add(kind, s, weights, left, right=one):
+            """Cases of ``kind`` at spans ``s``; a child is (kind, r, c)."""
+            groups[kind].append(np.broadcast_arrays(
+                s, weights, *(plane[k] + r * size + c for k, r, c in (left, right))))
+
+        closed = ("qb", "qend") if self.nolp else ("qb",)
+        for kind, inner in zip(closed, ("qb", "qbh")):
+            s = spans[closes]  # hairpin
+            add(kind, s, w_hairpin[s - 2], one)
+            s, t = _ragged(np.where(closes, (spans - 4) * (spans - 1) // 2, 0))
+            add(kind, s, w_interior[t], (inner, 1 + a[t], s - 2 - b[t]))
+            s, t = _ragged(np.where(closes, spans - 4, 0))  # multiloop split
+            add(kind, s, wmi, ("qm", 1, 1 + t), ("qm1", 2 + t, s - 2))
+        s = spans[closes & (spans >= 4)]
+        add("qb", s, 1.0, ("stack", 0, s - 1), ("qb", 1, s - 2))
+        if self.nolp:  # helix (i, j), (i+1, j-1): its end, or a longer helix
+            s = spans[spans >= theta + 4]
+            add("qbh", s, 1.0, ("stack", 0, s - 1), ("qend", 1, s - 2))
+            add("qbh", s, 1.0, ("stack", 0, s - 1), ("qbh", 1, s - 2))
+        s, t = _ragged(spans - 1)  # one branch (i, j - t), then t unpaired
+        add("qm1", s, wmb * w_unp[t], (bk, 0, s - 1 - t))
+        s, t = _ragged(spans)  # the last branch starts at i + t
+        add("qm", s, w_unp[t], ("qm1", t, s - 1))
+        s, t = _ragged(spans - 1)
+        add("qm", s, 1.0, ("qm", 0, t), ("qm1", t + 1, s - 1))
+        for kind in ("q", "q1", "qk", "q1k"):
+            kiss = kind in ("qk", "q1k")
+            wu = m.w_kiss_unpaired if kiss else 1.0
+            wb = m.w_kiss_branch if kiss else 1.0
+            base = "qk" if kiss else "q"
+            if kind in _EMPTY_ONE:  # j unpaired, before it the empty interval
+                add(kind, spans[:1], wu, one)
+            s = spans[1:]
+            add(kind, s, wu, (kind, 0, s - 2))
+            add(kind, s, wb, one, (bk, 0, s - 1))  # one branch, empty prefix
+            s, t = _ragged(spans - 2)  # last branch (i + t + 1, j)
+            add(kind, s, wb, (base, 0, t), (bk, t + 1, s - 1))
+        scale = {"qb": adm, "qend": adm, "qbh": helix}
+        self._cases = []
+        for kind, parts in groups.items():
+            s, *columns = (np.concatenate(column) for column in zip(*parts))
+            order = np.argsort(s, kind="stable")
+            bounds = np.searchsorted(s[order], np.arange(1, n + 2)).tolist()
+            self._cases.append(_Cases(
+                plane[kind], None if kind not in scale else scale[kind].reshape(-1),
+                bounds, *(col[order] for col in columns)))
+        return self._cases
+
     # -- fill ---------------------------------------------------------------
 
     def value(self, kind: str, i: int, j: int) -> float:
@@ -220,33 +390,16 @@ class SecEngine:
             return 1.0 if kind in _EMPTY_ONE else 0.0
         return float(self.tables[kind][i, j])
 
-    def _cells(self) -> dict[str, list[list[float]]]:
-        """The tables as nested lists, for scalar reads in the sweeps below.
-
-        Every child interval of :meth:`cases` has ``j >= i - 1``, where the
-        tables already hold the empty-interval convention of :meth:`value`.
-        """
-        return {k: arr.tolist() for k, arr in self.tables.items()}
-
     def fill(self) -> None:
+        """Fill every table, one span at a time for all start positions."""
         if self._filled:
             return
-        cells = self._cells()
-        for span in range(1, self.n + 1):
-            for i in range(1, self.n - span + 2):
-                j = i + span - 1
-                for kind in self.kinds:
-                    total = 0.0
-                    for w, children, _arc in self.cases(kind, i, j):
-                        prod = w
-                        for ck, ci, cj in children:
-                            prod *= cells[ck][ci][cj]
-                            if prod == 0.0:
-                                break
-                        total += prod
-                    cells[kind][i][j] = total
-        for k, rows in cells.items():
-            self.tables[k][...] = rows
+        flat = self._planes.reshape(-1)
+        declared = self._declared()
+        for s in range(1, self.n + 1):
+            cell = self._diag[: self.n - s + 1]
+            for cases in declared:
+                cases.evaluate(flat, cell, s)
         self._filled = True
 
     # -- outside ------------------------------------------------------------
@@ -258,33 +411,20 @@ class SecEngine:
         accumulated by external users (the 4D engine, or the top level for
         plain single-strand folding).  Returns per-kind outside arrays; the
         base-pair weight of arc (i,j) is ``out['qb'][i,j] * qb[i,j]`` (plus
-        the helix tables in lone-pair-free mode).
+        the helix tables in lone-pair-free mode).  Spans run from the
+        longest down and the kinds of a span in reverse fill order, so a
+        cell's outside weight is complete before it is passed on.
         """
-        size = self.n + 2
-        out = {k: np.zeros((size, size)) for k in self.kinds}
+        acc = np.zeros_like(self._planes)
+        out = dict(zip(self.kinds, acc))
         for k, arr in seeds.items():
             out[k] += arr
-        cells = self._cells()
-        acc = {k: arr.tolist() for k, arr in out.items()}
-        for span in range(self.n, 0, -1):
-            for i in range(1, self.n - span + 2):
-                j = i + span - 1
-                for kind in reversed(self.kinds):
-                    o = acc[kind][i][j]
-                    if o == 0.0:
-                        continue
-                    for w, children, _arc in self.cases(kind, i, j):
-                        vals = [cells[ck][ci][cj] for ck, ci, cj in children]
-                        for t, (ck, ci, cj) in enumerate(children):
-                            if cj < ci:  # empty interval, no table cell
-                                continue
-                            contrib = o * w
-                            for s, v in enumerate(vals):
-                                if s != t:
-                                    contrib *= v
-                            acc[ck][ci][cj] += contrib
-        for k, rows in acc.items():
-            out[k][...] = rows
+        flat, acc = self._planes.reshape(-1), acc.reshape(-1)
+        declared = self._declared()[::-1]
+        for s in range(self.n, 0, -1):
+            cell = self._diag[: self.n - s + 1]
+            for cases in declared:
+                cases.transpose(flat, acc, cell, s)
         return out
 
     def arc_probabilities(self, out: dict[str, np.ndarray], q_total: float) -> np.ndarray:
@@ -350,7 +490,8 @@ def pick(weights: np.ndarray, total: float, us: np.ndarray) -> np.ndarray:
 
 
 def fold(strand: Strand, model: EnergyModel) -> SecTables:
-    """Fill all single-strand tables in O(L^3) time, O(L^2) space."""
+    """Fill all single-strand tables in O(L^4) time (interior loops are not
+    size-capped), O(L^2) space."""
     eng = SecEngine(strand, model)
     eng.fill()
     qb = eng.tables["qbh"] if eng.nolp else eng.tables["qb"]

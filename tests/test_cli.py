@@ -143,6 +143,19 @@ class TestInvalidNumbers:
         assert re.fullmatch(r"error: NumericalUnderflow: partition function is \S+\n", err)
         assert not any(l and not l.startswith("#") for l in text.splitlines())
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--mem-budget-gib", "nan"], "--mem-budget-gib must be finite and > 0"),
+        (["--mem-budget-gib", "inf"], "--mem-budget-gib must be finite and > 0"),
+        (["--mem-budget-gib", "-1"], "--mem-budget-gib must be finite and > 0"),
+        (["--threshold", "nan"], "threshold must be in [0,1]"),
+    ])
+    def test_bad_numeric_flag_is_a_one_line_error(self, flags, message, fasta, capsys):
+        path = fasta(">r\nAAA\n>s\nUUU\n")
+        assert main(["targets", path, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: BadConfig: {message}\n"
+        assert captured.out == ""
+
 
 class TestTargets:
     def test_line_format(self):
@@ -219,6 +232,13 @@ class TestMatrices:
         svg = (out / "dotplot.svg").read_text()
         assert svg.startswith("<svg") or svg.startswith("<?xml") or "<svg" in svg
         assert "<rect" in svg
+
+    def test_dotplot_threshold_help_states_the_scale(self, capsys):
+        for command, scaled in (("dotplot", True), ("targets", False)):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            text = " ".join(capsys.readouterr().out.split())
+            assert ("probability above this / 100" in text) == scaled, command
 
 
 class TestOracleCommand:

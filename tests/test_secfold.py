@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+import jointfold.grammar_inside as grammar_inside
+import jointfold.secfold as secfold
+from jointfold.energy import default_model
 from jointfold.oracle import enumerate_secondary
-from jointfold.secfold import fold, secondary_bpp
+from jointfold.outside_prob import outside
+from jointfold.secfold import SecEngine, fold, secondary_bpp
 from jointfold.seq_model import Strand
 
 from helpers import random_model, random_seq
@@ -115,3 +121,137 @@ class TestSecondaryBpp:
         for i in range(1, n + 1):
             total = bpp[i, :].sum() + bpp[:, i].sum()
             assert total <= 1.0 + 1e-9
+
+
+def _model(kind: str, seed: int, min_hairpin: int, nolp: bool):
+    if kind == "default":
+        return default_model(min_hairpin=min_hairpin, forbid_lone_pairs=nolp)
+    return random_model(np.random.default_rng(seed), min_hairpin=min_hairpin,
+                        forbid_lone_pairs=nolp)
+
+
+def _cell_from_cases(eng: SecEngine, kind: str, i: int, j: int) -> float:
+    return sum(w * math.prod(eng.value(*c) for c in children)
+               for w, children, _arc in eng.cases(kind, i, j))
+
+
+def _reference_outside(eng: SecEngine, seeds: dict) -> dict:
+    """The outside sweep written as a scalar loop over :meth:`SecEngine.cases`:
+    every case passes the cell's outside weight times its weight and its
+    other children's values to each child that is a cell."""
+    n = eng.n
+    acc = {k: np.zeros((n + 2, n + 2)) for k in eng.kinds}
+    for k, arr in seeds.items():
+        acc[k] += arr
+    for span in range(n, 0, -1):
+        for i in range(1, n - span + 2):
+            j = i + span - 1
+            for kind in reversed(eng.kinds):
+                o = acc[kind][i, j]
+                if o == 0.0:
+                    continue
+                for w, children, _arc in eng.cases(kind, i, j):
+                    vals = [eng.value(*c) for c in children]
+                    for t, (ck, ci, cj) in enumerate(children):
+                        if cj < ci:  # empty interval, no table cell
+                            continue
+                        contrib = o * w
+                        for s, v in enumerate(vals):
+                            if s != t:
+                                contrib *= v
+                        acc[ck][ci, cj] += contrib
+    return acc
+
+
+def _assert_rel(got: np.ndarray, want: np.ndarray, rel: float, what) -> None:
+    assert ((got == 0.0) == (want == 0.0)).all(), what
+    scale = np.where(want == 0.0, 1.0, np.abs(want))
+    assert (np.abs(got - want) <= rel * scale).all(), (
+        what, float((np.abs(got - want) / scale).max()))
+
+
+# (length, weights, min_hairpin, lone pairs forbidden): every length meets
+# both weight sets, each min_hairpin 0-3 and both lone-pair modes
+_LONG = [
+    (30, "default", 0, False), (30, "random", 3, True),
+    (48, "default", 2, True), (48, "random", 1, False),
+    (64, "default", 3, False), (64, "random", 0, True),
+]
+
+
+class TestLongStrands:
+    """The span-vectorised fill and outside against the per-cell cases, at
+    lengths beyond the brute-force oracle's reach."""
+
+    @pytest.mark.parametrize("n, weights, theta, nolp", _LONG)
+    def test_every_cell_is_the_sum_of_its_cases(self, n, weights, theta, nolp):
+        rng = np.random.default_rng(n + theta)
+        model = _model(weights, n, theta, nolp)
+        eng = fold(Strand.query(random_seq(rng, n)), model).engine
+        for kind in eng.kinds:
+            want = np.zeros((n + 2, n + 2))
+            for i in range(1, n + 1):
+                for j in range(i, n + 1):
+                    want[i, j] = _cell_from_cases(eng, kind, i, j)
+            got = np.triu(eng.tables[kind])
+            _assert_rel(got, want, 1e-12, kind)
+
+    @pytest.mark.parametrize("n, weights, theta, nolp", [
+        (25, "random", 0, False), (31, "default", 1, True),
+        (36, "random", 2, True), (40, "default", 3, False),
+    ])
+    def test_outside_equals_the_scalar_sweep(self, n, weights, theta, nolp):
+        rng = np.random.default_rng(100 + n)
+        model = _model(weights, n, theta, nolp)
+        eng = fold(Strand.query(random_seq(rng, n)), model).engine
+        seeds = {}
+        for kind in eng.kinds:
+            arr = np.triu(rng.random((n + 2, n + 2)) * (rng.random((n + 2, n + 2)) < 0.2))
+            arr[0, :] = arr[:, 0] = arr[-1, :] = arr[:, -1] = 0.0
+            seeds[kind] = arr
+        got = eng.outside(seeds)
+        want = _reference_outside(eng, seeds)
+        for kind in eng.kinds:
+            _assert_rel(got[kind], want[kind], 1e-12, kind)
+
+
+class TestTracedEntryPoints:
+    """The benchmark times the secondary layer by replacing
+    ``grammar_inside.fold`` and ``SecEngine.outside``; every secondary fill
+    and outside sweep of ``inside()`` and ``outside()`` must run inside one
+    of those calls."""
+
+    def test_patched_entry_points_see_all_secondary_work(self, monkeypatch):
+        depth = {"fold": 0, "outside": 0}
+        calls = {"fold": 0, "outside": 0, "evaluate": 0, "transpose": 0}
+
+        def entered(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                depth[name] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[name] -= 1
+            return wrapper
+
+        def within(name, scope, fn):
+            def wrapper(*args, **kwargs):
+                assert depth[scope] == 1, f"{name} outside a traced {scope}"
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(grammar_inside, "fold", entered("fold", grammar_inside.fold))
+        monkeypatch.setattr(SecEngine, "outside", entered("outside", SecEngine.outside))
+        monkeypatch.setattr(secfold._Cases, "evaluate",
+                            within("evaluate", "fold", secfold._Cases.evaluate))
+        monkeypatch.setattr(secfold._Cases, "transpose",
+                            within("transpose", "outside", secfold._Cases.transpose))
+        rng = np.random.default_rng(4)
+        R = Strand.query(random_seq(rng, 7))
+        S = Strand.target_internal(random_seq(rng, 9))
+        res = grammar_inside.inside(R, S, random_model(rng, min_hairpin=1))
+        assert calls["fold"] == 2 and calls["evaluate"] > 0
+        outside(res)
+        assert calls["outside"] == 2 and calls["transpose"] > 0
