@@ -17,13 +17,14 @@ The multi- and kissing-class tables are one recursion instantiated with two
 affine weight classes.  Every recursion is written twice.  The per-cell case
 enumeration (:meth:`SecEngine.cases`) is the scalar reference, and the
 stochastic traceback (:meth:`SecEngine.sample`) draws from it.  The fill and
-the outside sweep read the span declarations of :meth:`SecEngine._declared`
-instead: each production of one span, for every start position at once, as
-child-cell offsets and a weight per case (:class:`_SpanProd`).  The fill
-evaluates a production as a gather, a product and a sum; the outside sweep
-evaluates its transpose as a scatter-add (``numpy.bincount``), because
-interior-loop children repeat across start positions.  The tests check
-every cell of both against :meth:`SecEngine.cases`.
+the outside sweep read the declarations of :meth:`SecEngine._declared`
+instead: the same productions, each written once for all spans, as child-cell
+offsets and a weight per case (:class:`_Cases`).  Both run one span at a
+time for all start positions at once.  The fill evaluates a span's cases as
+a gather, a product and a sum; the outside sweep evaluates their transpose
+as a scatter-add (``numpy.add.at``), because interior-loop children repeat
+across start positions.  The tests check every cell of both against
+:meth:`SecEngine.cases`.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ __all__ = [
 Case = tuple[float, tuple, tuple | None]
 
 _EMPTY_ONE = ("q", "qk")  # tables whose empty interval has value 1
+_DINUCLEOTIDES = ["".join(x) for x in itertools.product(ALPHABET, repeat=2)]
 
 # Fill order of the tables of one cell: a case reads cells of the same span
 # only from kinds earlier in this order.  The helix tables exist only with
@@ -312,8 +314,8 @@ class SecEngine:
         adm[1:-1, 1:-1] = pair_ok[codes[:, None], codes[None, :]]
         adm *= jj - ii - 1 >= theta
         w_stack = np.zeros((4, 4, 4, 4))
-        for (a, b), (c, d) in itertools.product(m.pairs, itertools.product(ALPHABET, repeat=2)):
-            w_stack[BASE_CODE[a], BASE_CODE[b], BASE_CODE[c], BASE_CODE[d]] = m.w_stack(a + b, c + d)
+        for outer, inner in itertools.product(m.pairs, _DINUCLEOTIDES):
+            w_stack[tuple(BASE_CODE[x] for x in outer + inner)] = m.w_stack(outer, inner)
         i, j = np.nonzero((adm[1:-1, 1:-1] != 0.0) & (jj - ii >= 3)[:n, :n])
         stack[i + 1, j + 1] = w_stack[codes[i], codes[j], codes[i + 1], codes[j - 1]]
         helix = adm.copy()
@@ -335,16 +337,17 @@ class SecEngine:
 
         def add(kind, s, weights, left, right=one):
             """Cases of ``kind`` at spans ``s``; a child is (kind, r, c)."""
-            groups[kind].append(np.broadcast_arrays(
-                s, weights, *(plane[k] + r * size + c for k, r, c in (left, right))))
+            columns = (weights, *(plane[k] + r * size + c for k, r, c in (left, right)))
+            groups[kind].append([s, *(np.full(s.size, x) if np.ndim(x) == 0 else x
+                                      for x in columns)])
 
         closed = ("qb", "qend") if self.nolp else ("qb",)
         for kind, inner in zip(closed, ("qb", "qbh")):
             s = spans[closes]  # hairpin
             add(kind, s, w_hairpin[s - 2], one)
             s, t = _ragged(np.where(closes, (spans - 4) * (spans - 1) // 2, 0))
-            add(kind, s, w_interior[t], (inner, 1 + a[t], s - 2 - b[t]))
-            s, t = _ragged(np.where(closes, spans - 4, 0))  # multiloop split
+            add(kind, s, w_interior[t], (inner, 1 + a[t], s - 2 - b[t]))  # (i+1+a, j-1-b)
+            s, t = _ragged(np.where(closes, spans - 4, 0))  # multiloop, last branch from i+2+t
             add(kind, s, wmi, ("qm", 1, 1 + t), ("qm1", 2 + t, s - 2))
         s = spans[closes & (spans >= 4)]
         add("qb", s, 1.0, ("stack", 0, s - 1), ("qb", 1, s - 2))

@@ -148,7 +148,7 @@ class TestInvalidNumbers:
         (["--mem-budget-gib", "inf"], "--mem-budget-gib must be finite and > 0"),
         (["--mem-budget-gib", "-1"], "--mem-budget-gib must be finite and > 0"),
         (["--threshold", "nan"], "threshold must be in [0,1]"),
-    ])
+    ], ids=["budget-nan", "budget-inf", "budget-negative", "threshold-nan"])
     def test_bad_numeric_flag_is_a_one_line_error(self, flags, message, fasta, capsys):
         path = fasta(">r\nAAA\n>s\nUUU\n")
         assert main(["targets", path, *flags]) == 1

@@ -164,10 +164,10 @@ def _reference_outside(eng: SecEngine, seeds: dict) -> dict:
 
 
 def _assert_rel(got: np.ndarray, want: np.ndarray, rel: float, what) -> None:
-    assert ((got == 0.0) == (want == 0.0)).all(), what
-    scale = np.where(want == 0.0, 1.0, np.abs(want))
-    assert (np.abs(got - want) <= rel * scale).all(), (
-        what, float((np.abs(got - want) / scale).max()))
+    zeros_differ = np.argwhere((got == 0.0) != (want == 0.0)).tolist()
+    assert not zeros_differ, (what, zeros_differ[:5])
+    worst = float((np.abs(got - want) / np.where(want == 0.0, 1.0, np.abs(want))).max())
+    assert worst <= rel, (what, worst)
 
 
 # (length, weights, min_hairpin, lone pairs forbidden): every length meets
