@@ -103,6 +103,8 @@ class EnergyModel:
         for pt in self.pairs:
             if len(pt) != 2 or any(b not in BASE_CODE for b in pt):
                 raise ParamError(f"invalid pair type {pt!r}")
+        if self.min_hairpin < 0:
+            raise ParamError(f"min_hairpin must be >= 0, got {self.min_hairpin}")
 
     # -- energies ---------------------------------------------------------
 

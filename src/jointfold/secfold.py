@@ -104,48 +104,48 @@ class _Cases:
     The tables of an engine are planes of one array, ``flat`` is that array
     flattened, and ``cell`` holds the flat index of cell ``(i, i)`` of the
     first plane for each start position ``i`` of span ``s``.  Cell ``(i, i
-    + s - 1)`` of the table, at flat index ``at + cell + s - 1``, is
+    + s - 1)`` of the table, at flat index ``plane + cell + s - 1``, is
     ``scale[cell + s - 1] * sum_c weights[c] * flat[cell + left[c]] *
     flat[cell + right[c]]`` over the cases ``c`` in ``bounds[s-1]:bounds[s]``.
     ``scale`` (the closing arc's admissibility, one plane) is None for 1.
     A case with one child, or none, reads the constant plane of ones.
     """
 
-    at: int
+    plane: int  # flat index of the table's first cell
     scale: np.ndarray | None
     bounds: list[int]
     weights: np.ndarray
     left: np.ndarray
     right: np.ndarray
 
-    def evaluate(self, flat: np.ndarray, cell: np.ndarray, s: int) -> None:
-        """Fill the span's cells: a gather, a product and a sum."""
+    def evaluate(self, flat: np.ndarray, cell: np.ndarray, at: np.ndarray, s: int) -> None:
+        """Fill the span's cells, at flat indices ``plane + at``: a gather, a
+        product and a sum.  ``cell`` is the column of the ``(i, i)``."""
         lo, hi = self.bounds[s - 1], self.bounds[s]
         if lo == hi:
             return
-        c = cell[:, None]
-        total = (flat[c + self.left[lo:hi]] * flat[c + self.right[lo:hi]]
+        total = (flat.take(cell + self.left[lo:hi]) * flat.take(cell + self.right[lo:hi])
                  * self.weights[lo:hi]).sum(axis=1)
         if self.scale is not None:
-            total *= self.scale[cell + s - 1]
-        flat[self.at + cell + s - 1] = total
+            total *= self.scale.take(at)
+        flat[self.plane + at] = total
 
-    def transpose(self, flat: np.ndarray, acc: np.ndarray, cell: np.ndarray, s: int) -> None:
+    def transpose(self, flat: np.ndarray, acc: np.ndarray, cell: np.ndarray, at: np.ndarray,
+                  s: int) -> None:
         """Pass the outside weights of the span's cells in ``acc`` (laid out
         like ``flat``) on to their children: the scatter transpose of
         :meth:`evaluate`.  A child cell repeats across start positions, so
         the adds go through ``numpy.add.at``."""
         lo, hi = self.bounds[s - 1], self.bounds[s]
-        o = acc[self.at + cell + s - 1]
+        o = acc.take(self.plane + at)
         if lo == hi or not o.any():
             return
         if self.scale is not None:
-            o *= self.scale[cell + s - 1]
-        c = cell[:, None]
-        left, right = (c + self.left[lo:hi]).ravel(), (c + self.right[lo:hi]).ravel()
+            o *= self.scale.take(at)
+        left, right = (cell + self.left[lo:hi]).ravel(), (cell + self.right[lo:hi]).ravel()
         ow = (o[:, None] * self.weights[lo:hi]).ravel()
-        np.add.at(acc, left, ow * flat[right])
-        np.add.at(acc, right, ow * flat[left])
+        np.add.at(acc, left, ow * flat.take(right))
+        np.add.at(acc, right, ow * flat.take(left))
 
 
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -285,6 +285,30 @@ class SecEngine:
 
     # -- declarations ------------------------------------------------------
 
+    def _arc_planes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per arc ``(i, j)``, 1-based: its admissibility, and that of the
+        helix ``(i, j), (i+1, j-1)``.  Also fills the constant planes: ones,
+        and the weight of stacking ``(i+1, j-1)`` inside each admissible
+        arc that has room for it."""
+        m, n, size = self.model, self.n, self.n + 2
+        ones, stack = self._planes[-2:]
+        ones[...] = 1.0
+        codes = np.array([BASE_CODE[b] for b in self.seq], dtype=np.intp)
+        pair_ok = np.array([[m.pairable(x, y) for y in ALPHABET] for x in ALPHABET])
+        ii, jj = np.indices((size, size))
+        adm = np.zeros((size, size))
+        adm[1:-1, 1:-1] = pair_ok[codes[:, None], codes[None, :]]
+        adm *= jj - ii - 1 >= m.min_hairpin
+        w_stack = np.zeros((16, 16))  # [outer, inner], each pair coded 4 * a + b
+        for outer in m.pairs:
+            w_stack[4 * BASE_CODE[outer[0]] + BASE_CODE[outer[1]]] = [
+                m.w_stack(outer, inner) for inner in _DINUCLEOTIDES]
+        x, y = np.nonzero((adm[1:-1, 1:-1] != 0.0) & (jj - ii >= 3)[:n, :n])  # 0-based
+        stack[x + 1, y + 1] = w_stack[4 * codes[x] + codes[y], 4 * codes[x + 1] + codes[y - 1]]
+        helix = adm.copy()
+        helix[1:-1, 1:-1] *= adm[2:, :-2]
+        return adm, helix
+
     def _declared(self) -> list[_Cases]:
         """The cases of :meth:`cases`, per kind in :data:`FILL_ORDER`, for
         every span at once; built once per engine.
@@ -303,23 +327,7 @@ class SecEngine:
         theta = m.min_hairpin
         plane = {k: p * area for p, k in enumerate(self.kinds)}
         plane["one"], plane["stack"] = len(self.kinds) * area, (len(self.kinds) + 1) * area
-        ones, stack = self._planes[-2:]
-        ones[...] = 1.0
-        # per arc (i, j), 1-based: admissibility, and the stack weight of
-        # (i+1, j-1) inside it wherever that stack is a case of (i, j)
-        codes = np.array([BASE_CODE[b] for b in self.seq], dtype=np.intp)
-        pair_ok = np.array([[m.pairable(a, b) for b in ALPHABET] for a in ALPHABET])
-        ii, jj = np.indices((size, size))
-        adm = np.zeros((size, size))
-        adm[1:-1, 1:-1] = pair_ok[codes[:, None], codes[None, :]]
-        adm *= jj - ii - 1 >= theta
-        w_stack = np.zeros((4, 4, 4, 4))
-        for outer, inner in itertools.product(m.pairs, _DINUCLEOTIDES):
-            w_stack[tuple(BASE_CODE[x] for x in outer + inner)] = m.w_stack(outer, inner)
-        i, j = np.nonzero((adm[1:-1, 1:-1] != 0.0) & (jj - ii >= 3)[:n, :n])
-        stack[i + 1, j + 1] = w_stack[codes[i], codes[j], codes[i + 1], codes[j - 1]]
-        helix = adm.copy()
-        helix[1:-1, 1:-1] *= adm[2:, :-2]  # (i, j) and (i+1, j-1) admissible
+        adm, helix = self._arc_planes()
         w_hairpin = np.array([m.w_hairpin(k) for k in range(n)])
         # interior loops with a and b unpaired bases on the two sides, the
         # stack (0, 0) left out, ordered by a + b: a span's loops are a prefix
@@ -338,7 +346,7 @@ class SecEngine:
         def add(kind, s, weights, left, right=one):
             """Cases of ``kind`` at spans ``s``; a child is (kind, r, c)."""
             columns = (weights, *(plane[k] + r * size + c for k, r, c in (left, right)))
-            groups[kind].append([s, *(np.full(s.size, x) if np.ndim(x) == 0 else x
+            groups[kind].append([s, *(x if isinstance(x, np.ndarray) else np.full(s.size, x)
                                       for x in columns)])
 
         closed = ("qb", "qend") if self.nolp else ("qb",)
@@ -375,13 +383,13 @@ class SecEngine:
             add(kind, s, wb, (base, 0, t), (bk, t + 1, s - 1))
         scale = {"qb": adm, "qend": adm, "qbh": helix}
         self._cases = []
-        for kind, parts in groups.items():
-            s, *columns = (np.concatenate(column) for column in zip(*parts))
+        for kind in self.kinds:
+            s, weights, left, right = (np.concatenate(c) for c in zip(*groups.pop(kind)))
             order = np.argsort(s, kind="stable")
             bounds = np.searchsorted(s[order], np.arange(1, n + 2)).tolist()
             self._cases.append(_Cases(
-                plane[kind], None if kind not in scale else scale[kind].reshape(-1),
-                bounds, *(col[order] for col in columns)))
+                plane[kind], None if kind not in scale else scale[kind].reshape(-1), bounds,
+                weights[order], left[order].astype(np.int32), right[order].astype(np.int32)))
         return self._cases
 
     # -- fill ---------------------------------------------------------------
@@ -400,9 +408,10 @@ class SecEngine:
         flat = self._planes.reshape(-1)
         declared = self._declared()
         for s in range(1, self.n + 1):
-            cell = self._diag[: self.n - s + 1]
+            cell = self._diag[: self.n - s + 1, None]
+            at = cell[:, 0] + (s - 1)
             for cases in declared:
-                cases.evaluate(flat, cell, s)
+                cases.evaluate(flat, cell, at, s)
         self._filled = True
 
     # -- outside ------------------------------------------------------------
@@ -425,9 +434,10 @@ class SecEngine:
         flat, acc = self._planes.reshape(-1), acc.reshape(-1)
         declared = self._declared()[::-1]
         for s in range(self.n, 0, -1):
-            cell = self._diag[: self.n - s + 1]
+            cell = self._diag[: self.n - s + 1, None]
+            at = cell[:, 0] + (s - 1)
             for cases in declared:
-                cases.transpose(flat, acc, cell, s)
+                cases.transpose(flat, acc, cell, at, s)
         return out
 
     def arc_probabilities(self, out: dict[str, np.ndarray], q_total: float) -> np.ndarray:

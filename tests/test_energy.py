@@ -101,6 +101,10 @@ class TestParamsFile:
         with pytest.raises(ParamError, match="line 2"):
             parse_params("sigma0 = 1.0\nsigma0 = abc\n")
 
+    def test_negative_min_hairpin(self):
+        with pytest.raises(ParamError, match="min_hairpin must be >= 0"):
+            parse_params("min_hairpin = -1\n")
+
     def test_unknown_key(self):
         with pytest.raises(ParamError, match="unknown key"):
             parse_params("sigma9 = 1.0\n")
