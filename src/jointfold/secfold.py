@@ -101,14 +101,15 @@ class SecTables:
 class _Cases:
     """The cases of one table at every span, for every start position.
 
-    The tables of an engine are planes of one array, ``flat`` is that array
-    flattened, and ``cell`` holds the flat index of cell ``(i, i)`` of the
-    first plane for each start position ``i`` of span ``s``.  Cell ``(i, i
-    + s - 1)`` of the table, at flat index ``plane + cell + s - 1``, is
-    ``scale[cell + s - 1] * sum_c weights[c] * flat[cell + left[c]] *
-    flat[cell + right[c]]`` over the cases ``c`` in ``bounds[s-1]:bounds[s]``.
-    ``scale`` (the closing arc's admissibility, one plane) is None for 1.
-    A case with one child, or none, reads the constant plane of ones.
+    The tables of an engine are planes of one array and ``flat`` is that
+    array flattened.  For span ``s``, ``cell`` is the column of the flat
+    indices of the cells ``(i, i)`` of the first plane, one row per start
+    position ``i``, and ``at`` holds those of ``(i, i + s - 1)``.  That cell
+    of this table, ``flat[plane + at]``, is ``scale[at] * sum_c weights[c] *
+    flat[cell + left[c]] * flat[cell + right[c]]`` over the cases ``c`` in
+    ``bounds[s-1]:bounds[s]``.  ``scale`` (the closing arc's admissibility,
+    one plane) is None for 1.  A case with one child, or none, reads the
+    constant plane of ones for the others.
     """
 
     plane: int  # flat index of the table's first cell
@@ -119,8 +120,7 @@ class _Cases:
     right: np.ndarray
 
     def evaluate(self, flat: np.ndarray, cell: np.ndarray, at: np.ndarray, s: int) -> None:
-        """Fill the span's cells, at flat indices ``plane + at``: a gather, a
-        product and a sum.  ``cell`` is the column of the ``(i, i)``."""
+        """Fill the span's cells: a gather, a product and a sum."""
         lo, hi = self.bounds[s - 1], self.bounds[s]
         if lo == hi:
             return
