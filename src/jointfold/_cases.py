@@ -77,10 +77,6 @@ _GAP_CASES = {
 }
 
 
-def _sec_engine(res: InsideResult, sid: str):
-    return (res.sec_r if sid == "R" else res.sec_s).engine
-
-
 def component_value(res: InsideResult, comp: tuple) -> float:
     kind = comp[0]
     if kind == "top":
@@ -97,7 +93,7 @@ def component_value(res: InsideResult, comp: tuple) -> float:
         return res.value(("ghy" if after == "hy" else "gna", name), x, b, y, d)
     if kind == "sec":
         _, sid, table, i, j = comp
-        return _sec_engine(res, sid).value(table, i, j)
+        return (res.sec_r if sid == "R" else res.sec_s).value(table, i, j)
     if kind == "unp":
         _, sid, cls, i, j = comp
         if j < i:

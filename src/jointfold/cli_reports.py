@@ -220,8 +220,10 @@ def _load_model(cfg: RunConfig) -> EnergyModel:
 
 
 def _run_inside(cfg: RunConfig, R: Strand, S: Strand, model: EnergyModel,
-                stream) -> InsideResult:
-    est = estimate_memory_bytes(len(R), len(S), include_outside=True)
+                stream, include_outside: bool) -> InsideResult:
+    """Fill the inside tables, first refusing a run whose tables (with the
+    outside ones if the command runs the outside pass) exceed the budget."""
+    est = estimate_memory_bytes(len(R), len(S), include_outside=include_outside)
     stream.write(f"# estimated table bytes: {est}\n")
     if est > cfg.memory_budget_bytes:
         raise CliError(
@@ -237,7 +239,7 @@ def _cmd_pf(cfg: RunConfig, stream) -> None:
     R, S = ingest_fasta(cfg.inputs)
     model = _load_model(cfg)
     stream.write(_header(cfg, model))
-    res = _run_inside(cfg, R, S, model, stream)
+    res = _run_inside(cfg, R, S, model, stream, include_outside=False)
     if cfg.as_json:
         import json
 
@@ -265,7 +267,7 @@ def _prob_pipeline(cfg: RunConfig, stream):
     R, S = ingest_fasta(cfg.inputs)
     model = _load_model(cfg)
     stream.write(_header(cfg, model))
-    res = _run_inside(cfg, R, S, model, stream)
+    res = _run_inside(cfg, R, S, model, stream, include_outside=True)
     prob = outside(res)
     return R, S, model, res, prob
 
@@ -348,7 +350,7 @@ def _cmd_sample(cfg: RunConfig, stream) -> None:
     R, S = ingest_fasta(cfg.inputs)
     model = _load_model(cfg)
     stream.write(_header(cfg, model))
-    res = _run_inside(cfg, R, S, model, stream)
+    res = _run_inside(cfg, R, S, model, stream, include_outside=False)
     batch = sample_batch(res, cfg.num, cfg.seed)
     counts: dict = {}
     for k, js in enumerate(batch.structures, start=1):

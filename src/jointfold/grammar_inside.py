@@ -46,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import EnergyModel
-from .secfold import SecTables, check_partition_function, fold
-from .seq_model import Strand
+from .secfold import SecEngine, check_partition_function, fold
+from .seq_model import ALPHABET, Strand
 
 __all__ = [
     "ChainLabel",
@@ -238,10 +238,20 @@ class TensorStore:
 
 
 class _Ctx:
-    """Precomputed per-run grids: admissibility, weights, segment diagonals."""
+    """Precomputed per-run grids: admissibility, weights, segment diagonals.
+
+    The single-strand tables enter as span-anchored diagonals gathered by
+    :meth:`SecEngine.by_span`: ``sq_*[strand][cls][g, x]`` is the weight of a
+    segment of length ``g`` starting at ``x``, ``tq_*[strand][cls][g, j]``
+    that of a segment ending at ``j``, and ``adm_*[g, x]`` the admissibility
+    of the arc over the segment starting at ``x``.  A segment or tail of
+    length 0 has weight 1 wherever it is anchored; a flush tail is empty.
+    ``prefix_r[p]`` is ``q(1, n-p)``, the structures of R left of a
+    top-level chain of span ``p`` (``prefix_s`` likewise on S).
+    """
 
     def __init__(self, R: Strand, S: Strand, model: EnergyModel,
-                 sec_r: SecTables, sec_s: SecTables):
+                 sec_r: SecEngine, sec_s: SecEngine):
         self.R, self.S, self.model = R, S, model
         self.sec_r, self.sec_s = sec_r, sec_s
         n, m = len(R), len(S)
@@ -250,20 +260,21 @@ class _Ctx:
         self.kb = model.w_kiss_branch
         self.ku = model.w_kiss_unpaired
 
+        w_ext = np.array([[model.w_ext(a, b) for b in ALPHABET] for a in ALPHABET])
         self.wext = np.zeros((n + 2, m + 2))
-        for i in range(1, n + 1):
-            for h in range(1, m + 1):
-                self.wext[i, h] = model.w_ext(R.base(i), S.base(h))
+        self.wext[1:-1, 1:-1] = w_ext[np.array(R.codes())[:, None], S.codes()]
 
-        # adm[p, i] = interior-arc admissibility of (i, i+p-1); arc[p]: any
-        # admissible arc of span p (else no tight block closes at that span)
-        self.adm_r = self._adm_grid(R)
-        self.adm_s = self._adm_grid(S)
+        # arc[p]: any admissible arc of span p (else no tight block closes at
+        # that span); the closing-arc factor of a tight block: kiss_init on
+        # admissible arcs
+        self.adm_r = sec_r.by_span(sec_r.adm_plane)
+        self.adm_s = sec_s.by_span(sec_s.adm_plane)
         self.arc_r = self.adm_r.any(axis=1)
         self.arc_s = self.adm_s.any(axis=1)
-        # closing-arc factor of a tight block: kiss_init on admissible arcs
         self.close_r = self.ki * self.adm_r
         self.close_s = self.ki * self.adm_s
+        self.prefix_r = sec_r.tables["q"][1, n::-1]
+        self.prefix_s = sec_s.tables["q"][1, m::-1]
 
         # STEP[cls][gr, gs]: hybrid extension weight by gap sizes
         self.step = {}
@@ -279,56 +290,22 @@ class _Ctx:
         self.step["KE"] = base * br[:, None]
         self.step["KK"] = base * br[:, None] * bs[None, :]
 
-        # Segment diagonals, start anchored: sq_*[strand][cls][g, x] is the
-        # weight of a segment of length g starting at x; end anchored tq_*.
-        # A flush tail is empty: weight 1 at length 0.
         self.sq_any, self.sq_ge1, self.sq_unp = {}, {}, {}
         self.tq_any, self.tq_flush = {}, {}
-        for sid, sec, ln in (("R", sec_r, n), ("S", sec_s, m)):
-            eng = sec.engine
-            self.sq_any[sid] = {}
-            self.sq_ge1[sid] = {}
-            self.sq_unp[sid] = {}
-            self.tq_any[sid] = {}
-            self.tq_flush[sid] = np.zeros((ln + 2, ln + 2))
-            self.tq_flush[sid][0, :] = 1.0
-            for cls, anyk, ge1k in (("E", "q", "q1"), ("K", "qk", "q1k")):
-                sq = np.zeros((ln + 2, ln + 2))
-                s1 = np.zeros((ln + 2, ln + 2))
-                su = np.zeros((ln + 2, ln + 2))
-                tq = np.zeros((ln + 2, ln + 2))
-                uw = self.ku if cls == "K" else 1.0
-                for g in range(0, ln + 1):
-                    for x in range(1, ln + 2 - g):
-                        sq[g, x] = eng.value(anyk, x, x + g - 1)
-                        s1[g, x] = eng.value(ge1k, x, x + g - 1)
-                        su[g, x] = uw ** g
-                    for j in range(g, ln + 1):
-                        if g == 0:
-                            tq[g, j] = 1.0
-                        else:
-                            tq[g, j] = eng.value(anyk, j - g + 1, j)
-                # tails of length 0 anchored anywhere are weight 1
-                tq[0, :] = 1.0
-                sq[0, :] = 1.0
-                su[0, :] = 1.0
-                self.sq_any[sid][cls] = sq
-                self.sq_ge1[sid][cls] = s1
+        for sid, eng in (("R", sec_r), ("S", sec_s)):
+            on_strand = eng.by_span(np.ones((eng.n + 2, eng.n + 2)))
+            self.tq_flush[sid] = np.zeros_like(on_strand)
+            self.tq_flush[sid][0] = 1.0
+            self.sq_any[sid], self.sq_ge1[sid] = {}, {}
+            self.sq_unp[sid], self.tq_any[sid] = {}, {}
+            for cls, anyk, ge1k, uw in (("E", "q", "q1", 1.0), ("K", "qk", "q1k", self.ku)):
+                sq, tq = eng.by_span(eng.tables[anyk]), eng.by_span(eng.tables[anyk], end=True)
+                su = on_strand * np.array([uw ** g for g in range(eng.n + 2)])[:, None]
+                sq[0] = tq[0] = su[0] = 1.0
+                self.sq_any[sid][cls], self.tq_any[sid][cls] = sq, tq
+                self.sq_ge1[sid][cls] = eng.by_span(eng.tables[ge1k])
                 self.sq_unp[sid][cls] = su
-                self.tq_any[sid][cls] = tq
         self._label_stacks()
-
-    def _adm_grid(self, strand: Strand) -> np.ndarray:
-        ln = len(strand)
-        arr = np.zeros((ln + 2, ln + 2))
-        for p in range(2, ln + 1):
-            for i in range(1, ln - p + 2):
-                j = i + p - 1
-                if j - i - 1 >= self.model.min_hairpin and self.model.pairable(
-                    strand.base(i), strand.base(j)
-                ):
-                    arr[p, i] = 1.0
-        return arr
 
     def _label_stacks(self) -> None:
         """Per-label operand stacks, indexed like the label axis of the store."""
@@ -383,8 +360,8 @@ class InsideResult:
     R: Strand
     S: Strand
     model: EnergyModel
-    sec_r: SecTables
-    sec_s: SecTables
+    sec_r: SecEngine
+    sec_s: SecEngine
     store: TensorStore
     ctx: _Ctx
     q_total: float
@@ -474,22 +451,16 @@ def _waves(n: int, m: int) -> list[tuple[int, int]]:
             for p in range(max(1, t - m), min(n, t - 1) + 1)]
 
 
+def _top_chains(store: TensorStore, ctx: _Ctx) -> np.ndarray:
+    """The top-level chains ``[p, q]`` that end at ``(n, m)``, for spans p, q >= 1."""
+    top = store.stacks["chain"][:, 0, 1 : ctx.n + 1, 1 : ctx.m + 1, ctx.n, ctx.m]
+    return top[0] + top[1]
+
+
 def _top_interaction_sum(store: TensorStore, ctx: _Ctx) -> float:
-    n, m = ctx.n, ctx.m
-    qr = ctx.sec_r.engine
-    qs = ctx.sec_s.engine
-    total = 0.0
-    chy = store[("chy", "top")]
-    cna = store[("cna", "top")]
-    for p in range(1, n + 1):
-        wr = qr.value("q", 1, n - p)
-        if wr == 0.0:
-            continue
-        for q in range(1, m + 1):
-            v = chy[p, q, n, m] + cna[p, q, n, m]
-            if v != 0.0:
-                total += wr * qs.value("q", 1, m - q) * v
-    return total
+    """Sum over the top-level chains of their weight times the secondary
+    structures left of them on each strand."""
+    return float(ctx.prefix_r[1:] @ _top_chains(store, ctx) @ ctx.prefix_s[1:])
 
 
 def _init_aft_edges(store: TensorStore, ctx: _Ctx) -> None:

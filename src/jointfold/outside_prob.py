@@ -42,12 +42,13 @@ from .grammar_inside import (
     CapacityExceeded,
     InsideResult,
     _operands,
+    _top_chains,
     _transpose_wave,
     _Wave,
     _waves,
     estimate_memory_bytes,
 )
-from .secfold import check_partition_function
+from .secfold import SecEngine, check_partition_function
 
 __all__ = [
     "ProbTables",
@@ -138,14 +139,11 @@ class _OutSweep:
             sid: {k: np.zeros((ln + 2, ln + 2)) for k in ("q", "qk")}
             for sid, ln in (("R", n), ("S", m))
         }
-        # interval accumulators (i,j) for top-level segments
-        self.out_iv = {
-            sid: {k: np.zeros((ln + 2, ln + 2)) for k in ("q",)}
-            for sid, ln in (("R", n), ("S", m))
-        }
+        # interval accumulators (i,j) of q for top-level segments
+        self.out_iv = {"R": np.zeros((n + 2, n + 2)), "S": np.zeros((m + 2, m + 2))}
         self.bpp_ext_mass = np.zeros((n + 2, m + 2))
-        self.bpr_diag = np.zeros((n + 2, n + 2))  # [p, i]: R tight closers
-        self.bps_diag = np.zeros((m + 2, m + 2))
+        # closing-arc mass of the tight blocks, [span, start] per strand
+        self.closers = {"R": np.zeros((n + 2, n + 2)), "S": np.zeros((m + 2, m + 2))}
         # the outside target of every operand the productions transpose into:
         # the outside families, and per-label segment accumulators that are
         # folded into out_sq / out_tq by exposure class at the end
@@ -156,29 +154,17 @@ class _OutSweep:
     # -- seeds ---------------------------------------------------------------
 
     def seed_top(self) -> None:
-        ctx, store = self.ctx, self.store
+        """Outside weights of the top level: the strands without interaction,
+        and each top-level chain ``[p, q]`` ending at ``(n, m)`` with the
+        prefixes ``q(1, n-p)`` and ``q(1, m-q)`` left of it."""
         n, m = self.n, self.m
-        qr, qs = ctx.sec_r.engine, ctx.sec_s.engine
-        self.out_iv["R"]["q"][1, n] += qs.value("q", 1, m)
-        self.out_iv["S"]["q"][1, m] += qr.value("q", 1, n)
-        for p in range(1, n + 1):
-            wr = qr.value("q", 1, n - p)
-            for q in range(1, m + 1):
-                ws = qs.value("q", 1, m - q)
-                w = wr * ws
-                if w == 0.0:
-                    continue
-                store[("out", "chy", "top")][p, q, n, m] += w
-                store[("out", "cna", "top")][p, q, n, m] += w
-                chain_val = (
-                    store[("chy", "top")][p, q, n, m]
-                    + store[("cna", "top")][p, q, n, m]
-                )
-                if chain_val != 0.0:
-                    if n - p >= 1:
-                        self.out_iv["R"]["q"][1, n - p] += ws * chain_val
-                    if m - q >= 1:
-                        self.out_iv["S"]["q"][1, m - q] += wr * chain_val
+        wr, ws = self.ctx.prefix_r, self.ctx.prefix_s
+        self.out_iv["R"][1, n] += ws[0]
+        self.out_iv["S"][1, m] += wr[0]
+        self.out["chain"][:, 0, 1 : n + 1, 1 : m + 1, n, m] += wr[1:, None] * ws[1:]
+        chains = _top_chains(self.store, self.ctx)
+        self.out_iv["R"][1, n - 1 : 0 : -1] += (chains @ ws[1:])[:-1]
+        self.out_iv["S"][1, m - 1 : 0 : -1] += (wr[1:] @ chains)[:-1]
 
     # -- per-wave readouts ------------------------------------------------------
 
@@ -191,10 +177,10 @@ class _OutSweep:
         self.bpp_ext_mass[w.J, w.L] += np.einsum(
             "cih,cih->ih", o_items[_HY], in_items[_HY])
         if self.ctx.arc_r[p]:
-            self.bpr_diag[p, w.I] += np.einsum(
+            self.closers["R"][p, w.I] += np.einsum(
                 "cih,cih->i", o_items[_R_CLOSED], in_items[_R_CLOSED])
         if self.ctx.arc_s[q]:
-            self.bps_diag[q, w.H] += np.einsum(
+            self.closers["S"][q, w.H] += np.einsum(
                 "cih,cih->h", o_items[_S_CLOSED], in_items[_S_CLOSED])
 
     def fold_label_accumulators(self) -> None:
@@ -217,23 +203,22 @@ class _OutSweep:
 
     # -- finalisation --------------------------------------------------------
 
-    def sec_seeds(self, sid: str) -> dict[str, np.ndarray]:
-        """Outside weights of one strand's 2D cells, gathered from the
+    def sec_seeds(self, sid: str, eng: SecEngine) -> dict[str, np.ndarray]:
+        """Outside weights of one strand's 2D cells, scattered from the
         diagonal accumulators: ``out_sq[kind][g, i]`` and ``out_tq[kind][g,
         j]`` both belong to cell ``(i, j)`` with ``g = j - i + 1``."""
-        ln = self.n if sid == "R" else self.m
-        eng = (self.ctx.sec_r if sid == "R" else self.ctx.sec_s).engine
-        seeds = {k: np.zeros((ln + 2, ln + 2)) for k in eng.kinds}
-        i, j = np.triu_indices(ln)
-        i, j = i + 1, j + 1
-        g = j - i + 1
-        for kind, diag in self.out_sq[sid].items():
-            seeds[kind][i, j] += diag[g, i]
+        seeds = {kind: eng.from_span(diag) for kind, diag in self.out_sq[sid].items()}
         for kind, diag in self.out_tq[sid].items():
-            seeds[kind][i, j] += diag[g, j]
-        for kind, iv in self.out_iv[sid].items():
-            seeds[kind] += iv
+            seeds[kind] += eng.from_span(diag, end=True)
+        seeds["q"] += self.out_iv[sid]
         return seeds
+
+    def arc_mass(self, sid: str, eng: SecEngine) -> np.ndarray:
+        """Base-pair mass of one strand's arcs ``[i, j]``: the tight-block
+        closers, and the arcs inside secondary segments (swept by the 2D
+        outside)."""
+        out2d = eng.outside(self.sec_seeds(sid, eng))
+        return eng.from_span(self.closers[sid]) + eng.arc_probabilities(out2d, 1.0)
 
 
 def outside(res: InsideResult, verify_conservation: bool = False) -> ProbTables:
@@ -267,23 +252,8 @@ def outside(res: InsideResult, verify_conservation: bool = False) -> ProbTables:
     sweep.fold_label_accumulators()
 
     z = res.q_total
-    bpp_r = np.zeros((n + 2, n + 2))
-    bpp_s = np.zeros((m + 2, m + 2))
-    for p in range(2, n + 1):
-        for i in range(1, n - p + 2):
-            bpp_r[i, i + p - 1] += sweep.bpr_diag[p, i]
-    for q in range(2, m + 1):
-        for h in range(1, m - q + 2):
-            bpp_s[h, h + q - 1] += sweep.bps_diag[q, h]
-
-    eng_r = res.sec_r.engine
-    eng_s = res.sec_s.engine
-    out2d_r = eng_r.outside(sweep.sec_seeds("R"))
-    out2d_s = eng_s.outside(sweep.sec_seeds("S"))
-    bpp_r += eng_r.arc_probabilities(out2d_r, 1.0)
-    bpp_s += eng_s.arc_probabilities(out2d_s, 1.0)
-    bpp_r /= z
-    bpp_s /= z
+    bpp_r = sweep.arc_mass("R", res.sec_r) / z
+    bpp_s = sweep.arc_mass("S", res.sec_s) / z
     bpp_ext = sweep.bpp_ext_mass / z
 
     tpf = None

@@ -157,7 +157,7 @@ def _draw(
     else:
         def take(rows: np.ndarray) -> np.ndarray:
             return np.array([streams[k].random() for k in rows.tolist()])
-    engines = {"R": res.sec_r.engine, "S": res.sec_s.engine}
+    engines = {"R": res.sec_r, "S": res.sec_s}
     # (draws, arc) records: interior arcs on R, on S, exterior arcs
     arcs: dict[str, list] = {"R": [], "S": [], "ext": []}
     slack = 0.0

@@ -1,17 +1,24 @@
 """Single-strand partition functions with class-priced exposure tables.
 
-The joint-structure grammar consumes secondary structure through a handful
-of 2D tables per strand:
+:func:`fold` returns the filled :class:`SecEngine` of one strand.  The
+joint-structure grammar consumes secondary structure through a handful of
+its 2D tables, ``tables[kind][i, j]`` over 1-based cells:
 
 * ``qb``   - structures closed by an arc (standard hairpin / interior /
-             stack / multiloop decomposition; with ``forbid_lone_pairs``
-             the closed table requires helices of length >= 2),
+             stack / multiloop decomposition); with ``forbid_lone_pairs``
+             the helix tables ``qbh`` (helices of length >= 2) and ``qend``
+             (the last pair of a helix) take its place,
 * ``q``    - any structure, exposure-free pricing (exterior class),
 * ``q1``   - like ``q`` but at least one top-level branch,
 * ``qk``   - any structure, kissing-class pricing for exposed branches and
              unpaired bases,
 * ``q1k``  - kissing-class with at least one branch,
-* ``qm``/``qm1`` - multi-class helpers used inside ``qb``.
+* ``qm``/``qm1`` - multi-class helpers used inside the closed tables.
+
+The 4D grammar reads these tables as span-anchored diagonals ``[g, x]``, the
+segment of length ``g`` that starts (or ends) at ``x``.  That conversion is
+:meth:`SecEngine.by_span`; its transpose :meth:`SecEngine.from_span` passes
+outside weights back onto the cells.
 
 The multi- and kissing-class tables are one recursion instantiated with two
 affine weight classes.  Every recursion is written twice.  The per-cell case
@@ -40,11 +47,9 @@ from .seq_model import ALPHABET, BASE_CODE, Strand
 
 __all__ = [
     "NumericalUnderflow",
-    "SecTables",
     "SecEngine",
     "check_partition_function",
     "fold",
-    "pick",
     "pick_with_slack",
     "secondary_bpp",
 ]
@@ -56,8 +61,8 @@ _EMPTY_ONE = ("q", "qk")  # tables whose empty interval has value 1
 _DINUCLEOTIDES = ["".join(x) for x in itertools.product(ALPHABET, repeat=2)]
 
 # Fill order of the tables of one cell: a case reads cells of the same span
-# only from kinds earlier in this order.  The helix tables exist only with
-# ``forbid_lone_pairs``.
+# only from kinds earlier in this order.  With ``forbid_lone_pairs`` the helix
+# tables replace ``qb``, without it they do not exist.
 FILL_ORDER = ("qend", "qbh", "qb", "qm1", "qm", "q", "q1", "qk", "q1k")
 _HELIX = ("qend", "qbh")
 
@@ -74,27 +79,6 @@ def check_partition_function(q: float) -> None:
     """
     if not (math.isfinite(q) and q > 0.0):
         raise NumericalUnderflow(f"partition function is {float(q)!r}")
-
-
-@dataclass
-class SecTables:
-    """Filled single-strand tables (immutable after fill).
-
-    ``q``/``qb``/``qm``/``qk`` are (L+2)x(L+2) arrays indexed 1-based with
-    ``q[i, i-1] == 1`` by convention.  Under a unit model all entries are
-    ensemble counts.
-    """
-
-    strand: Strand
-    model: EnergyModel
-    q: np.ndarray
-    qb: np.ndarray
-    qm: np.ndarray
-    qk: np.ndarray
-    engine: "SecEngine"
-
-    def q_total(self) -> float:
-        return float(self.q[1, len(self.strand)])
 
 
 @dataclass(frozen=True)
@@ -168,7 +152,7 @@ class SecEngine:
         self.branch_kind = "qbh" if self.nolp else "qb"
         # Same-cell dependencies pin the order: closed tables fill before the
         # chains that place them; the outside sweep runs the reverse.
-        kinds = [k for k in FILL_ORDER if self.nolp or k not in _HELIX]
+        kinds = [k for k in FILL_ORDER if k not in (("qb",) if self.nolp else _HELIX)]
         self.kinds = kinds
         size = self.n + 2
         # the tables, then the constant planes that the span declarations
@@ -187,6 +171,7 @@ class SecEngine:
         self._w_multi_unpaired = [model.w_multi_unpaired ** k for k in range(size)]
         self._diag = np.arange(1, self.n + 1) * (size + 1)  # flat index of (i, i)
         self._cases: list[_Cases] | None = None
+        self.adm_plane: np.ndarray | None = None  # adm() of every arc, from _arc_planes
         self._filled = False
 
     # -- admissibility ----------------------------------------------------
@@ -285,11 +270,11 @@ class SecEngine:
 
     # -- declarations ------------------------------------------------------
 
-    def _arc_planes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per arc ``(i, j)``, 1-based: its admissibility, and that of the
-        helix ``(i, j), (i+1, j-1)``.  Also fills the constant planes: ones,
-        and the weight of stacking ``(i+1, j-1)`` inside each admissible
-        arc that has room for it."""
+    def _arc_planes(self) -> np.ndarray:
+        """Per arc ``(i, j)``, 1-based: the admissibility of the helix ``(i,
+        j), (i+1, j-1)``.  Also keeps that of the arc itself (``adm_plane``) and
+        fills the constant planes: ones, and the weight of stacking ``(i+1,
+        j-1)`` inside each admissible arc that has room for it."""
         m, n, size = self.model, self.n, self.n + 2
         ones, stack = self._planes[-2:]
         ones[...] = 1.0
@@ -307,7 +292,8 @@ class SecEngine:
         stack[x + 1, y + 1] = w_stack[4 * codes[x] + codes[y], 4 * codes[x + 1] + codes[y - 1]]
         helix = adm.copy()
         helix[1:-1, 1:-1] *= adm[2:, :-2]
-        return adm, helix
+        self.adm_plane = adm
+        return helix
 
     def _declared(self) -> list[_Cases]:
         """The cases of :meth:`cases`, per kind in :data:`FILL_ORDER`, for
@@ -327,7 +313,7 @@ class SecEngine:
         theta = m.min_hairpin
         plane = {k: p * area for p, k in enumerate(self.kinds)}
         plane["one"], plane["stack"] = len(self.kinds) * area, (len(self.kinds) + 1) * area
-        adm, helix = self._arc_planes()
+        helix = self._arc_planes()
         w_hairpin = np.array([m.w_hairpin(k) for k in range(n)])
         # interior loops with a and b unpaired bases on the two sides, the
         # stack (0, 0) left out, ordered by a + b: a span's loops are a prefix
@@ -349,20 +335,21 @@ class SecEngine:
             groups[kind].append([s, *(x if isinstance(x, np.ndarray) else np.full(s.size, x)
                                       for x in columns)])
 
-        closed = ("qb", "qend") if self.nolp else ("qb",)
-        for kind, inner in zip(closed, ("qb", "qbh")):
-            s = spans[closes]  # hairpin
-            add(kind, s, w_hairpin[s - 2], one)
-            s, t = _ragged(np.where(closes, (spans - 4) * (spans - 1) // 2, 0))
-            add(kind, s, w_interior[t], (inner, 1 + a[t], s - 2 - b[t]))  # (i+1+a, j-1-b)
-            s, t = _ragged(np.where(closes, spans - 4, 0))  # multiloop, last branch from i+2+t
-            add(kind, s, wmi, ("qm", 1, 1 + t), ("qm1", 2 + t, s - 2))
-        s = spans[closes & (spans >= 4)]
-        add("qb", s, 1.0, ("stack", 0, s - 1), ("qb", 1, s - 2))
+        # the loops closed by an arc; a helix end (qend) closes no stack
+        closed, inner = ("qend", "qbh") if self.nolp else ("qb", "qb")
+        s = spans[closes]  # hairpin
+        add(closed, s, w_hairpin[s - 2], one)
+        s, t = _ragged(np.where(closes, (spans - 4) * (spans - 1) // 2, 0))
+        add(closed, s, w_interior[t], (inner, 1 + a[t], s - 2 - b[t]))  # (i+1+a, j-1-b)
+        s, t = _ragged(np.where(closes, spans - 4, 0))  # multiloop, last branch from i+2+t
+        add(closed, s, wmi, ("qm", 1, 1 + t), ("qm1", 2 + t, s - 2))
         if self.nolp:  # helix (i, j), (i+1, j-1): its end, or a longer helix
             s = spans[spans >= theta + 4]
             add("qbh", s, 1.0, ("stack", 0, s - 1), ("qend", 1, s - 2))
             add("qbh", s, 1.0, ("stack", 0, s - 1), ("qbh", 1, s - 2))
+        else:
+            s = spans[closes & (spans >= 4)]
+            add("qb", s, 1.0, ("stack", 0, s - 1), ("qb", 1, s - 2))
         s, t = _ragged(spans - 1)  # one branch (i, j - t), then t unpaired
         add("qm1", s, wmb * w_unp[t], (bk, 0, s - 1 - t))
         s, t = _ragged(spans)  # the last branch starts at i + t
@@ -381,7 +368,7 @@ class SecEngine:
             add(kind, s, wb, one, (bk, 0, s - 1))  # one branch, empty prefix
             s, t = _ragged(spans - 2)  # last branch (i + t + 1, j)
             add(kind, s, wb, (base, 0, t), (bk, t + 1, s - 1))
-        scale = {"qb": adm, "qend": adm, "qbh": helix}
+        scale = {"qb": self.adm_plane, "qend": self.adm_plane, "qbh": helix}
         self._cases = []
         for kind in self.kinds:
             s, weights, left, right = (np.concatenate(c) for c in zip(*groups.pop(kind)))
@@ -395,11 +382,38 @@ class SecEngine:
     # -- fill ---------------------------------------------------------------
 
     def value(self, kind: str, i: int, j: int) -> float:
-        if j == i - 1:
-            return 1.0 if kind in _EMPTY_ONE else 0.0
-        if j < i - 1:
+        if j < i:
             return 1.0 if kind in _EMPTY_ONE else 0.0
         return float(self.tables[kind][i, j])
+
+    def q_total(self) -> float:
+        """The partition function of the whole strand."""
+        return float(self.tables["q"][1, self.n])
+
+    def _span_cells(self, end: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per ``[g, x]``: whether the span ``g >= 0`` anchored at ``x`` lies
+        on the strand, and the cell ``(i, j)`` it names there (else ``(0, 0)``)."""
+        g, x = np.indices((self.n + 2, self.n + 2))
+        i, j = (x - g + 1, x) if end else (x, x + g - 1)
+        ok = (i >= 1) & (j <= self.n)
+        return ok, i * ok, j * ok
+
+    def by_span(self, table: np.ndarray, end: bool = False) -> np.ndarray:
+        """A table ``[i, j]`` gathered onto spans: ``[g, x]`` holds ``table[x,
+        x+g-1]``, or ``table[x-g+1, x]`` when anchored at the ``end``; 0 for a
+        span that does not fit on the strand.  Span 0 reads the empty
+        intervals ``table[i, i-1]``."""
+        ok, i, j = self._span_cells(end)
+        return np.where(ok, table[i, j], 0.0)
+
+    def from_span(self, diag: np.ndarray, end: bool = False) -> np.ndarray:
+        """The transpose of :meth:`by_span` over spans ``g >= 1``: ``diag[g,
+        x]`` scattered onto the cell ``[i, j]`` that it names."""
+        ok, i, j = self._span_cells(end)
+        ok[0] = False
+        table = np.zeros_like(diag)
+        table[i[ok], j[ok]] = diag[ok]
+        return table
 
     def fill(self) -> None:
         """Fill every table, one span at a time for all start positions."""
@@ -422,8 +436,8 @@ class SecEngine:
         ``seeds[kind][i, j]`` is the outside weight of cell (kind, i, j)
         accumulated by external users (the 4D engine, or the top level for
         plain single-strand folding).  Returns per-kind outside arrays; the
-        base-pair weight of arc (i,j) is ``out['qb'][i,j] * qb[i,j]`` (plus
-        the helix tables in lone-pair-free mode).  Spans run from the
+        base-pair weight of arc (i,j) is ``out['qb'][i,j] * qb[i,j]`` (the sum
+        over the helix tables in lone-pair-free mode).  Spans run from the
         longest down and the kinds of a span in reverse fill order, so a
         cell's outside weight is complete before it is passed on.
         """
@@ -442,12 +456,8 @@ class SecEngine:
 
     def arc_probabilities(self, out: dict[str, np.ndarray], q_total: float) -> np.ndarray:
         """Base-pair probabilities implied by outside weights."""
-        size = self.n + 2
-        bpp = np.zeros((size, size))
-        closed = ["qb", "qbh", "qend"] if self.nolp else ["qb"]
-        for kind in closed:
-            bpp += out[kind] * self.tables[kind]
-        return bpp / q_total
+        closed = ("qbh", "qend") if self.nolp else ("qb",)
+        return sum(out[kind] * self.tables[kind] for kind in closed) / q_total
 
     # -- sampling -----------------------------------------------------------
 
@@ -497,34 +507,17 @@ def pick_with_slack(
     return positive.take(at, mode="clip"), slack
 
 
-def pick(weights: np.ndarray, total: float, us: np.ndarray) -> np.ndarray:
-    """The case indices of :func:`pick_with_slack`, without the slack."""
-    return pick_with_slack(weights, total, us)[0]
-
-
-def fold(strand: Strand, model: EnergyModel) -> SecTables:
-    """Fill all single-strand tables in O(L^4) time (interior loops are not
-    size-capped), O(L^2) space."""
+def fold(strand: Strand, model: EnergyModel) -> SecEngine:
+    """The engine of one strand with all its tables filled, in O(L^4) time
+    (interior loops are not size-capped) and O(L^2) space."""
     eng = SecEngine(strand, model)
     eng.fill()
-    qb = eng.tables["qbh"] if eng.nolp else eng.tables["qb"]
-    return SecTables(
-        strand=strand,
-        model=model,
-        q=eng.tables["q"],
-        qb=qb,
-        qm=eng.tables["qm"],
-        qk=eng.tables["qk"],
-        engine=eng,
-    )
+    return eng
 
 
 def secondary_bpp(strand: Strand, model: EnergyModel) -> np.ndarray:
     """Standalone base-pair probabilities of one strand (McCaskill-style)."""
-    tables = fold(strand, model)
-    eng = tables.engine
-    n = len(strand)
-    seeds = {k: np.zeros((n + 2, n + 2)) for k in eng.kinds}
-    seeds["q"][1, n] = 1.0
-    out = eng.outside(seeds)
-    return eng.arc_probabilities(out, tables.q_total())
+    eng = fold(strand, model)
+    seeds = np.zeros_like(eng.tables["q"])
+    seeds[1, eng.n] = 1.0
+    return eng.arc_probabilities(eng.outside({"q": seeds}), eng.q_total())

@@ -127,6 +127,23 @@ class TestPf:
         assert "CapacityExceeded:" in capsys.readouterr().err
 
 
+class TestBudget:
+    # 13x13: the inside tables need 19.9 MB, inside and outside 36.6 MB
+    @pytest.mark.parametrize("command, fits", [("pf", True), ("sample", True),
+                                               ("targets", False)])
+    def test_budget_covers_what_the_command_allocates(self, command, fits, fasta, capsys):
+        path = fasta(">r\nGGACUUCAGCAUC\n>s\nGAUGCUGAAGUCC\n")
+        budget = int(0.025 * 1024**3)
+        status, text = capture(cfg(command, [path], memory_budget_bytes=budget, num=2))
+        assert status == (0 if fits else 1)
+        est = int(re.search(r"# estimated table bytes: (\d+)", text).group(1))
+        assert (est <= budget) == fits
+        if fits:
+            assert "CapacityExceeded" not in capsys.readouterr().err
+        else:
+            assert "CapacityExceeded: tables need" in capsys.readouterr().err
+
+
 class TestInvalidNumbers:
     @pytest.mark.parametrize("command", ["pf", "targets", "sample"])
     def test_overflowing_ensemble_is_a_one_line_error(self, command, fasta, tmp_path,

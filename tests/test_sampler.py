@@ -21,7 +21,7 @@ from jointfold.grammar_inside import inside
 from jointfold.oracle import enumerate_interactions, exact_probabilities
 from jointfold.outside_prob import hybrid_probabilities, outside
 from jointfold.sampler import NumericalUnderflow, sample_batch, sample_one
-from jointfold.secfold import pick
+from jointfold.secfold import pick_with_slack
 from jointfold.seq_model import Strand, extract_hybrids, validate
 
 from helpers import random_model, random_seq
@@ -59,13 +59,13 @@ class TestWeightVectors:
     def test_pick_takes_the_first_prefix_sum_reaching_the_uniform(self):
         weights = np.array([0.0, 1.0, 0.0, 3.0])
         us = np.array([0.0, 0.25, 0.2500001, 0.999])
-        assert pick(weights, 4.0, us).tolist() == [1, 1, 3, 3]
+        assert pick_with_slack(weights, 4.0, us)[0].tolist() == [1, 1, 3, 3]
         with pytest.raises(NumericalUnderflow, match="cases sum to"):
-            pick(weights, 4.5, us)
+            pick_with_slack(weights, 4.5, us)
         with pytest.raises(NumericalUnderflow, match="cases sum to"):
-            pick(np.array([1.0, np.nan]), 1.0, us)
+            pick_with_slack(np.array([1.0, np.nan]), 1.0, us)
         with pytest.raises(NumericalUnderflow, match="no positive case"):
-            pick(np.zeros(3), 0.0, us)
+            pick_with_slack(np.zeros(3), 0.0, us)
 
 
 class TestSampleOne:
@@ -221,7 +221,7 @@ class TestBatch:
         arcs = Counter(arc for js in sample_batch(res, 200, seed=2).structures
                        for arc in js.interior_r)
         (i, j), _count = arcs.most_common(1)[0]
-        res.sec_r.engine.tables["qb"][i, j] *= 1.5
+        res.sec_r.tables["qb"][i, j] *= 1.5
         with pytest.raises(NumericalUnderflow, match=r"^draw \d+: component \('sec', 'R', "):
             sample_batch(res, 200, seed=2)
 
@@ -240,7 +240,7 @@ class TestBatch:
                 for child in children:
                     if child[0] != "unp":
                         assert key(child) > key(comp), (comp, child)
-        for sid, engine in (("R", res.sec_r.engine), ("S", res.sec_s.engine)):
+        for sid, engine in (("R", res.sec_r), ("S", res.sec_s)):
             for kind in engine.kinds:
                 for i in range(1, engine.n + 1):
                     for j in range(i, engine.n + 1):

@@ -18,8 +18,7 @@ from jointfold.energy import unit_model
 
 
 def count(seq: str, min_hairpin: int = 3, **kw) -> float:
-    tables = fold(Strand.query(seq), unit_model(min_hairpin=min_hairpin, **kw))
-    return tables.q_total()
+    return fold(Strand.query(seq), unit_model(min_hairpin=min_hairpin, **kw)).q_total()
 
 
 class TestCounts:
@@ -34,8 +33,8 @@ class TestCounts:
         assert count("GGAAACC") == 6.0
 
     def test_empty_interval_convention(self):
-        tables = fold(Strand.query("GAAAC"), unit_model())
-        assert tables.q[3, 2] == 1.0
+        eng = fold(Strand.query("GAAAC"), unit_model())
+        assert eng.tables["q"][3, 2] == 1.0
 
     def test_matches_exhaustive_counts(self):
         rng = np.random.default_rng(7)
@@ -47,8 +46,8 @@ class TestCounts:
             assert count(seq, min_hairpin=theta) == float(n_structs), seq
 
     def test_unit_entries_are_integers(self):
-        tables = fold(Strand.query("GGACGUCAAC"), unit_model(min_hairpin=0))
-        sub = tables.q[1:11, 1:11]
+        eng = fold(Strand.query("GGACGUCAAC"), unit_model(min_hairpin=0))
+        sub = eng.tables["q"][1:11, 1:11]
         assert np.allclose(sub, np.round(sub))
 
 
@@ -187,7 +186,7 @@ class TestLongStrands:
     def test_every_cell_is_the_sum_of_its_cases(self, n, weights, theta, nolp):
         rng = np.random.default_rng(n + theta)
         model = _model(weights, n, theta, nolp)
-        eng = fold(Strand.query(random_seq(rng, n)), model).engine
+        eng = fold(Strand.query(random_seq(rng, n)), model)
         for kind in eng.kinds:
             want = np.zeros((n + 2, n + 2))
             for i in range(1, n + 1):
@@ -203,7 +202,7 @@ class TestLongStrands:
     def test_outside_equals_the_scalar_sweep(self, n, weights, theta, nolp):
         rng = np.random.default_rng(100 + n)
         model = _model(weights, n, theta, nolp)
-        eng = fold(Strand.query(random_seq(rng, n)), model).engine
+        eng = fold(Strand.query(random_seq(rng, n)), model)
         seeds = {}
         for kind in eng.kinds:
             arr = np.triu(rng.random((n + 2, n + 2)) * (rng.random((n + 2, n + 2)) < 0.2))
@@ -255,3 +254,63 @@ class TestTracedEntryPoints:
         assert calls["fold"] == 2 and calls["evaluate"] > 0
         outside(res)
         assert calls["outside"] == 2 and calls["transpose"] > 0
+
+
+class TestSpanLayout:
+    """``by_span`` and ``from_span`` against their index definition, and the
+    ``_Ctx`` segment arrays against per-cell reads of the tables."""
+
+    @staticmethod
+    def _engine(n: int) -> SecEngine:
+        rng = np.random.default_rng(n)
+        return fold(Strand.query(random_seq(rng, n)), random_model(rng, min_hairpin=1))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    @pytest.mark.parametrize("end", [False, True])
+    def test_gather_and_scatter_follow_the_index_definition(self, n, end):
+        eng = self._engine(n)
+        rng = np.random.default_rng(n + 1)
+        table, diag = rng.random((2, n + 2, n + 2))
+        got, back = eng.by_span(table, end=end), eng.from_span(diag, end=end)
+        want_back = np.zeros_like(table)
+        for g in range(n + 2):
+            for x in range(n + 2):
+                i, j = (x - g + 1, x) if end else (x, x + g - 1)
+                on_strand = i >= 1 and j <= n
+                assert got[g, x] == (table[i, j] if on_strand else 0.0), (g, x)
+                if on_strand and g >= 1:
+                    want_back[i, j] = diag[g, x]
+        assert np.array_equal(back, want_back)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    @pytest.mark.parametrize("end", [False, True])
+    def test_scatter_is_the_transpose_of_the_gather(self, n, end):
+        eng = self._engine(n)
+        table, diag = np.random.default_rng(n + 2).random((2, n + 2, n + 2))
+        lhs = (eng.from_span(diag, end=end) * table).sum()
+        rhs = (diag[1:] * eng.by_span(table, end=end)[1:]).sum()
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @pytest.mark.parametrize("r, s", [("G", "C"), ("GGACU", "AGUCCAUGC")])
+    def test_segment_arrays_are_the_table_cells(self, r, s):
+        model = random_model(np.random.default_rng(6), min_hairpin=0)
+        R, S = Strand.query(r), Strand.target_internal(s)
+        ctx = grammar_inside._Ctx(R, S, model, fold(R, model), fold(S, model))
+        for sid, eng in (("R", ctx.sec_r), ("S", ctx.sec_s)):
+            n = eng.n
+            for cls, anyk, ge1k in (("E", "q", "q1"), ("K", "qk", "q1k")):
+                uw = model.w_kiss_unpaired if cls == "K" else 1.0
+                for g in range(n + 1):
+                    for x in range(1, n + 2 - g):
+                        assert ctx.sq_any[sid][cls][g, x] == (
+                            1.0 if g == 0 else eng.value(anyk, x, x + g - 1))
+                        assert ctx.sq_ge1[sid][cls][g, x] == eng.value(ge1k, x, x + g - 1)
+                        assert ctx.sq_unp[sid][cls][g, x] == uw ** g
+                    for j in range(g, n + 1):
+                        assert ctx.tq_any[sid][cls][g, j] == (
+                            1.0 if g == 0 else eng.value(anyk, j - g + 1, j))
+            adm = ctx.adm_r if sid == "R" else ctx.adm_s
+            for g in range(n + 2):
+                for x in range(n + 2):
+                    j = x + g - 1
+                    assert adm[g, x] == (1 <= x and j <= n and g >= 1 and eng.adm(x, j))
