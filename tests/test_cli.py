@@ -128,7 +128,7 @@ class TestPf:
 
 
 class TestBudget:
-    # 13x13: the inside tables need 19.9 MB, inside and outside 36.6 MB
+    # 13x13: the inside tables need 19.9 MB, inside and outside 36.5 MB
     @pytest.mark.parametrize("command, fits", [("pf", True), ("sample", True),
                                                ("targets", False)])
     def test_budget_covers_what_the_command_allocates(self, command, fits, fasta, capsys):
