@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .energy import EnergyModel, ParamError, default_model, load_params
 from .grammar_inside import InsideResult, estimate_memory_bytes, inside
-from .oracle import OracleLimits, enumerate_interactions
+from .oracle import LimitExceeded, OracleLimits, enumerate_interactions
 from .outside_prob import (
     HybridProbMatrix,
     ProbTables,
@@ -440,6 +440,9 @@ def run(cfg: RunConfig, stream=None) -> int:
     except NumericalUnderflow as exc:
         print(f"error: NumericalUnderflow: {exc}", file=sys.stderr)
         return 1
+    except LimitExceeded as exc:
+        print(f"error: LimitExceeded: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -507,6 +510,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if cfg.command == "sample" and cfg.seed < 0:
         print("error: BadConfig: --seed must be >= 0", file=sys.stderr)
+        return 1
+    if cfg.command == "oracle" and cfg.max_structures < 0:
+        print("error: BadConfig: --max-structures must be >= 0", file=sys.stderr)
         return 1
     return run(cfg)
 

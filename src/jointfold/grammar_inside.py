@@ -10,24 +10,25 @@ axes with constant position offsets.
 Each tensor family is one stacked allocation with the chain label (or item
 kind) as a leading axis (``_FAMILIES``); ``store[key]`` is a view of one
 slice.  A wave (fixed span pair) therefore fills all labels, hybrid classes
-and tight kinds at once.
+and tight kinds at once.  The chain parts CNA, CNB and CHY share one stack,
+read through a strided view ``chain[part, label]``.
 
 Each wave production of ``docs/grammar.md`` §4 is declared once, in
 ``_WAVE``: an einsum over named operands (a stored family, a ``_Ctx`` array
 or a derived operand), the index of each operand built from the wave's spans,
 a guard, and where each operand's outside weight goes (``_Prod``).  The
-derived operands (the branch-weighted items, the chain sums CH_all/CH_nohy,
-the tail product and the AFT cache rows) are declared with their forward and
-their transpose.  The inside fill evaluates ``_WAVE`` in order
-(``_fill_wave``); the outside pass (:mod:`jointfold.outside_prob`) walks it
-in reverse through one transpose rule (``_transpose_wave``): for ``C =
-einsum(A, B, ...)`` it adds ``einsum(C_out, B, ... -> A)`` into A's outside
-target at A's own index, so a production and its transpose cannot drift
-apart.  Per wave that is at most 8 ``numpy.einsum`` calls and one matrix
-product inside (hybrids 1, tight blocks 3, chains 2, gaps 2), and at most 13
-einsum calls and 2 matrix products in the transpose (gaps 4, chains 4, tight
-blocks 5; the hybrid step is a plain product), plus 3 for the readouts of
-:mod:`jointfold.outside_prob`.
+derived operand (the branch-weighted items) and the chain sums are declared
+with their forward and their transpose: CH_all = CNA + CNB + CHY is stored
+once per wave, at its own cell, and CH_nohy = CNA + CNB is read from its
+parts; neither has an outside family.  The inside fill evaluates ``_WAVE`` in
+order (``_fill_wave``); the outside pass (:mod:`jointfold.outside_prob`)
+walks it in reverse through one transpose rule (``_transpose_wave``): for ``C
+= einsum(A, B, ...)`` it adds ``einsum(C_out, B, ... -> A)`` into A's
+outside target at A's own index, so a production and its transpose cannot
+drift apart.  Per wave that is at most 12 ``numpy.einsum`` calls and one
+matrix product inside (hybrids 1, tight blocks 3, chains 5, gaps 3), and at
+most 15 einsum calls and 2 matrix products in the transpose (gaps 4, chains
+6, tight blocks 5; the hybrid step is a plain product).
 
 Under a unit model every entry is an ensemble count; the brute-force oracle
 checks both the counts and the weighted sums cell for cell (via the
@@ -126,18 +127,26 @@ assert _LABS[_BOX_LABEL].name == "box" and _ITEM_ORDER[_BOX_ITEM] == ("box",)
 _Families = dict[str, tuple[tuple[int, ...], tuple[tuple, ...]]]
 _GAP_KEYS = tuple((f, L) for f in ("ghy", "gna") for L in LABELS)
 
+# The chain family stacks CNA, CNB and CHY in that order, CNB for the four
+# flush labels only: slot 5x + l holds part x (CNA, CNB, CHY) of label l.  It
+# is read through one strided view ``chain[x, l]`` (_chain_rows), whose rows
+# pair with the row blocks NA, EX, HY of the combined items.  The CNB row of
+# top and box aliases other slots (CNA of box, CHY of top); no production
+# reads or writes it.
+_CNA, _CNB, _CHY = 0, 1, 2
+_NA_HY = slice(0, 3, 2)  # the chain rows CNA and CHY
+_TOP_BOX = slice(0, 6, 5)  # the labels with two free tails
+_CHAIN_KEYS = (tuple(("cna", L) for L in LABELS) + tuple(("cnb", lab.name) for lab in _NB_LABS)
+               + tuple(("chy", L) for L in LABELS))
+
 # Stacked tensor families: name -> (leading stack shape, keys in C order).
-# Items are start anchored [.., p, q, i, h]; chains and the "rest" rows
-# (gap tensors, then the derived AFT continuations) end anchored [.., p, q, j, l].
-# Rows 1:4 of "rest" (gna, aft_na, aft_hy) are what may follow an item; they
-# pair with the row blocks EX, NA, HY of the combined items, and the chain
-# rows they feed (cna, cna, chy) then come in ascending order.
+# Items are start anchored [.., p, q, i, h]; chains, the gap rows of "rest"
+# (GHY, GNA) and CH_all = CNA + CNB + CHY end anchored [.., p, q, j, l].
 _FAMILIES: _Families = {
     "items": ((9,), _ITEM_ORDER),
-    "chain": ((2, 6), tuple((f, L) for f in ("cna", "chy") for L in LABELS)),
-    "cnb": ((4,), tuple(("cnb", lab.name) for lab in _NB_LABS)),
-    "rest": ((4, 6), _GAP_KEYS + tuple((f, L) for f in ("aft_na", "aft_hy")
-                                       for L in LABELS)),
+    "chain": ((16,), _CHAIN_KEYS),
+    "rest": ((2, 6), _GAP_KEYS),
+    "ch_all": ((6,), tuple(("ch_all", L) for L in LABELS)),
 }
 
 # The terms of GHY/GNA over CH_all (docs/grammar.md §4): the segment kind on
@@ -152,21 +161,30 @@ def _out_keys(keys: tuple[tuple, ...]) -> tuple[tuple, ...]:
 
 
 # Outside accumulators (:mod:`jointfold.outside_prob`), laid out like the
-# inside families: one per inside tensor except the derived AFT rows, plus
-# the block-placement accumulators of the four hybrid classes (rows 9:13 of
-# the outside items).
+# inside families: one per inside tensor except CH_all, plus the
+# block-placement accumulators of the four hybrid classes (rows 9:13 of the
+# outside items).
 _OUT_FAMILIES: _Families = {
     "out_items": ((13,), _out_keys(_ITEM_ORDER + tuple(("hyb", c) for c in HY_CLASSES))),
-    "out_chain": ((2, 6), _out_keys(_FAMILIES["chain"][1])),
-    "out_cnb": ((4,), _out_keys(_FAMILIES["cnb"][1])),
+    "out_chain": ((16,), _out_keys(_CHAIN_KEYS)),
     "out_gap": ((2, 6), _out_keys(_GAP_KEYS)),
 }
-# The outside family of each inside one; "rest" has one for its gap rows only.
-_OUT_OF = {"items": "out_items", "chain": "out_chain", "cnb": "out_cnb",
-           "rest": "out_gap"}
+# The outside family of each inside one; CH_all has none (_ChainAll).
+_OUT_OF = {"items": "out_items", "chain": "out_chain", "rest": "out_gap"}
 # The _Ctx arrays whose outside weight feeds base-pair probabilities (through
 # the secondary tables); every other _Ctx operand is a constant.
 _SEGMENTS = ("kq_r", "kq_s", "gap_r", "gap_s", "tail_r", "tail_s")
+
+
+def _chain_rows(stack: np.ndarray) -> np.ndarray:
+    """The view ``[x, l, ...]`` of a chain stack: slot 5x + l."""
+    step, *cell = stack.strides
+    return np.lib.stride_tricks.as_strided(
+        stack, (3, len(_LABS)) + stack.shape[1:], (5 * step, step, *cell))
+
+
+# the view that ``TensorStore.stacks`` holds of a family, where it is not the stack
+_VIEWS = {"chain": _chain_rows, "out_chain": _chain_rows}
 
 
 class CapacityExceeded(RuntimeError):
@@ -184,23 +202,28 @@ def _array_count(families: _Families) -> int:
     return sum(len(keys) for _lead, keys in families.values())
 
 
-def estimate_memory_bytes(n: int, m: int, include_outside: bool = True) -> int:
-    """Bytes of table storage the engine will allocate for lengths (n, m)."""
-    cell = (n + 2) * (m + 2) * (n + 2) * (m + 2) * 8
+def _tensor_bytes(n: int, m: int, include_outside: bool = True) -> int:
+    """Bytes of the 4D tensors: one per key of the families."""
     count = _array_count(_FAMILIES)
     if include_outside:
         count += _array_count(_OUT_FAMILIES)
+    return count * (n + 2) * (m + 2) * (n + 2) * (m + 2) * 8
+
+
+def estimate_memory_bytes(n: int, m: int, include_outside: bool = True) -> int:
+    """Bytes of table storage the engine will allocate for lengths (n, m)."""
     twod = 2 * 16 * (max(n, m) + 2) ** 2 * 8  # per-strand tables and diagonals
-    return count * cell + twod
+    return _tensor_bytes(n, m, include_outside) + twod
 
 
 class TensorStore:
     """Dense 4D arrays with byte accounting.
 
     Each tensor family is one stacked allocation (see ``_FAMILIES`` and
-    ``_OUT_FAMILIES``); every
-    key in it is a view of one slice, so ``store[key]`` reads the same cells
-    as a separate array would, and the stack counts the same bytes.
+    ``_OUT_FAMILIES``); every key in it is a view of one slice, so
+    ``store[key]`` reads the same cells as a separate array would, and the
+    stack counts the same bytes.  ``stacks[family]`` is the stack, or for a
+    chain family its view ``[part, label, ...]``.
     """
 
     def __init__(self, n: int, m: int):
@@ -227,7 +250,7 @@ class TensorStore:
             size = int(np.prod(shape))
             buf = mmap.mmap(-1, max(1, size * 8), flags=mmap.MAP_PRIVATE)
             arr = np.frombuffer(buf, dtype=np.float64, count=size).reshape(shape)
-            self.stacks[family] = arr
+            self.stacks[family] = _VIEWS[family](arr) if family in _VIEWS else arr
             for key, view in zip(keys, arr.reshape((-1,) + self.shape), strict=True):
                 self.arrays[key] = view
             self.allocated_bytes += arr.nbytes
@@ -276,12 +299,11 @@ class _Ctx:
         self.prefix_r = sec_r.tables["q"][1, n::-1]
         self.prefix_s = sec_s.tables["q"][1, m::-1]
 
-        # STEP[cls][gr, gs]: hybrid extension weight by gap sizes
+        # STEP[cls][gr, gs]: hybrid extension weight by gap sizes; the gap
+        # energy depends on gr + gs only
         self.step = {}
-        base = np.zeros((n + 1, m + 1))
-        for gr in range(n + 1):
-            for gs in range(m + 1):
-                base[gr, gs] = model.w_step_base(gr, gs)
+        by_sum = np.array([model.w_step_base(g, 0) for g in range(n + m + 1)])
+        base = by_sum[np.add.outer(np.arange(n + 1), np.arange(m + 1))]
         b3 = model.w_beta3
         br = b3 ** np.arange(n + 1)
         bs = b3 ** np.arange(m + 1)
@@ -331,13 +353,14 @@ class _Ctx:
         self.kq_r, self.kq_s = self.sq_any["R"]["K"], self.sq_any["S"]["K"]
 
         # branch[row, t]: weight of item t in the combined item of one chain
-        # row.  Row blocks, one row per label each: EX (the kinds a flush
-        # label excludes from CNA's tail, docs/grammar.md §4; zero for
-        # top/box), NA (the other tight kinds) and HY (the label's hybrid
-        # class).  Each kind carries its branch factor.
+        # row.  Row blocks, one row per label each, in the order of the chain
+        # rows CNA, CNB, CHY that their tail terms fill: NA (the tight kinds
+        # that CNA takes), EX (the kinds a flush label excludes from CNA's
+        # tail, docs/grammar.md §4; zero for top/box) and HY (the label's
+        # hybrid class).  Each kind carries its branch factor.
         nl = len(_LABS)
         self.branch = np.zeros((3 * nl, len(_ITEM_ORDER)))
-        ex, na, hy = (self.branch[k * nl:(k + 1) * nl] for k in range(3))
+        na, ex, hy = (self.branch[k * nl:(k + 1) * nl] for k in range(3))
         for row, lab in enumerate(_LABS):
             hy[row, _ITEM_ORDER.index(("hy", lab.hy_class))] = 1.0
             wbr_r = self.kb if lab.class_r == "K" else 1.0
@@ -427,7 +450,6 @@ def inside(
     store = TensorStore(n, m)
     store.alloc_families(_FAMILIES)
 
-    _init_aft_edges(store, ctx)
     src = _operands(store, ctx)
     for p, q in _waves(n, m):
         w = _Wave(ctx, p, q)
@@ -453,7 +475,7 @@ def _waves(n: int, m: int) -> list[tuple[int, int]]:
 
 def _top_chains(store: TensorStore, ctx: _Ctx) -> np.ndarray:
     """The top-level chains ``[p, q]`` that end at ``(n, m)``, for spans p, q >= 1."""
-    top = store.stacks["chain"][:, 0, 1 : ctx.n + 1, 1 : ctx.m + 1, ctx.n, ctx.m]
+    top = store.stacks["chain"][_NA_HY, 0, 1 : ctx.n + 1, 1 : ctx.m + 1, ctx.n, ctx.m]
     return top[0] + top[1]
 
 
@@ -461,15 +483,6 @@ def _top_interaction_sum(store: TensorStore, ctx: _Ctx) -> float:
     """Sum over the top-level chains of their weight times the secondary
     structures left of them on each strand."""
     return float(ctx.prefix_r[1:] @ _top_chains(store, ctx) @ ctx.prefix_s[1:])
-
-
-def _init_aft_edges(store: TensorStore, ctx: _Ctx) -> None:
-    """Continuation rows with an empty remainder on one or both strands."""
-    n, m = ctx.n, ctx.m
-    aft = store.stacks["rest"][2:4]
-    aft[:, :, 0, 0, :, :] = 1.0
-    aft[:, :, 0, 1 : m + 1, :, :] = ctx.tail_s[:, 1 : m + 1, None, :]
-    aft[:, :, 1 : n + 1, 0, :, :] = ctx.tail_r[:, 1 : n + 1, :, None]
 
 
 # -- the wave productions ------------------------------------------------------
@@ -500,16 +513,12 @@ class _Wave:
         self.J1, self.L1 = slice(p - 1, p - 1 + nI), slice(q - 1, q - 1 + nH)
         self.tight_r = p >= 3 and bool(ctx.arc_r[p])
         self.tight_s = q >= 3 and bool(ctx.arc_s[q])
-
-
-# Derived operands: formed per wave, never stored; their outside weight is
-# gathered per wave and passed back by their own transpose.
-_DERIVED = {"tail", "ci", "ch_all", "ch_nohy"}
-_INLINE: dict[str, _Prod] = {}
+        # a gap of span >= 1 on both strands fits after an item
+        self.gap = p >= 2 and q >= 2
 
 
 def _has_outside(name: str) -> bool:
-    return name in _OUT_OF or name in _SEGMENTS or name in _DERIVED
+    return name in _OUT_OF or name in _SEGMENTS or name in _DERIVED or name in _SUMS
 
 
 def _broadcast(letters: str, target: str) -> tuple:
@@ -525,11 +534,15 @@ class _Prod:
     a name is a stored family, a ``_Ctx`` array or a derived operand.
     ``at(wave)`` gives the index of the lhs and of each operand; ``when``
     guards the wave.  With ``rows``, result row k is summed into lhs row
-    ``rows[k]``; with ``add``, the result is added to the lhs.  An ``inline``
-    production defines a derived operand that is never formed: a consumer
-    reads its operands instead, indexing only their shared leading axis.
-    ``live`` maps an operand to the rows of its leading axis (taken whole by
-    ``at``) that carry outside weight; the other rows are constants.
+    ``rows[k]``; with ``add``, the result is added to the lhs.  ``live`` maps
+    an operand to the rows of its leading axis (taken whole by ``at``) that
+    carry outside weight; the other rows are constants.  The operands named
+    in ``copy`` are read through a contiguous copy of their block: numpy's
+    einsum passes over a strided view of the store about half as fast, and
+    it passes over an operand once per letter that the operand lacks.  The
+    fill of a production over CH_nohy, which is never formed, runs one einsum
+    per part (``_NOHY_PARTS``), with ``at(wave, labels)`` giving each
+    operand's index on the part's labels.
 
     The transpose into operand A of ``C = einsum(A, B, ...)`` adds
     ``einsum(C_out, B, ... -> A)`` to A's outside target at A's own index: a
@@ -540,50 +553,55 @@ class _Prod:
     """
 
     def __init__(self, text: str, at: Callable, when=None, rows=None, add=False,
-                 inline=False, live=None):
+                 live=None, copy=()):
         (self.lhs, out), *self.ops = re.findall(r"(\w+)\[(\w+)\]", text)
-        self.at, self.when, self.add, self.inline = at, when, add, inline
+        self.at, self.when, self.add = at, when, add
+        self.copy = [k for k, (name, _spec) in enumerate(self.ops) if name in copy]
+        # the operand that the fill reads part by part (CH_nohy), if any
+        self.parts = next((k for k, (name, _spec) in enumerate(self.ops) if name == "ch_nohy"), None)
+        assert self.parts is None or add
         self.rows = rows and np.array(rows)
         # the result rows summed into each lhs row (one or two)
         self.groups = rows and [(r, [k for k, x in enumerate(rows) if x == r]) for r in set(rows)]
         assert not rows or max(len(ks) for _r, ks in self.groups) <= 2
-        # (operand, factor or None, name, letters) of each einsum argument
-        self.leaves = [(k, f, *leaf) for k, op in enumerate(self.ops) for f, leaf in (
-            enumerate(_INLINE[op[0]].ops) if op[0] in _INLINE else [(None, op)])]
-        self.spec = ",".join(leaf[3] for leaf in self.leaves) + "->" + out
+        self.spec = ",".join(spec for _name, spec in self.ops) + "->" + out
         # constants carried by C's letters alone are multiplied into C_out once
-        self.fold = [(j, _broadcast(leaf[3], out)) for j, leaf in enumerate(self.leaves)
-                     if not _has_outside(leaf[2]) and set(leaf[3]) <= set(out)]
+        self.fold = [(j, _broadcast(spec, out)) for j, (name, spec) in enumerate(self.ops)
+                     if not _has_outside(name) and set(spec) <= set(out)]
         folded = {j for j, _bc in self.fold}
         self.grads = []
         for k, (name, spec) in enumerate(self.ops):
             if _has_outside(name):
-                others = [j for j, leaf in enumerate(self.leaves)
-                          if leaf[0] != k and j not in folded]
-                specs = [out] + [self.leaves[j][3] for j in others]
+                others = [j for j in range(len(self.ops)) if j != k and j not in folded]
+                specs = [out] + [self.ops[j][1] for j in others]
                 res = "".join(c for c in spec if c in "".join(specs))
                 how = (",".join(specs) + "->" + res if len(specs) > 2 or set(res) != set("".join(specs))
                        else [_broadcast(x, res) for x in specs])
                 lv = (live or {}).get(name)
                 cuts = [lv and spec[0] in x and (_ALL,) * x.index(spec[0]) + (lv,) for x in specs]
-                reads = {self.leaves[j][2] for j in others} & _DERIVED
+                reads = [j for j in others if self.ops[j][0] in _DERIVED]
                 pad = None if res == spec else _broadcast(res, spec)
                 self.grads.append((k + 1, name, others, how, pad, lv, cuts, reads))
 
-    def _args(self, src: dict, w: _Wave, idx: tuple, derived: bool) -> list:
-        """The einsum arguments (the derived ones only if ``derived``)."""
-        at = idx[1:]
-        if len(self.leaves) > len(self.ops):  # factor f of an inline operand k
-            at = [idx[k + 1] if f is None else idx[k + 1] + _INLINE[self.ops[k][0]].at(w)[f + 1][1:]
-                  for k, f, _name, _spec in self.leaves]
-        return [src[leaf[2]][i] if derived or leaf[2] not in _DERIVED else None
-                for leaf, i in zip(self.leaves, at)]
+    def _args(self, src: dict, idx: tuple) -> list:
+        """The einsum arguments; None for an operand that is not formed."""
+        args = [None if name not in src else src[name][i] for (name, _spec), i in zip(self.ops, idx[1:])]
+        for j in self.copy:
+            args[j] = np.ascontiguousarray(args[j])
+        return args
 
     def fill(self, src: dict, w: _Wave) -> None:
-        if self.inline or (self.when is not None and not self.when(w)):
+        if self.when is not None and not self.when(w):
+            return
+        if self.parts is not None:  # CH_nohy: one einsum per part, on its labels
+            for row, labels in _NOHY_PARTS:
+                idx = self.at(w, labels)
+                args = self._args(src, idx)
+                args[self.parts] = src["chain"][(row,) + idx[self.parts + 1]]
+                src[self.lhs][idx[0]] += np.einsum(self.spec, *args)
             return
         idx = self.at(w)
-        args, lhs = self._args(src, w, idx, True), src[self.lhs][idx[0]]
+        args, lhs = self._args(src, idx), src[self.lhs][idx[0]]
         if self.rows is not None:
             res = np.einsum(self.spec, *args)
             for row, ks in self.groups:
@@ -598,59 +616,46 @@ class _Prod:
 
     def transpose(self, src: dict, out: dict, adj: dict, w: _Wave) -> None:
         """Pass on the outside weight of the lhs.  A transpose that reads the
-        value of a derived operand waits for that operand's own transpose
-        (``_after``): its value and its outside weight are never held at once."""
+        value of a derived operand waits until that operand's own transpose
+        has formed it (``adj["after"]``): its value and its outside weight
+        are never held at once."""
         if self.when is not None and not self.when(w):
             return
         idx = self.at(w)
-        o = adj.pop(self.lhs) if self.inline else out[self.lhs][idx[0]]
+        o = out[self.lhs][idx[0]]
         if self.rows is not None:
             o = o[self.rows]
-        args = self._args(src, w, idx, False)
+        args = self._args(src, idx)
         for j, bc in self.fold:
             o = o * args[j][bc]
         for grad in self.grads:
             if grad[-1]:
-                adj.setdefault("after", []).append((self, grad, o, idx, args))
+                adj["after"].append((self, grad, o, idx, args))
             else:
-                self.apply(src, out, adj, w, grad, o, idx, args)
+                self.apply(src, out, adj, grad, o, idx, args)
 
-    def apply(self, src: dict, out: dict, adj: dict, w: _Wave, grad: tuple,
+    def apply(self, src: dict, out: dict, adj: dict, grad: tuple,
               o: np.ndarray, idx: tuple, args: list) -> None:
-        op, name, others, how, pad, live, cuts, _reads = grad
-        if _reads:
-            args = self._args(src, w, idx, True)
+        op, name, others, how, pad, live, cuts, reads = grad
+        for j in reads:  # formed since the transpose read the others
+            args[j] = src[self.ops[j][0]][idx[j + 1]]
         arrays = [o] + [args[j] for j in others]
         if live is not None:
             arrays = [a[cut] if cut else a for a, cut in zip(arrays, cuts)]
-        if name == "rest":  # the AFT rows take the product unformed
-            return _AFT.following(out, adj, w, *arrays)
         c = np.einsum(how, *arrays) if isinstance(how, str) else arrays[0][how[0]] * arrays[1][how[1]]
         c = c if pad is None else c[pad]
         target = idx[op] if live is None else (live,) + idx[op][1:]
-        if name not in _DERIVED:
+        if name in out:
             out[name][target] += c
         elif name in adj:
             adj[name][target] += c
-        else:  # the first weight of the reverse walk covers the whole operand
+        else:  # a chain sum has one reader, which covers it whole
             adj[name] = c
-
-
-def _after(src: dict, out: dict, adj: dict, w: _Wave, names: tuple) -> None:
-    """Run the waiting transposes that read the values of ``names``, just
-    formed, then drop those values."""
-    for prod, grad, *rest in adj.pop("after", []):
-        if grad[-1].intersection(names):
-            prod.apply(src, out, adj, w, grad, *rest)
-        else:
-            adj.setdefault("after", []).append((prod, grad, *rest))
-    for name in names:
-        src.pop(name, None)
 
 
 class _CombinedItems:
     """Derived ``ci[x, l, a, b, i, h]``: the items of spans (a+1, b+1)
-    starting at (i, h), weighted by row block x (EX, NA, HY) of
+    starting at (i, h), weighted by row block x (NA, EX, HY) of
     ``ctx.branch`` for chain label l.  Its transpose ``ctx.to_items`` also
     fills the block placements of the hybrid classes."""
 
@@ -663,6 +668,10 @@ class _CombinedItems:
         ci = src["branch"] @ items.reshape(len(items), -1)
         src["ci"] = ci.reshape((3, len(_LABS)) + items.shape[1:])
 
+    def zeros(self, src: dict, w: _Wave) -> np.ndarray:
+        """The outside weight of ``ci`` before the transposes add to it."""
+        return np.zeros((3, len(_LABS)) + src["items"][self.at(w)].shape[1:])
+
     def transpose(self, src: dict, out: dict, adj: dict, w: _Wave) -> None:
         o = adj.pop("ci")
         block = out["items"][self.at(w)]
@@ -670,70 +679,45 @@ class _CombinedItems:
             block.shape)
         del o  # before the value is formed
         self.fill(src, w)
-        _after(src, out, adj, w, ("ci",))
+        for prod, *rest in adj.pop("after"):  # the transposes that read it
+            prod.apply(src, out, adj, *rest)
+        del src["ci"]
 
 
-class _ChainSums:
-    """Derived CH_nohy = CNA + CNB and CH_all = CHY + CH_nohy, over chain spans
-    p..1 x q..1 (reversed: axis (a, b) pairs with gap lengths (a, b))."""
+class _ChainAll:
+    """CH_all = CNA + CNB + CHY, stored at its own wave.  It has no outside
+    family: its transpose passes the outside weight that GHY/GNA gave CH_all
+    and the bare term gave CH_nohy = CNA + CNB on to the parts, over the span
+    block they read."""
 
     @staticmethod
     def at(w: _Wave) -> tuple:
         return (_rev(w.p), _rev(w.q), w.J, w.L)
 
     def fill(self, src: dict, w: _Wave) -> None:
-        chain = src["chain"][(_ALL, _ALL) + self.at(w)]
-        nohy = chain[0].copy()
-        nohy[_NB] += src["cnb"][(_ALL,) + self.at(w)]
-        src["ch_nohy"], src["ch_all"] = nohy, nohy + chain[1]
+        cell = (w.p, w.q, w.J, w.L)
+        chain, ch_all = src["chain"], src["ch_all"][(_ALL,) + cell]
+        np.add(chain[(_CNA, _ALL) + cell], chain[(_CHY, _ALL) + cell], out=ch_all)
+        ch_all[_NB] += chain[(_CNB, _NB) + cell]
 
     def transpose(self, src: dict, out: dict, adj: dict, w: _Wave) -> None:
         o_all, o_nohy = adj.pop("ch_all"), adj.pop("ch_nohy")
-        chain = out["chain"][(_ALL, _ALL) + self.at(w)]
-        chain[1] += o_all
+        chain, block = out["chain"], self.at(w)
+        chain[(_CHY, _ALL) + block] += o_all
         o_nohy += o_all
-        chain[0] += o_nohy
-        out["cnb"][(_ALL,) + self.at(w)] += o_nohy[_NB]
-        del o_all, o_nohy  # before the values are formed
-        self.fill(src, w)
-        _after(src, out, adj, w, ("ch_all", "ch_nohy"))
+        chain[(_CNA, _ALL) + block] += o_nohy
+        chain[(_CNB, _NB) + block] += o_nohy[_NB]
 
 
-class _Aft:
-    """The AFT rows (rest rows 2:4: aft_na, aft_hy) = G + TAIL, a stored cache
-    formed at its own wave.  It has no outside family: the outside weight of
-    the rows read after an item (rest rows 1:4: gna, aft_na, aft_hy) goes
-    straight to out_gap and to the derived TAIL (:meth:`following`)."""
-
-    def fill(self, src: dict, w: _Wave) -> None:
-        rest = src["rest"][:, :, w.p, w.q, w.J, w.L]
-        tail = src["tail_r"][:, w.p, w.J, None] * src["tail_s"][:, w.q, None, w.L]
-        np.add(rest[1::-1], tail, out=rest[2:4])
-
-    def transpose(self, src: dict, out: dict, adj: dict, w: _Wave) -> None:
-        pass
-
-    @staticmethod
-    def following(out: dict, adj: dict, w: _Wave, o: np.ndarray, ci: np.ndarray) -> None:
-        """Pass on the outside weight ``o x ci`` of the rest rows gna, aft_na,
-        aft_hy read after an item: to out_gap (gap spans of at least 1; span 0
-        is the tail alone) and, from the AFT rows, to TAIL."""
-        adj["tail"] = np.einsum("xlih,xlabih->labih", o[1:], ci[1:])
-        p, q = w.p, w.q
-        if p > 1 and q > 1:
-            o, ci = o[:, :, None, None], ci[:, :, : p - 1, : q - 1]
-            gaps = out["rest"][:, :, _rev(p - 1), _rev(q - 1), w.J, w.L]
-            gna = o[0] * ci[0]
-            gna += o[1] * ci[1]
-            gaps[1] += gna
-            gaps[0] += o[2] * ci[2]
-
-
-_TAIL = _Prod("tail[labih] = tail_r[lai] tail_s[lbh]",
-              lambda w: (None, (_ALL, _down(w.p - 1), w.J), (_ALL, _down(w.q - 1), w.L)),
-              inline=True)
-_INLINE["tail"] = _TAIL
-_CI, _SUMS, _AFT = _CombinedItems(), _ChainSums(), _Aft()
+_CI, _CH_ALL = _CombinedItems(), _ChainAll()
+# Derived operands are formed per wave and never stored; their outside weight
+# is gathered per wave and passed back by their own transpose.  The chain
+# sums have no outside family either: CH_all is stored, and CH_nohy is read
+# from its parts (chain row, labels); _ChainAll.transpose passes on the
+# outside weight of both.
+_DERIVED = {"ci": _CI}
+_SUMS = ("ch_all", "ch_nohy")
+_NOHY_PARTS = ((_CNA, _ALL), (_CNB, _NB))
 
 # The productions of one wave (docs/grammar.md §4), in fill order.
 _WAVE = (
@@ -743,44 +727,62 @@ _WAVE = (
                      (_HY, slice(1, w.p), slice(1, w.q), w.I, w.H),
                      (_ALL, _down(w.p - 2), _down(w.q - 2)), (w.J, w.L)),
           when=lambda w: w.p >= 2 and w.q >= 2),
-    # VEE[Ys], TRI[Yr], BOX: the content chain is CHY + CNA (axis k)
+    # VEE[Ys], TRI[Yr], BOX: the content chain is CNA + CHY (axis k)
     _Prod("items[cih] = chain[kcgih] kq_r[gi] close_r[i]",
           lambda w: ((_VEE_ITEMS, w.p, w.q, w.I, w.H),
-                     (_ALL, _VEE_LABELS, _rev(w.p - 2), w.q, w.J1, w.L),
+                     (_NA_HY, _VEE_LABELS, _rev(w.p - 2), w.q, w.J1, w.L),
                      (slice(0, w.p - 2), w.I2), (w.p, w.I)),
           when=lambda w: w.tight_r),
     _Prod("items[cih] = chain[kcgih] kq_s[gh] close_s[h]",
           lambda w: ((_TRI_ITEMS, w.p, w.q, w.I, w.H),
-                     (_ALL, _TRI_LABELS, w.p, _rev(w.q - 2), w.J, w.L1),
+                     (_NA_HY, _TRI_LABELS, w.p, _rev(w.q - 2), w.J, w.L1),
                      (slice(0, w.q - 2), w.H2), (w.q, w.H)),
           when=lambda w: w.tight_s),
     _Prod("items[ih] = chain[kabih] kq_r[ai] kq_s[bh] close_r[i] close_s[h]",
           lambda w: ((_BOX_ITEM, w.p, w.q, w.I, w.H),
-                     (_ALL, _BOX_LABEL, _rev(w.p - 2), _rev(w.q - 2), w.J1, w.L1),
+                     (_NA_HY, _BOX_LABEL, _rev(w.p - 2), _rev(w.q - 2), w.J1, w.L1),
                      (slice(0, w.p - 2), w.I2), (slice(0, w.q - 2), w.H2),
                      (w.p, w.I), (w.q, w.H)),
           when=lambda w: w.tight_r and w.tight_s),
-    _TAIL,
     _CI,
-    # CNB: the excluded kinds (row block EX) followed by the tail alone
-    _Prod("cnb[lih] = ci[labih] tail[labih]",
-          lambda w: ((_ALL, w.p, w.q, w.J, w.L), (0, _NB), (_NB,))),
-    # CNA, CHY: an item, then the rows that may follow it
-    _Prod("chain[xlih] = ci[xlabih] rest[xlabih]",
-          lambda w: ((_ALL, _ALL, w.p, w.q, w.J, w.L), (),
-                     (slice(1, 4), _ALL, _down(w.p - 1), _down(w.q - 1), w.J, w.L)),
-          rows=(0, 0, 1)),
-    _SUMS,
+    # The first item, then the tail alone: rows NA, EX, HY of the combined
+    # items times TAIL = tail_r (x) tail_s give the tail terms of CNA, CNB and
+    # CHY.  A flush tail is empty, so there the item spans the region: the
+    # vee labels (flush on S) read one S span of the items, the tri labels
+    # (flush on R) one R span; top and box have no CNB.
+    _Prod("chain[xlih] = ci[xlabih] tail_r[lai] tail_s[lbh]",
+          lambda w: ((_NA_HY, _TOP_BOX, w.p, w.q, w.J, w.L), (_NA_HY, _TOP_BOX),
+                     (_TOP_BOX, _down(w.p - 1), w.J), (_TOP_BOX, _down(w.q - 1), w.L))),
+    _Prod("chain[xlih] = ci[xlaih] tail_r[lai]",
+          lambda w: ((_ALL, _VEE_LABELS, w.p, w.q, w.J, w.L),
+                     (_ALL, _VEE_LABELS, _ALL, w.q - 1), (_VEE_LABELS, _down(w.p - 1), w.J))),
+    _Prod("chain[xlih] = ci[xlbih] tail_s[lbh]",
+          lambda w: ((_ALL, _TRI_LABELS, w.p, w.q, w.J, w.L),
+                     (_ALL, _TRI_LABELS, w.p - 1), (_TRI_LABELS, _down(w.q - 1), w.L))),
+    # The first item, then a gap of spans >= 1: EX·GNA + NA·GNA into CNA
+    # (axis k), HY·GHY into CHY
+    _Prod("chain[lih] = ci[klabih] rest[labih]",
+          lambda w: ((_CNA, _ALL, w.p, w.q, w.J, w.L),
+                     (slice(0, 2), _ALL, slice(0, w.p - 1), slice(0, w.q - 1)),
+                     (1, _ALL, _rev(w.p - 1), _rev(w.q - 1), w.J, w.L)),
+          when=lambda w: w.gap, add=True),
+    _Prod("chain[lih] = ci[labih] rest[labih]",
+          lambda w: ((_CHY, _ALL, w.p, w.q, w.J, w.L),
+                     (_CHY, _ALL, slice(0, w.p - 1), slice(0, w.q - 1)),
+                     (0, _ALL, _rev(w.p - 1), _rev(w.q - 1), w.J, w.L)),
+          when=lambda w: w.gap, add=True),
+    _CH_ALL,
     # GHY, GNA: the terms of _GAP_TERMS over CH_all, then the bare GHY term
+    # over CH_nohy = CNA + CNB, read from the parts
     _Prod("rest[tlih] = ch_all[labih] gap_r[tlai] gap_s[tlbh]",
-          lambda w: ((slice(0, 2), _ALL, w.p, w.q, w.J, w.L), (),
+          lambda w: ((slice(0, 2), _ALL, w.p, w.q, w.J, w.L),
+                     (_ALL, _rev(w.p), _rev(w.q), w.J, w.L),
                      (_ALL, _ALL, slice(0, w.p), w.I), (_ALL, _ALL, slice(0, w.q), w.H)),
-          rows=(0, 0, 1), live={"gap_r": slice(1, 3)}),
+          rows=(0, 0, 1), live={"gap_r": slice(1, 3)}, copy=("ch_all",)),
     _Prod("rest[lih] = ch_nohy[labih] bare_r[lai] bare_s[lbh]",
-          lambda w: ((0, _ALL, w.p, w.q, w.J, w.L), (),
-                     (_ALL, slice(0, w.p), w.I), (_ALL, slice(0, w.q), w.H)),
+          lambda w, ls=_ALL: ((0, ls, w.p, w.q, w.J, w.L), (ls, _rev(w.p), _rev(w.q), w.J, w.L),
+                              (ls, slice(0, w.p), w.I), (ls, slice(0, w.q), w.H)),
           add=True),
-    _AFT,
 )
 
 
@@ -793,7 +795,7 @@ def _operands(store: TensorStore, ctx: _Ctx) -> dict:
 # The derived values that the fill drops after each production: those it
 # reads last.
 _LAST_READ = {name: k for k, prod in enumerate(_WAVE)
-              for name in {leaf[2] for leaf in getattr(prod, "leaves", ())} & _DERIVED}
+              for name, _spec in getattr(prod, "ops", ()) if name in _DERIVED}
 _DROP = [[name for name, k in _LAST_READ.items() if k == last] for last in range(len(_WAVE))]
 
 
@@ -811,6 +813,7 @@ def _transpose_wave(src: dict, out: dict, w: _Wave) -> None:
     ``out`` maps each inside family (``_OUT_OF``) and each of ``_SEGMENTS``
     to its outside accumulator.
     """
-    adj: dict = {}
+    adj: dict = {name: op.zeros(src, w) for name, op in _DERIVED.items()}
+    adj["after"] = []
     for prod in reversed(_WAVE):
         prod.transpose(src, out, adj, w)

@@ -10,9 +10,9 @@ The outside value of a cell times its inside value, divided by the total
 partition function, is the probability that a parse contains the component
 at that cell; the top-level placements seed the sweep.  Like the fill, each
 wave transposes every chain label, hybrid class and tight kind at once on the
-stacked tensor families of the inside store: at most 13 ``numpy.einsum``
-calls and 2 matrix products per wave, and 3 einsum calls for the readouts
-into the base-pair masses.
+stacked tensor families of the inside store: at most 15 ``numpy.einsum``
+calls and 2 matrix products per wave.  The readouts into the base-pair
+masses take 3 einsum calls once the sweep is done.
 
 Base-pair probabilities combine three sources: tight-block closing arcs
 (read off the block tensors directly), arcs inside secondary segments
@@ -33,6 +33,7 @@ from .grammar_inside import (
     _GAP_TERMS,
     _HY,
     _LABS,
+    _NA_HY,
     _OUT_FAMILIES,
     _OUT_OF,
     _R_CLOSED,
@@ -141,9 +142,6 @@ class _OutSweep:
         }
         # interval accumulators (i,j) of q for top-level segments
         self.out_iv = {"R": np.zeros((n + 2, n + 2)), "S": np.zeros((m + 2, m + 2))}
-        self.bpp_ext_mass = np.zeros((n + 2, m + 2))
-        # closing-arc mass of the tight blocks, [span, start] per strand
-        self.closers = {"R": np.zeros((n + 2, n + 2)), "S": np.zeros((m + 2, m + 2))}
         # the outside target of every operand the productions transpose into:
         # the outside families, and per-label segment accumulators that are
         # folded into out_sq / out_tq by exposure class at the end
@@ -161,27 +159,29 @@ class _OutSweep:
         wr, ws = self.ctx.prefix_r, self.ctx.prefix_s
         self.out_iv["R"][1, n] += ws[0]
         self.out_iv["S"][1, m] += wr[0]
-        self.out["chain"][:, 0, 1 : n + 1, 1 : m + 1, n, m] += wr[1:, None] * ws[1:]
+        self.out["chain"][_NA_HY, 0, 1 : n + 1, 1 : m + 1, n, m] += wr[1:, None] * ws[1:]
         chains = _top_chains(self.store, self.ctx)
         self.out_iv["R"][1, n - 1 : 0 : -1] += (chains @ ws[1:])[:-1]
         self.out_iv["S"][1, m - 1 : 0 : -1] += (wr[1:] @ chains)[:-1]
 
-    # -- per-wave readouts ------------------------------------------------------
+    # -- readouts ------------------------------------------------------------
 
-    def readouts(self, w: _Wave) -> None:
+    def readouts(self) -> None:
         """Exterior-arc mass of the hybrids and closing-arc mass of the tight
-        blocks (R-closed and S-closed kinds) at one wave."""
-        p, q = w.p, w.q
-        o_items = self.out["items"][:, p, q, w.I, w.H]
-        in_items = self.store.stacks["items"][:, p, q, w.I, w.H]
-        self.bpp_ext_mass[w.J, w.L] += np.einsum(
-            "cih,cih->ih", o_items[_HY], in_items[_HY])
-        if self.ctx.arc_r[p]:
-            self.closers["R"][p, w.I] += np.einsum(
-                "cih,cih->i", o_items[_R_CLOSED], in_items[_R_CLOSED])
-        if self.ctx.arc_s[q]:
-            self.closers["S"][q, w.H] += np.einsum(
-                "cih,cih->h", o_items[_S_CLOSED], in_items[_S_CLOSED])
+        blocks (R-closed and S-closed kinds), read off the finished item
+        accumulators once the sweep is done.  The exterior arc of a hybrid is
+        its last one, at the end ``(i+p-1, h+q-1)`` of its start-anchored
+        cell ``[p, q, i, h]``."""
+        n, m = self.n, self.m
+        o, v = self.out["items"], self.store.stacks["items"]
+        # the closing-arc mass of the tight blocks, [span, start] per strand
+        self.closers = {"R": np.einsum("cpqih,cpqih->pi", o[_R_CLOSED], v[_R_CLOSED]),
+                        "S": np.einsum("cpqih,cpqih->qh", o[_S_CLOSED], v[_S_CLOSED])}
+        mass = np.einsum("cpqih,cpqih->pqih", o[_HY], v[_HY])
+        p, q, i, h = np.nonzero(mass)
+        ends = (i + p - 1) * (m + 2) + h + q - 1
+        self.bpp_ext_mass = np.bincount(ends, mass[p, q, i, h], (n + 2) * (m + 2)).reshape(
+            n + 2, m + 2)
 
     def fold_label_accumulators(self) -> None:
         """Add the per-label segment accumulators into the per-class diagonals
@@ -248,7 +248,7 @@ def outside(res: InsideResult, verify_conservation: bool = False) -> ProbTables:
     for p, q in reversed(_waves(n, m)):
         w = _Wave(res.ctx, p, q)
         _transpose_wave(src, sweep.out, w)
-        sweep.readouts(w)
+    sweep.readouts()
     sweep.fold_label_accumulators()
 
     z = res.q_total

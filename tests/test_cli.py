@@ -264,3 +264,17 @@ class TestOracleCommand:
         status, text = capture(cfg("oracle", [path]))
         assert status == 0
         assert "count\t20" in text
+
+    def test_exceeded_budget_is_a_one_line_error(self, fasta, capsys):
+        path = fasta(">r\nGAAACGU\n>s\nGCGUUUC\n")
+        assert main(["oracle", path, "--max-structures", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: LimitExceeded: more than 2 structures (at least 3 found)\n")
+
+    def test_negative_budget_is_a_one_line_error(self, fasta, capsys):
+        path = fasta(">r\nGAAACGU\n>s\nGCGUUUC\n")
+        assert main(["oracle", path, "--max-structures", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: BadConfig: --max-structures must be >= 0\n"
+        assert captured.out == ""

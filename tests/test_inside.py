@@ -6,8 +6,10 @@ import pytest
 from jointfold._cases import verify_reconstruction
 from jointfold.energy import unit_model
 from jointfold.grammar_inside import (
+    LABELS,
     CapacityExceeded,
     HY_CLASSES,
+    _tensor_bytes,
     estimate_memory_bytes,
     inside,
 )
@@ -177,3 +179,31 @@ class TestCapacity:
         assert err.value.required_bytes == estimate_memory_bytes(6, 6, include_outside=True)
         assert err.value.budget_bytes == budget
         assert res.store.peak_bytes == peak
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (5, 8), (9, 4)])
+    def test_tensor_estimate_is_the_allocation(self, n, m):
+        """The 4D part of the estimate, counted from the declared families,
+        is exactly what the store allocates: 43 inside tensors, 84 in all."""
+        rng = np.random.default_rng(n * 10 + m)
+        res = inside(*strands(random_seq(rng, n), random_seq(rng, m)), random_model(rng))
+        assert len(res.store.arrays) == 43
+        assert res.store.allocated_bytes == _tensor_bytes(n, m, include_outside=False)
+        outside(res)
+        assert len(res.store.arrays) == 84
+        assert res.store.allocated_bytes == _tensor_bytes(n, m, include_outside=True)
+        assert res.store.peak_bytes == res.store.allocated_bytes
+
+
+class TestChainSums:
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_stored_ch_all_is_the_sum_of_its_parts(self, seed):
+        rng = np.random.default_rng(seed)
+        r, s = random_seq(rng, 7), random_seq(rng, 9)
+        res = inside(*strands(r, s), random_model(rng, min_hairpin=int(rng.integers(0, 3))))
+        store = res.store
+        for name, lab in LABELS.items():
+            want = store[("cna", name)] + store[("chy", name)]
+            if lab.has_nb:
+                want = want + store[("cnb", name)]
+            assert np.array_equal(store[("ch_all", name)], want), name
+            assert store[("ch_all", name)].any(), name

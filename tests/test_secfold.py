@@ -292,6 +292,20 @@ class TestSpanLayout:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     @pytest.mark.parametrize("r, s", [("G", "C"), ("GGACU", "AGUCCAUGC")])
+    def test_step_kernel_is_the_per_cell_weight(self, r, s):
+        """The hybrid step kernel, gathered by gap-size sum, equals one
+        ``w_step_base`` call per pair of gap sizes, bit for bit."""
+        model = random_model(np.random.default_rng(9), min_hairpin=0)
+        R, S = Strand.query(r), Strand.target_internal(s)
+        ctx = grammar_inside._Ctx(R, S, model, fold(R, model), fold(S, model))
+        n, m = len(r), len(s)
+        want = np.array([[model.w_step_base(gr, gs) for gs in range(m + 1)]
+                         for gr in range(n + 1)])
+        assert np.array_equal(ctx.step["EE"], want)
+        b3r, b3s = model.w_beta3 ** np.arange(n + 1), model.w_beta3 ** np.arange(m + 1)
+        assert np.array_equal(ctx.step["KK"], want * b3r[:, None] * b3s[None, :])
+
+    @pytest.mark.parametrize("r, s", [("G", "C"), ("GGACU", "AGUCCAUGC")])
     def test_segment_arrays_are_the_table_cells(self, r, s):
         model = random_model(np.random.default_rng(6), min_hairpin=0)
         R, S = Strand.query(r), Strand.target_internal(s)
