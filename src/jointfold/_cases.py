@@ -41,10 +41,11 @@ values of every case, read as slices of the stored child tensors:
   start at ``(x1, y1)``; one case after a tight block, three after a hybrid
   (``_GAP_CASES``).
 
-None of these reads the fill's combined items or its AFT rows, so summing a
-vector is an independent check of the stored cell.  :func:`decode_case`
-maps a vector index back to its case tuple, and :func:`component_cases`
-decodes every index, so the cases are written down once.
+None of these reads the fill's combined items or its chain sums (the stored
+``CH_all``, the formed ``CH_nohy``), so summing a vector is an independent
+check of the stored cell.  :func:`decode_case` maps a vector index back to
+its case tuple, and :func:`component_cases` decodes every index, so the
+cases are written down once.
 """
 
 from __future__ import annotations

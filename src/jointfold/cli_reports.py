@@ -502,8 +502,9 @@ def main(argv: list[str] | None = None) -> int:
         no_interaction=args.no_interaction,
         max_structures=args.max_structures,
     )
-    if not 0.0 <= cfg.threshold <= 1.0:
-        print("error: BadConfig: threshold must be in [0,1]", file=sys.stderr)
+    top = 100 if cfg.command == "dotplot" else 1  # dotplot reads a percentage
+    if not 0.0 <= cfg.threshold <= top:
+        print(f"error: BadConfig: threshold must be in [0,{top}]", file=sys.stderr)
         return 1
     if cfg.command == "sample" and cfg.num < 1:
         print("error: BadConfig: --num must be >= 1", file=sys.stderr)

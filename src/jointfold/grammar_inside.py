@@ -19,16 +19,19 @@ or a derived operand), the index of each operand built from the wave's spans,
 a guard, and where each operand's outside weight goes (``_Prod``).  The
 derived operand (the branch-weighted items) and the chain sums are declared
 with their forward and their transpose: CH_all = CNA + CNB + CHY is stored
-once per wave, at its own cell, and CH_nohy = CNA + CNB is read from its
-parts; neither has an outside family.  The inside fill evaluates ``_WAVE`` in
-order (``_fill_wave``); the outside pass (:mod:`jointfold.outside_prob`)
-walks it in reverse through one transpose rule (``_transpose_wave``): for ``C
-= einsum(A, B, ...)`` it adds ``einsum(C_out, B, ... -> A)`` into A's
-outside target at A's own index, so a production and its transpose cannot
-drift apart.  Per wave that is at most 12 ``numpy.einsum`` calls and one
-matrix product inside (hybrids 1, tight blocks 3, chains 5, gaps 3), and at
-most 15 einsum calls and 2 matrix products in the transpose (gaps 4, chains
-6, tight blocks 5; the hybrid step is a plain product).
+once per wave, at its own cell, and CH_nohy = CNA + CNB is formed over the
+block the bare GHY term reads; neither has an outside family.  The derived
+operand ci, CH_nohy and ci's outside weight are formed in flat work buffers
+that one run allocates once, sized for its largest wave (``_operands``).
+The inside fill evaluates ``_WAVE`` in order (``_fill_wave``); the outside
+pass (:mod:`jointfold.outside_prob`) forms ci and then walks ``_WAVE`` in
+reverse through one transpose rule (``_transpose_wave``): for ``C =
+einsum(A, B, ...)`` it adds ``einsum(C_out, B, ... -> A)`` into A's outside
+target at A's own index, so a production and its transpose cannot drift
+apart.  Per wave that is at most 11 ``numpy.einsum`` calls and one matrix
+product inside (hybrids 1, tight blocks 3, chains 5, gaps 2), and at most 15
+einsum calls and 2 matrix products in the transpose (gaps 4, chains 6, tight
+blocks 5; the hybrid step is a plain product).
 
 Under a unit model every entry is an ensemble count; the brute-force oracle
 checks both the counts and the weighted sums cell for cell (via the
@@ -39,6 +42,7 @@ the reconstruction check would compare the declarations with themselves.
 
 from __future__ import annotations
 
+import math
 import mmap
 import re
 from collections.abc import Callable
@@ -243,17 +247,20 @@ class TensorStore:
         numpy asks for transparent huge pages on arrays of 4 MiB and more,
         and a 2 MiB page would make resident the unreachable anchor cells
         around every written one (a 24x24 inside run peaked 25 MB higher
-        that way).  ``tracemalloc`` does not see these mappings.
+        that way).  ``tracemalloc`` does not see these mappings.  A family
+        allocated again (a second ``outside``) replaces the old stack, in
+        the byte count too.
         """
         for family, (lead, keys) in families.items():
             shape = lead + self.shape
             size = int(np.prod(shape))
             buf = mmap.mmap(-1, max(1, size * 8), flags=mmap.MAP_PRIVATE)
             arr = np.frombuffer(buf, dtype=np.float64, count=size).reshape(shape)
+            if family not in self.stacks:
+                self.allocated_bytes += arr.nbytes
             self.stacks[family] = _VIEWS[family](arr) if family in _VIEWS else arr
             for key, view in zip(keys, arr.reshape((-1,) + self.shape), strict=True):
                 self.arrays[key] = view
-            self.allocated_bytes += arr.nbytes
         self.peak_bytes = max(self.peak_bytes, self.allocated_bytes)
 
     def __getitem__(self, key: tuple) -> np.ndarray:
@@ -518,7 +525,7 @@ class _Wave:
 
 
 def _has_outside(name: str) -> bool:
-    return name in _OUT_OF or name in _SEGMENTS or name in _DERIVED or name in _SUMS
+    return name in _OUT_OF or name in _SEGMENTS or name in _PER_WAVE
 
 
 def _broadcast(letters: str, target: str) -> tuple:
@@ -531,25 +538,27 @@ class _Prod:
     """One wave production and its transpose.
 
     ``text`` is the einsum with named operands, ``"lhs[ij] = a[ik] b[kj]"``;
-    a name is a stored family, a ``_Ctx`` array or a derived operand.
+    a name is a stored family, a ``_Ctx`` array, or an operand formed per
+    wave in a work buffer (``ci``, ``ch_nohy``).
     ``at(wave)`` gives the index of the lhs and of each operand; ``when``
     guards the wave.  With ``rows``, result row k is summed into lhs row
     ``rows[k]``; with ``add``, the result is added to the lhs.  ``live`` maps
     an operand to the rows of its leading axis (taken whole by ``at``) that
     carry outside weight; the other rows are constants.  The operands named
-    in ``copy`` are read through a contiguous copy of their block: numpy's
-    einsum passes over a strided view of the store about half as fast, and
-    it passes over an operand once per letter that the operand lacks.  The
-    fill of a production over CH_nohy, which is never formed, runs one einsum
-    per part (``_NOHY_PARTS``), with ``at(wave, labels)`` giving each
-    operand's index on the part's labels.
+    in ``copy`` are read through a contiguous copy of their block, made in
+    the scratch buffer: numpy's einsum passes over a strided view of the
+    store about half as fast, and it passes over an operand once per letter
+    that the operand lacks.
 
     The transpose into operand A of ``C = einsum(A, B, ...)`` adds
     ``einsum(C_out, B, ... -> A)`` to A's outside target at A's own index: a
     letter of A that no other operand carries is broadcast, and a product
     that sums over nothing is a plain ``*``.  Constants (the ``_Ctx`` arrays
     not in ``_SEGMENTS``) have no target; those whose letters are all C's
-    are multiplied into ``C_out`` once, before the transposes.
+    are multiplied into ``C_out`` once, before the transposes.  The values a
+    transpose reads are all formed before the wave's transposes run: the
+    stored families, the ``_Ctx`` arrays and ``ci`` (no transpose reads
+    CH_nohy).
     """
 
     def __init__(self, text: str, at: Callable, when=None, rows=None, add=False,
@@ -557,9 +566,6 @@ class _Prod:
         (self.lhs, out), *self.ops = re.findall(r"(\w+)\[(\w+)\]", text)
         self.at, self.when, self.add = at, when, add
         self.copy = [k for k, (name, _spec) in enumerate(self.ops) if name in copy]
-        # the operand that the fill reads part by part (CH_nohy), if any
-        self.parts = next((k for k, (name, _spec) in enumerate(self.ops) if name == "ch_nohy"), None)
-        assert self.parts is None or add
         self.rows = rows and np.array(rows)
         # the result rows summed into each lhs row (one or two)
         self.groups = rows and [(r, [k for k, x in enumerate(rows) if x == r]) for r in set(rows)]
@@ -579,26 +585,18 @@ class _Prod:
                        else [_broadcast(x, res) for x in specs])
                 lv = (live or {}).get(name)
                 cuts = [lv and spec[0] in x and (_ALL,) * x.index(spec[0]) + (lv,) for x in specs]
-                reads = [j for j in others if self.ops[j][0] in _DERIVED]
                 pad = None if res == spec else _broadcast(res, spec)
-                self.grads.append((k + 1, name, others, how, pad, lv, cuts, reads))
+                self.grads.append((k + 1, name, others, how, pad, lv, cuts))
 
     def _args(self, src: dict, idx: tuple) -> list:
         """The einsum arguments; None for an operand that is not formed."""
         args = [None if name not in src else src[name][i] for (name, _spec), i in zip(self.ops, idx[1:])]
         for j in self.copy:
-            args[j] = np.ascontiguousarray(args[j])
+            args[j] = _work(src, "scratch", args[j].shape, args[j])
         return args
 
     def fill(self, src: dict, w: _Wave) -> None:
         if self.when is not None and not self.when(w):
-            return
-        if self.parts is not None:  # CH_nohy: one einsum per part, on its labels
-            for row, labels in _NOHY_PARTS:
-                idx = self.at(w, labels)
-                args = self._args(src, idx)
-                args[self.parts] = src["chain"][(row,) + idx[self.parts + 1]]
-                src[self.lhs][idx[0]] += np.einsum(self.spec, *args)
             return
         idx = self.at(w)
         args, lhs = self._args(src, idx), src[self.lhs][idx[0]]
@@ -615,10 +613,7 @@ class _Prod:
             np.einsum(self.spec, *args, out=lhs)
 
     def transpose(self, src: dict, out: dict, adj: dict, w: _Wave) -> None:
-        """Pass on the outside weight of the lhs.  A transpose that reads the
-        value of a derived operand waits until that operand's own transpose
-        has formed it (``adj["after"]``): its value and its outside weight
-        are never held at once."""
+        """Pass on the outside weight of the lhs to each operand's target."""
         if self.when is not None and not self.when(w):
             return
         idx = self.at(w)
@@ -628,36 +623,27 @@ class _Prod:
         args = self._args(src, idx)
         for j, bc in self.fold:
             o = o * args[j][bc]
-        for grad in self.grads:
-            if grad[-1]:
-                adj["after"].append((self, grad, o, idx, args))
-            else:
-                self.apply(src, out, adj, grad, o, idx, args)
-
-    def apply(self, src: dict, out: dict, adj: dict, grad: tuple,
-              o: np.ndarray, idx: tuple, args: list) -> None:
-        op, name, others, how, pad, live, cuts, reads = grad
-        for j in reads:  # formed since the transpose read the others
-            args[j] = src[self.ops[j][0]][idx[j + 1]]
-        arrays = [o] + [args[j] for j in others]
-        if live is not None:
-            arrays = [a[cut] if cut else a for a, cut in zip(arrays, cuts)]
-        c = np.einsum(how, *arrays) if isinstance(how, str) else arrays[0][how[0]] * arrays[1][how[1]]
-        c = c if pad is None else c[pad]
-        target = idx[op] if live is None else (live,) + idx[op][1:]
-        if name in out:
-            out[name][target] += c
-        elif name in adj:
-            adj[name][target] += c
-        else:  # a chain sum has one reader, which covers it whole
-            adj[name] = c
+        for op, name, others, how, pad, live, cuts in self.grads:
+            arrays = [o] + [args[j] for j in others]
+            if live is not None:
+                arrays = [a[cut] if cut else a for a, cut in zip(arrays, cuts)]
+            c = np.einsum(how, *arrays) if isinstance(how, str) else arrays[0][how[0]] * arrays[1][how[1]]
+            c = c if pad is None else c[pad]
+            target = idx[op] if live is None else (live,) + idx[op][1:]
+            if name in out:
+                out[name][target] += c
+            elif name in adj:
+                adj[name][target] += c
+            else:  # a chain sum has one reader, which covers it whole
+                adj[name] = c
 
 
 class _CombinedItems:
     """Derived ``ci[x, l, a, b, i, h]``: the items of spans (a+1, b+1)
     starting at (i, h), weighted by row block x (NA, EX, HY) of
-    ``ctx.branch`` for chain label l.  Its transpose ``ctx.to_items`` also
-    fills the block placements of the hybrid classes."""
+    ``ctx.branch`` for chain label l, formed in the ``ci`` work buffer.  Its
+    transpose ``ctx.to_items`` also fills the block placements of the hybrid
+    classes."""
 
     @staticmethod
     def at(w: _Wave) -> tuple:
@@ -665,30 +651,26 @@ class _CombinedItems:
 
     def fill(self, src: dict, w: _Wave) -> None:
         items = src["items"][self.at(w)]
-        ci = src["branch"] @ items.reshape(len(items), -1)
-        src["ci"] = ci.reshape((3, len(_LABS)) + items.shape[1:])
-
-    def zeros(self, src: dict, w: _Wave) -> np.ndarray:
-        """The outside weight of ``ci`` before the transposes add to it."""
-        return np.zeros((3, len(_LABS)) + src["items"][self.at(w)].shape[1:])
+        flat = _work(src, "scratch", items.shape, items)
+        ci = _work(src, "ci", (3, len(_LABS)) + items.shape[1:])
+        np.matmul(src["branch"], flat.reshape(len(flat), -1), out=ci.reshape(3 * len(_LABS), -1))
+        src["ci"] = ci
 
     def transpose(self, src: dict, out: dict, adj: dict, w: _Wave) -> None:
         o = adj.pop("ci")
         block = out["items"][self.at(w)]
-        block += (src["to_items"] @ o.reshape(o.shape[0] * o.shape[1], -1)).reshape(
-            block.shape)
-        del o  # before the value is formed
-        self.fill(src, w)
-        for prod, *rest in adj.pop("after"):  # the transposes that read it
-            prod.apply(src, out, adj, *rest)
-        del src["ci"]
+        res = _work(src, "scratch", block.shape)
+        np.matmul(src["to_items"], o.reshape(o.shape[0] * o.shape[1], -1),
+                  out=res.reshape(len(res), -1))
+        block += res
 
 
 class _ChainAll:
-    """CH_all = CNA + CNB + CHY, stored at its own wave.  It has no outside
-    family: its transpose passes the outside weight that GHY/GNA gave CH_all
-    and the bare term gave CH_nohy = CNA + CNB on to the parts, over the span
-    block they read."""
+    """CH_all = CNA + CNB + CHY, stored at its own wave, and CH_nohy = CNA +
+    CNB, formed in its work buffer over the span block that the bare GHY
+    term reads.  Neither has an outside family: the transpose passes the
+    outside weight that GHY/GNA gave CH_all and the bare term gave CH_nohy
+    on to the parts, over that block."""
 
     @staticmethod
     def at(w: _Wave) -> tuple:
@@ -699,6 +681,10 @@ class _ChainAll:
         chain, ch_all = src["chain"], src["ch_all"][(_ALL,) + cell]
         np.add(chain[(_CNA, _ALL) + cell], chain[(_CHY, _ALL) + cell], out=ch_all)
         ch_all[_NB] += chain[(_CNB, _NB) + cell]
+        block = self.at(w)
+        cna = chain[(_CNA, _ALL) + block]
+        nohy = src["ch_nohy"] = _work(src, "ch_nohy", cna.shape, cna)
+        nohy[_NB] += chain[(_CNB, _NB) + block]
 
     def transpose(self, src: dict, out: dict, adj: dict, w: _Wave) -> None:
         o_all, o_nohy = adj.pop("ch_all"), adj.pop("ch_nohy")
@@ -710,14 +696,10 @@ class _ChainAll:
 
 
 _CI, _CH_ALL = _CombinedItems(), _ChainAll()
-# Derived operands are formed per wave and never stored; their outside weight
-# is gathered per wave and passed back by their own transpose.  The chain
-# sums have no outside family either: CH_all is stored, and CH_nohy is read
-# from its parts (chain row, labels); _ChainAll.transpose passes on the
-# outside weight of both.
-_DERIVED = {"ci": _CI}
-_SUMS = ("ch_all", "ch_nohy")
-_NOHY_PARTS = ((_CNA, _ALL), (_CNB, _NB))
+# The operands with no outside family: the outside weight of each is gathered
+# per wave (``adj`` of _transpose_wave) and passed back by the transpose of
+# _CombinedItems or _ChainAll.
+_PER_WAVE = ("ci", "ch_all", "ch_nohy")
 
 # The productions of one wave (docs/grammar.md §4), in fill order.
 _WAVE = (
@@ -773,47 +755,63 @@ _WAVE = (
           when=lambda w: w.gap, add=True),
     _CH_ALL,
     # GHY, GNA: the terms of _GAP_TERMS over CH_all, then the bare GHY term
-    # over CH_nohy = CNA + CNB, read from the parts
+    # over CH_nohy = CNA + CNB
     _Prod("rest[tlih] = ch_all[labih] gap_r[tlai] gap_s[tlbh]",
           lambda w: ((slice(0, 2), _ALL, w.p, w.q, w.J, w.L),
                      (_ALL, _rev(w.p), _rev(w.q), w.J, w.L),
                      (_ALL, _ALL, slice(0, w.p), w.I), (_ALL, _ALL, slice(0, w.q), w.H)),
           rows=(0, 0, 1), live={"gap_r": slice(1, 3)}, copy=("ch_all",)),
     _Prod("rest[lih] = ch_nohy[labih] bare_r[lai] bare_s[lbh]",
-          lambda w, ls=_ALL: ((0, ls, w.p, w.q, w.J, w.L), (ls, _rev(w.p), _rev(w.q), w.J, w.L),
-                              (ls, slice(0, w.p), w.I), (ls, slice(0, w.q), w.H)),
+          lambda w: ((0, _ALL, w.p, w.q, w.J, w.L), _ALL,
+                     (_ALL, slice(0, w.p), w.I), (_ALL, slice(0, w.q), w.H)),
           add=True),
 )
 
 
+# The per-run work buffers, in rows of the largest wave's block (_operands):
+# the combined items, their outside weight, CH_nohy, and a scratch buffer
+# whose contents live within one production (the item block that ci is
+# formed from, the product that passes ci's outside weight on to the items,
+# the contiguous copies of _Prod.copy).
+_WORK_ROWS = {"ci": 3 * len(_LABS), "out_ci": 3 * len(_LABS), "ch_nohy": len(_LABS),
+              "scratch": len(_ITEM_ORDER) + len(HY_CLASSES)}
+
+
 def _operands(store: TensorStore, ctx: _Ctx) -> dict:
-    """Every array a production may read, by name: the _Ctx arrays and the
-    stored families."""
-    return {**vars(ctx), **store.stacks}
+    """Every array a production may read, by name: the _Ctx arrays, the
+    stored families and (under ``work``) the work buffers.  A wave's block
+    ``[p, q, nI, nH]`` has at most ``max_p p(n-p+1) * max_q q(m-q+1)``
+    cells; ``np.empty`` leaves the pages that no wave reaches untouched."""
+    cells = max(p * (ctx.n - p + 1) for p in range(1, ctx.n + 1)) * max(
+        q * (ctx.m - q + 1) for q in range(1, ctx.m + 1))
+    work = {name: np.empty(rows * cells) for name, rows in _WORK_ROWS.items()}
+    return {**vars(ctx), **store.stacks, "work": work}
 
 
-# The derived values that the fill drops after each production: those it
-# reads last.
-_LAST_READ = {name: k for k, prod in enumerate(_WAVE)
-              for name, _spec in getattr(prod, "ops", ()) if name in _DERIVED}
-_DROP = [[name for name, k in _LAST_READ.items() if k == last] for last in range(len(_WAVE))]
+def _work(src: dict, name: str, shape: tuple, value=None) -> np.ndarray:
+    """Work buffer ``name`` as a contiguous array of ``shape``, holding
+    ``value`` (an array or a scalar) if one is given, else whatever it held
+    before."""
+    arr = src["work"][name][: math.prod(shape)].reshape(shape)
+    if value is not None:
+        np.copyto(arr, value)
+    return arr
 
 
 def _fill_wave(src: dict, w: _Wave) -> None:
     """Evaluate the productions of one wave in order."""
-    for prod, drop in zip(_WAVE, _DROP):
+    for prod in _WAVE:
         prod.fill(src, w)
-        for name in drop:
-            del src[name]
 
 
 def _transpose_wave(src: dict, out: dict, w: _Wave) -> None:
     """Add the transpose of every production of one wave, in reverse order.
 
     ``out`` maps each inside family (``_OUT_OF``) and each of ``_SEGMENTS``
-    to its outside accumulator.
+    to its outside accumulator.  The combined items are formed first, for
+    the transposes that read them; their outside weight starts at zero.
     """
-    adj: dict = {name: op.zeros(src, w) for name, op in _DERIVED.items()}
-    adj["after"] = []
+    _CI.fill(src, w)
+    adj = {"ci": _work(src, "out_ci", src["ci"].shape, 0.0)}
     for prod in reversed(_WAVE):
         prod.transpose(src, out, adj, w)

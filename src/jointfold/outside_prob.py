@@ -80,11 +80,10 @@ class ProbTables:
 
 @dataclass
 class HybridProbMatrix:
-    """Maximal-hybrid footprint probabilities, per class and total."""
+    """Maximal-hybrid footprint probabilities, start-anchored ``[p, q, i, h]``."""
 
     n: int
     m: int
-    per_class: dict[str, np.ndarray]  # start-anchored [p, q, i, h]
     total: np.ndarray
 
     def p_hy(self, i: int, j: int, h: int, l: int) -> float:
@@ -267,19 +266,11 @@ def outside(res: InsideResult, verify_conservation: bool = False) -> ProbTables:
 
 
 def hybrid_probabilities(res: InsideResult, prob: ProbTables) -> HybridProbMatrix:
-    """P(a maximal hybrid occupies exactly footprint (i..j, h..l)).
-
-    The four class tensors are independent contributions; the total is their
-    sum per cell.
-    """
+    """P(a maximal hybrid occupies exactly footprint (i..j, h..l)): the sum
+    over the four hybrid classes, which are independent contributions."""
     store = res.store
-    per_class = {}
-    total = None
-    for cls in HY_CLASSES:
-        arr = store[("out", "hyb", cls)] * store[("hy", cls)] / prob.z
-        per_class[cls] = arr
-        total = arr.copy() if total is None else total + arr
-    return HybridProbMatrix(n=res.ctx.n, m=res.ctx.m, per_class=per_class, total=total)
+    total = sum(store[("out", "hyb", cls)] * store[("hy", cls)] / prob.z for cls in HY_CLASSES)
+    return HybridProbMatrix(n=res.ctx.n, m=res.ctx.m, total=total)
 
 
 def target_sites(hyb: HybridProbMatrix, threshold: float = 0.1) -> TargetTable:

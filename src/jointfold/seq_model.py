@@ -248,25 +248,11 @@ def is_zigzag_free(js: JointStructure) -> bool:
     exterior arcs e1 < e2 < e3 where one arc covers e1,e2 but not e3 and the
     other covers e2,e3 but not e1 (in either strand orientation).
     """
-    if not js.exterior:
-        return True
-    r_ends = [i for i, _ in js.exterior]
-    s_ends = [h for _, h in js.exterior]
-    runs_r = _covered_runs(js.interior_r, r_ends)
-    runs_s = _covered_runs(js.interior_s, s_ends)
-    for lo_a, hi_a in runs_r.values():
-        for lo_b, hi_b in runs_s.values():
-            if lo_a > hi_b or lo_b > hi_a:
-                continue  # disjoint
-            if lo_a <= lo_b and hi_a >= hi_b:
-                continue  # A subsumes B
-            if lo_b <= lo_a and hi_b >= hi_a:
-                continue  # B subsumes A
-            return False
-    return True
+    return not _find_zigzag_witness(js)
 
 
 def _find_zigzag_witness(js: JointStructure) -> tuple:
+    """The first (R arc, S arc) pair that forms a zig-zag, or ``()``."""
     r_ends = [i for i, _ in js.exterior]
     s_ends = [h for _, h in js.exterior]
     runs_r = _covered_runs(js.interior_r, r_ends)
@@ -274,11 +260,11 @@ def _find_zigzag_witness(js: JointStructure) -> tuple:
     for arc_a, (lo_a, hi_a) in runs_r.items():
         for arc_b, (lo_b, hi_b) in runs_s.items():
             if lo_a > hi_b or lo_b > hi_a:
-                continue
+                continue  # disjoint
             if lo_a <= lo_b and hi_a >= hi_b:
-                continue
+                continue  # A subsumes B
             if lo_b <= lo_a and hi_b >= hi_a:
-                continue
+                continue  # B subsumes A
             return (arc_a, arc_b)
     return ()
 
@@ -309,8 +295,9 @@ def validate(js: JointStructure, min_hairpin: int = 3) -> ValidityReport:
         for (i, j) in sorted(arcs):
             if j - i - 1 < min_hairpin:
                 return ValidityReport(False, Violation.HAIRPIN_TOO_SMALL, ((i, j),))
-    if not is_zigzag_free(js):
-        return ValidityReport(False, Violation.ZIG_ZAG, _find_zigzag_witness(js))
+    witness = _find_zigzag_witness(js)
+    if witness:
+        return ValidityReport(False, Violation.ZIG_ZAG, witness)
     return VALID
 
 

@@ -62,11 +62,11 @@ def _close(lhs: float, rhs: float) -> bool:
 
 
 def _nohy(src, block: tuple) -> np.ndarray:
-    """CH_nohy over a block of its index, from the declared parts."""
+    """CH_nohy over a block of its index, from the chain rows: CNA on every
+    label, CNB on the flush labels."""
     chain = src["chain"]
-    value = np.zeros(chain[(0,) + block].shape)
-    for row, labels in gi._NOHY_PARTS:
-        value[labels] += chain[(row, labels) + block[1:]]
+    value = chain[(gi._CNA,) + block].copy()
+    value[gi._NB] += chain[(gi._CNB, gi._NB) + block[1:]]
     return value
 
 
@@ -93,14 +93,13 @@ def test_production_transpose_is_the_adjoint(seed, k):
         idx = prod.at(w)
         ci_shape = (3, 6, w.p, w.q, N - w.p + 1, M - w.q + 1)
         src["ci"] = rng.random(ci_shape)
+        src["ch_nohy"] = _nohy(src, (slice(None),) + gi._CH_ALL.at(w))
         out, _raw = _outside(res, src)
         c_out = rng.random(np.shape(src[prod.lhs][idx[0]]))
         out[prod.lhs][idx[0]] = c_out
-        adj = {"ci": np.zeros(ci_shape), "after": []}
+        adj = {"ci": np.zeros(ci_shape)}
         prod.transpose(src, out, adj, w)
-        for entry in adj.pop("after"):
-            entry[0].apply(src, out, adj, *entry[1:])
-        for op, name, *_rest, live, _cuts, _reads in prod.grads:
+        for op, name, *_rest, live, _cuts in prod.grads:
             at = idx[op]
             saved = None
             if live is not None:  # rows outside ``live`` are constants
@@ -108,7 +107,7 @@ def test_production_transpose_is_the_adjoint(seed, k):
                 keep = np.zeros(len(src[name]), bool)
                 keep[live] = True
                 src[name][~keep] = 0.0
-            value = _nohy(src, at) if name == "ch_nohy" else src[name][at]
+            value = src[name][at]
             weight = (adj[name] if name in ("ch_all", "ch_nohy") else
                       adj[name][at] if name == "ci" else out[name][at])
             lhs = float((c_out * _forward(prod, src, w)).sum())
@@ -128,7 +127,7 @@ def test_combined_items_transpose_is_the_adjoint(seed):
         value = src.pop("ci")
         out, _raw = _outside(res, src)
         o = rng.random(value.shape)
-        gi._CI.transpose(src, out, {"ci": o.copy(), "after": []}, w)
+        gi._CI.transpose(src, out, {"ci": o.copy()}, w)
         block = gi._CI.at(w)[1:]
         items = src["items"][(slice(0, 9),) + block]
         rhs = float((out["items"][(slice(0, 9),) + block] * items).sum())

@@ -250,6 +250,18 @@ class TestMatrices:
         assert svg.startswith("<svg") or svg.startswith("<?xml") or "<svg" in svg
         assert "<rect" in svg
 
+    def test_dotplot_threshold_is_a_percentage(self, fasta, tmp_path, capsys):
+        path = fasta(">r\nAAA\n>s\nUUU\n")
+        out = tmp_path / "out"
+        assert main(["dotplot", path, "--outdir", str(out), "--threshold", "5"]) == 0
+        assert "<svg" in (out / "dotplot.svg").read_text()
+        capsys.readouterr()
+        for value in ("101", "nan"):
+            assert main(["dotplot", path, "--outdir", str(out), "--threshold", value]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == "error: BadConfig: threshold must be in [0,100]\n", value
+            assert captured.out == ""
+
     def test_dotplot_threshold_help_states_the_scale(self, capsys):
         for command, scaled in (("dotplot", True), ("targets", False)):
             with pytest.raises(SystemExit):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jointfold._cases import verify_reconstruction
-from jointfold.energy import unit_model
+from jointfold.energy import default_model, unit_model
 from jointfold.grammar_inside import (
     LABELS,
     CapacityExceeded,
@@ -192,6 +192,23 @@ class TestCapacity:
         assert len(res.store.arrays) == 84
         assert res.store.allocated_bytes == _tensor_bytes(n, m, include_outside=True)
         assert res.store.peak_bytes == res.store.allocated_bytes
+
+    def test_second_outside_replaces_its_tables(self):
+        """A second ``outside`` on one result gives the same tables and
+        allocates its families in place of the first call's, not beside them."""
+        res = inside(*strands("GGGAAACCC", "GGGUUUCCC"), default_model())
+        first = outside(res)
+        tables = {key: arr.copy() for key, arr in res.store.arrays.items()}
+        peak, allocated = res.store.peak_bytes, res.store.allocated_bytes
+        second = outside(res)
+        assert res.store.peak_bytes == peak
+        assert res.store.allocated_bytes == allocated
+        assert peak <= estimate_memory_bytes(9, 9)
+        assert tables.keys() == res.store.arrays.keys()
+        for key, arr in tables.items():
+            assert np.array_equal(res.store[key], arr), key
+        for name in ("bpp_r", "bpp_s", "bpp_ext"):
+            assert np.array_equal(getattr(first, name), getattr(second, name)), name
 
 
 class TestChainSums:

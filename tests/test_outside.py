@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import jointfold.grammar_inside as grammar_inside
+import jointfold.outside_prob as outside_prob
 from jointfold.energy import unit_model
 from jointfold.grammar_inside import inside
 from jointfold.oracle import enumerate_interactions, exact_probabilities
@@ -171,13 +173,6 @@ class TestProbabilityInvariants:
             total += prob.bpp_ext[i, :].sum()
             assert total <= 1.0 + 1e-9
 
-    def test_hybrid_class_decomposition(self):
-        rng = np.random.default_rng(67)
-        res, prob = pipeline("GCAAA", "UUGC", random_model(rng, min_hairpin=1))
-        hyb = hybrid_probabilities(res, prob)
-        summed = sum(hyb.per_class.values())
-        assert np.allclose(summed, hyb.total, atol=1e-12)
-
     def test_position_coverage_bounded(self):
         rng = np.random.default_rng(68)
         res, prob = pipeline("GAAAC", "GUUC", random_model(rng, min_hairpin=1))
@@ -187,6 +182,40 @@ class TestProbabilityInvariants:
         for (i, j, _h, _l, w) in hyb.entries(0.0):
             cover[i : j + 1] += w
         assert (cover <= 1.0 + 1e-9).all()
+
+
+class TestWorkBuffers:
+    @staticmethod
+    def outputs(r, s, model) -> dict:
+        res, prob = pipeline(r, s, model)
+        found = {key: arr.copy() for key, arr in res.store.arrays.items()}
+        found.update(bpp_r=prob.bpp_r, bpp_s=prob.bpp_s, bpp_ext=prob.bpp_ext,
+                     hybrids=hybrid_probabilities(res, prob).total)
+        return found
+
+    @pytest.mark.parametrize("lone", [False, True])
+    def test_stale_work_buffers_are_never_read(self, lone, monkeypatch):
+        """Work buffers filled with NaN before every wave leave every output
+        bit for bit as it was: no buffer is read before it is written, and
+        the outside weight of the combined items starts at zero."""
+        rng = np.random.default_rng(91)
+        r, s = random_seq(rng, 9), random_seq(rng, 8)
+        model = random_model(rng, min_hairpin=1, forbid_lone_pairs=lone)
+        want = self.outputs(r, s, model)
+
+        def stale(wave_fn):
+            def run(src, *args):
+                for buf in src["work"].values():
+                    buf.fill(np.nan)
+                wave_fn(src, *args)
+            return run
+
+        monkeypatch.setattr(grammar_inside, "_fill_wave", stale(grammar_inside._fill_wave))
+        monkeypatch.setattr(outside_prob, "_transpose_wave", stale(outside_prob._transpose_wave))
+        got = self.outputs(r, s, model)
+        assert len(got) == 84 + 4 and got.keys() == want.keys()
+        for key, arr in want.items():
+            assert np.array_equal(got[key], arr), key
 
 
 class TestTargetSites:
