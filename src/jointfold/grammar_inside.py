@@ -558,13 +558,18 @@ class _Prod:
     are multiplied into ``C_out`` once, before the transposes.  The values a
     transpose reads are all formed before the wave's transposes run: the
     stored families, the ``_Ctx`` arrays and ``ci`` (no transpose reads
-    CH_nohy).
+    CH_nohy).  ``sparse`` marks a production whose lhs can lack outside
+    weight at a wave: the flush-tail rows, which no top-level chain reaches,
+    and GHY/GNA (with the bare term's GHY), which have none where no longer
+    chain follows.  Where its ``C_out`` is zero throughout the wave's cells,
+    the transpose adds nothing and is skipped.  Every other lhs holds cells
+    that the top-level chains weight at each wave, so it is not checked.
     """
 
     def __init__(self, text: str, at: Callable, when=None, rows=None, add=False,
-                 live=None, copy=()):
+                 live=None, copy=(), sparse=False):
         (self.lhs, out), *self.ops = re.findall(r"(\w+)\[(\w+)\]", text)
-        self.at, self.when, self.add = at, when, add
+        self.at, self.when, self.add, self.sparse = at, when, add, sparse
         self.copy = [k for k, (name, _spec) in enumerate(self.ops) if name in copy]
         self.rows = rows and np.array(rows)
         # the result rows summed into each lhs row (one or two)
@@ -618,6 +623,8 @@ class _Prod:
             return
         idx = self.at(w)
         o = out[self.lhs][idx[0]]
+        if self.sparse and not o.any():  # no outside weight reached the lhs
+            return
         if self.rows is not None:
             o = o[self.rows]
         args = self._args(src, idx)
@@ -670,7 +677,7 @@ class _ChainAll:
     CNB, formed in its work buffer over the span block that the bare GHY
     term reads.  Neither has an outside family: the transpose passes the
     outside weight that GHY/GNA gave CH_all and the bare term gave CH_nohy
-    on to the parts, over that block."""
+    on to the parts, over that block, if they gave any."""
 
     @staticmethod
     def at(w: _Wave) -> tuple:
@@ -687,12 +694,17 @@ class _ChainAll:
         nohy[_NB] += chain[(_CNB, _NB) + block]
 
     def transpose(self, src: dict, out: dict, adj: dict, w: _Wave) -> None:
-        o_all, o_nohy = adj.pop("ch_all"), adj.pop("ch_nohy")
+        # a skipped reader leaves no weight; the bare term fills GHY, one of
+        # the rows of GHY/GNA, so it is skipped whenever they are
+        if "ch_all" not in adj:
+            return
+        o_all, o_nohy = adj.pop("ch_all"), adj.pop("ch_nohy", None)
         chain, block = out["chain"], self.at(w)
         chain[(_CHY, _ALL) + block] += o_all
-        o_nohy += o_all
-        chain[(_CNA, _ALL) + block] += o_nohy
-        chain[(_CNB, _NB) + block] += o_nohy[_NB]
+        if o_nohy is not None:
+            o_all = np.add(o_nohy, o_all, out=o_nohy)
+        chain[(_CNA, _ALL) + block] += o_all
+        chain[(_CNB, _NB) + block] += o_all[_NB]
 
 
 _CI, _CH_ALL = _CombinedItems(), _ChainAll()
@@ -737,10 +749,12 @@ _WAVE = (
                      (_TOP_BOX, _down(w.p - 1), w.J), (_TOP_BOX, _down(w.q - 1), w.L))),
     _Prod("chain[xlih] = ci[xlaih] tail_r[lai]",
           lambda w: ((_ALL, _VEE_LABELS, w.p, w.q, w.J, w.L),
-                     (_ALL, _VEE_LABELS, _ALL, w.q - 1), (_VEE_LABELS, _down(w.p - 1), w.J))),
+                     (_ALL, _VEE_LABELS, _ALL, w.q - 1), (_VEE_LABELS, _down(w.p - 1), w.J)),
+          sparse=True),
     _Prod("chain[xlih] = ci[xlbih] tail_s[lbh]",
           lambda w: ((_ALL, _TRI_LABELS, w.p, w.q, w.J, w.L),
-                     (_ALL, _TRI_LABELS, w.p - 1), (_TRI_LABELS, _down(w.q - 1), w.L))),
+                     (_ALL, _TRI_LABELS, w.p - 1), (_TRI_LABELS, _down(w.q - 1), w.L)),
+          sparse=True),
     # The first item, then a gap of spans >= 1: EX·GNA + NA·GNA into CNA
     # (axis k), HY·GHY into CHY
     _Prod("chain[lih] = ci[klabih] rest[labih]",
@@ -760,11 +774,11 @@ _WAVE = (
           lambda w: ((slice(0, 2), _ALL, w.p, w.q, w.J, w.L),
                      (_ALL, _rev(w.p), _rev(w.q), w.J, w.L),
                      (_ALL, _ALL, slice(0, w.p), w.I), (_ALL, _ALL, slice(0, w.q), w.H)),
-          rows=(0, 0, 1), live={"gap_r": slice(1, 3)}, copy=("ch_all",)),
+          rows=(0, 0, 1), live={"gap_r": slice(1, 3)}, copy=("ch_all",), sparse=True),
     _Prod("rest[lih] = ch_nohy[labih] bare_r[lai] bare_s[lbh]",
           lambda w: ((0, _ALL, w.p, w.q, w.J, w.L), _ALL,
                      (_ALL, slice(0, w.p), w.I), (_ALL, slice(0, w.q), w.H)),
-          add=True),
+          add=True, sparse=True),
 )
 
 

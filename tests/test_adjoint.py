@@ -152,3 +152,33 @@ def test_chain_sums_transpose_is_the_adjoint(seed):
         rhs = sum(float((raw["chain"][slot] * res.store[key]).sum())
                   for slot, key in enumerate(gi._CHAIN_KEYS))
         assert _close(lhs, rhs), (w.p, w.q)
+
+
+_SPARSE = [prod for prod in _PRODS if prod.sparse]
+
+
+@pytest.mark.parametrize("k", range(len(_SPARSE)))
+def test_production_without_outside_weight_is_skipped(k):
+    """A sparse lhs with no outside weight at a wave: the transpose leaves
+    every target as it was and passes no weight to a chain sum."""
+    prod = _SPARSE[k]
+    _rng, res, src = _setup(0)
+    checked = 0
+    for w in _waves(res):
+        if prod.when is not None and not prod.when(w):
+            continue
+        out, _raw = _outside(res, src)
+        adj = {"ci": np.zeros((3, 6, w.p, w.q, N - w.p + 1, M - w.q + 1))}
+        prod.transpose(src, out, adj, w)
+        assert adj.keys() == {"ci"} and not adj["ci"].any(), (prod.lhs, w.p, w.q)
+        assert not any(np.any(target) for target in out.values()), (prod.lhs, w.p, w.q)
+        checked += 1
+    assert checked
+
+
+def test_chain_sums_without_outside_weight_are_skipped():
+    _rng, res, src = _setup(0)
+    for w in _waves(res):
+        out, raw = _outside(res, src)
+        gi._CH_ALL.transpose(src, out, {}, w)
+        assert not raw["chain"].any(), (w.p, w.q)
