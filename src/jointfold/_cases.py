@@ -23,12 +23,20 @@ over cases of the weight times the product of child values.  ``emissions``
 are the arcs fixed by choosing the case: ``("ext", i, h)``, ``("arc_r", i,
 j)`` or ``("arc_s", h, l)``.
 
-The few-case kinds (``top`` and the items) list their cases as tuples.  A
-``chain`` or ``gap`` component has O(NM) cases, so it gives them as one
-weight vector instead (:func:`scored_cases`), the weight times the child
-values of every case, read as slices of the stored child tensors:
+Every 4D kind scores its cases as one weight vector (:func:`scored_cases`):
+the weight times the child values of every case, read as slices of the
+stored tensor families (``store.stacks``), one gather per family.  Case
+``t`` is the vector's entry ``t``, in C order of its axes:
 
-* chain: axes (item kind, terminal/continued, x, y) for the first item
+* top: the case without a chain, then ``(a, c)`` for the top-level chain
+  from ``(a, c)`` to ``(n, m)`` after the structures of ``1..a-1`` and
+  ``1..c-1`` (``ctx.sq_any``);
+* hy: ``(i1, h1)`` for the run ``(i..i1, h..h1)`` extended by the arc
+  ``(j, l)`` (a single-arc cell has its one case);
+* vee / tri: ``a`` (``c``), the first item of the enclosed chain after the
+  segment ``i+1..a-1`` (``h+1..c-1``, from ``ctx.kq_r``/``kq_s``); box:
+  ``(a, c)``;
+* chain: (item kind, terminal/continued, x, y) for the first item
   ``(a..x, c..y)`` of kind hy/vee/tri/box.  The item comes from the
   start-anchored item stack at ``(a, c)`` times its branch factor; a
   terminal case multiplies the end-anchored tails ``ctx.tail_r``/
@@ -36,35 +44,40 @@ values of every case, read as slices of the stored child tensors:
   a hybrid, else ``gna``) at ``(b, d)``.  Entries that are not cases (a
   part the component excludes, a flush tail that is not empty, a continued
   case with nothing left to follow) hold 0;
-* gap: axes (case, x1, y1) for the segments ``x..x1-1`` and ``y..y1-1``
-  from ``ctx.sq_any``/``sq_ge1``/``sq_unp`` times the chain parts that
-  start at ``(x1, y1)``; one case after a tight block, three after a hybrid
+* gap: (case, x1, y1) for the segments ``x..x1-1`` and ``y..y1-1`` from
+  ``ctx.sq_any``/``sq_ge1``/``sq_unp`` times the chain parts that start at
+  ``(x1, y1)``; one case after a tight block, three after a hybrid
   (``_GAP_CASES``).
 
-None of these reads the fill's combined items or its chain sums (the stored
-``CH_all``, the formed ``CH_nohy``), so summing a vector is an independent
-check of the stored cell.  :func:`decode_case` maps a vector index back to
-its case tuple, and :func:`component_cases` decodes every index, so the
-cases are written down once.
+A component whose guard fails (an inadmissible closing arc, a hybrid that
+cannot end at ``(j, l)``) has an empty vector.  None of these reads the
+fill's combined items or its chain sums (the stored ``CH_all``, the formed
+``CH_nohy``), so summing a vector is an independent check of the stored
+cell.  :func:`decode_case` maps a vector index back to its case tuple, and
+:func:`component_cases` decodes every index, so the cases are written down
+once.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from functools import lru_cache, partial
 
 import numpy as np
 
-from .grammar_inside import HY_CLASSES, LABELS, InsideResult
+from .grammar_inside import _CHY, _CNA, _CNB, _ITEM_ORDER, HY_CLASSES, LABELS, InsideResult
 
 ALL_PARTS = ("hy", "na", "nb")
 # axis 0 of a chain weight vector; axis 1 is terminal (0) / continued (1)
 _ITEM_KINDS = ("hy", "vee", "tri", "box")
 _LABEL_AXIS = {name: k for k, name in enumerate(LABELS)}
+# the chain parts read by one gather of the chain stack, in the order that
+# :meth:`InsideResult.chain_value` adds them (CHY + CNA, then CNB)
+_PARTS = [_CHY, _CNA, _CNB]
 
 _SEG_ANY = {"E": "q", "K": "qk"}
 _SEG_GE1 = {"E": "q1", "K": "q1k"}
-_PART_FAMILY = {"hy": "chy", "na": "cna", "nb": "cnb"}
 
 # The cases of a gap, one per plane of its weight vector: the R segment
 # x..x1-1, the S segment y..y1-1 (any structure, at least one branch, or all
@@ -104,20 +117,6 @@ def component_value(res: InsideResult, comp: tuple) -> float:
     raise KeyError(f"unknown component {comp!r}")
 
 
-def _chain_item(res, lab, kind, a, x, c, y):
-    """Item component, branch-weight factor and arc emissions for one kind."""
-    ctx = res.ctx
-    wbr_r = ctx.kb if lab.class_r == "K" else 1.0
-    wbr_s = ctx.kb if lab.class_s == "K" else 1.0
-    if kind == "hy":
-        return ("hy", lab.hy_class, a, x, c, y), 1.0
-    if kind == "vee":
-        return ("vee", lab.class_s, a, x, c, y), wbr_r
-    if kind == "tri":
-        return ("tri", lab.class_r, a, x, c, y), wbr_s
-    return ("box", a, x, c, y), wbr_r * wbr_s
-
-
 def _part_of(lab, kind: str, terminal: bool) -> str:
     if kind == "hy":
         return "hy"
@@ -131,150 +130,158 @@ def _part_of(lab, kind: str, terminal: bool) -> str:
 
 def component_cases(res: InsideResult, comp: tuple) -> list[tuple]:
     """All mutually exclusive cases of one component cell."""
+    weights, decode = scored_cases(res, comp)
+    return [case for t in range(weights.size) if (case := decode(t)) is not None]
+
+
+def _top_weights(res: InsideResult, comp: tuple) -> np.ndarray:
     ctx = res.ctx
-    kind = comp[0]
-    out: list[tuple] = []
+    n, m = ctx.n, ctx.m
+    # q(1, g) on each strand, g = 0..n
+    q_r, q_s = ctx.sq_any["R"]["E"][:, 1], ctx.sq_any["S"]["E"][:, 1]
+    chain = res.store.stacks["chain"][_PARTS[:2], _LABEL_AXIS["top"], n:0:-1, m:0:-1, n, m]
+    w = np.empty(1 + n * m)
+    w[0] = q_r[n] * q_s[m]
+    np.multiply(np.multiply.outer(q_r[:n], q_s[:m]), chain[0] + chain[1],
+                out=w[1:].reshape(n, m))
+    return w
 
-    if kind == "top":
-        n, m = ctx.n, ctx.m
-        out.append((1.0, [("sec", "R", "q", 1, n), ("sec", "S", "q", 1, m)], []))
-        for a in range(1, n + 1):
-            for c in range(1, m + 1):
-                out.append(
-                    (
-                        1.0,
-                        [
-                            ("sec", "R", "q", 1, a - 1),
-                            ("sec", "S", "q", 1, c - 1),
-                            ("chain", ALL_PARTS, "top", a, n, c, m),
-                        ],
-                        [],
-                    )
-                )
-        return out
 
+def _hy_weights(res: InsideResult, comp: tuple) -> np.ndarray:
+    _, cls, i, j, h, l = comp
+    ctx = res.ctx
+    if i == j and h == l:
+        w = ctx.wext[i, h]
+        return np.array([w] if w != 0.0 else [])
+    wlast = ctx.wext[j, l]
+    if i == j or h == l or wlast == 0.0:
+        return np.empty(0)
+    P, Q = j - i, l - h
+    run = res.store.stacks["items"][_ITEM_ORDER.index(("hy", cls)), 1 : P + 1, 1 : Q + 1, i, h]
+    return ((wlast * ctx.step[cls][P - 1 :: -1, Q - 1 :: -1]) * run).ravel()
+
+
+def _vee_weights(res: InsideResult, comp: tuple) -> np.ndarray:
+    _, ys, i, j, h, l = comp
+    ctx = res.ctx
+    if j - i < 2 or ctx.adm_r[j - i + 1, i] == 0.0:
+        return np.empty(0)
+    P = j - i - 1
+    chain = res.store.stacks["chain"][
+        _PARTS[:2], _LABEL_AXIS[f"vee_{ys}"], P:0:-1, l - h + 1, j - 1, l]
+    return (ctx.ki * ctx.kq_r[:P, i + 1]) * (chain[0] + chain[1])
+
+
+def _tri_weights(res: InsideResult, comp: tuple) -> np.ndarray:
+    _, yr, i, j, h, l = comp
+    ctx = res.ctx
+    if l - h < 2 or ctx.adm_s[l - h + 1, h] == 0.0:
+        return np.empty(0)
+    Q = l - h - 1
+    chain = res.store.stacks["chain"][
+        _PARTS[:2], _LABEL_AXIS[f"tri_{yr}"], j - i + 1, Q:0:-1, j, l - 1]
+    return (ctx.ki * ctx.kq_s[:Q, h + 1]) * (chain[0] + chain[1])
+
+
+def _box_weights(res: InsideResult, comp: tuple) -> np.ndarray:
+    _, i, j, h, l = comp
+    ctx = res.ctx
+    if (j - i < 2 or l - h < 2 or ctx.adm_r[j - i + 1, i] == 0.0
+            or ctx.adm_s[l - h + 1, h] == 0.0):
+        return np.empty(0)
+    P, Q = j - i - 1, l - h - 1
+    chain = res.store.stacks["chain"][_PARTS[:2], _LABEL_AXIS["box"], P:0:-1, Q:0:-1, j - 1, l - 1]
+    segments = np.multiply.outer((ctx.ki * ctx.ki) * ctx.kq_r[:P, i + 1], ctx.kq_s[:Q, h + 1])
+    return (segments * (chain[0] + chain[1])).ravel()
+
+
+def _chain_item_key(lab, kind: str, kb: float) -> tuple[tuple, float]:
+    """The item tensor key of one kind and its branch factor."""
+    wbr_r = kb if lab.class_r == "K" else 1.0
+    wbr_s = kb if lab.class_s == "K" else 1.0
     if kind == "hy":
-        _, cls, i, j, h, l = comp
-        if i == j and h == l:
-            w = ctx.wext[i, h]
-            if w != 0.0:
-                out.append((w, [], [("ext", i, h)]))
-            return out
-        if i == j or h == l:
-            return out
-        wlast = ctx.wext[j, l]
-        if wlast == 0.0:
-            return out
-        for i1 in range(i, j):
-            for h1 in range(h, l):
-                step = ctx.step[cls][j - i1 - 1, l - h1 - 1]
-                out.append(
-                    (wlast * step, [("hy", cls, i, i1, h, h1)], [("ext", j, l)])
-                )
-        return out
-
+        return ("hy", lab.hy_class), 1.0
     if kind == "vee":
-        _, ys, i, j, h, l = comp
-        if ctx.adm_r[j - i + 1, i] == 0.0:
-            return out
-        name = f"vee_{ys}"
-        for a in range(i + 1, j):
-            out.append(
-                (
-                    ctx.ki,
-                    [
-                        ("sec", "R", "qk", i + 1, a - 1),
-                        ("chain", ("hy", "na"), name, a, j - 1, h, l),
-                    ],
-                    [("arc_r", i, j)],
-                )
-            )
-        return out
-
+        return ("vee", lab.class_s), wbr_r
     if kind == "tri":
-        _, yr, i, j, h, l = comp
-        if ctx.adm_s[l - h + 1, h] == 0.0:
-            return out
-        name = f"tri_{yr}"
-        for c in range(h + 1, l):
-            out.append(
-                (
-                    ctx.ki,
-                    [
-                        ("sec", "S", "qk", h + 1, c - 1),
-                        ("chain", ("hy", "na"), name, i, j, c, l - 1),
-                    ],
-                    [("arc_s", h, l)],
-                )
-            )
-        return out
-
-    if kind == "box":
-        _, i, j, h, l = comp
-        if ctx.adm_r[j - i + 1, i] == 0.0 or ctx.adm_s[l - h + 1, h] == 0.0:
-            return out
-        for a in range(i + 1, j):
-            for c in range(h + 1, l):
-                out.append(
-                    (
-                        ctx.ki * ctx.ki,
-                        [
-                            ("sec", "R", "qk", i + 1, a - 1),
-                            ("sec", "S", "qk", h + 1, c - 1),
-                            ("chain", ALL_PARTS, "box", a, j - 1, c, l - 1),
-                        ],
-                        [("arc_r", i, j), ("arc_s", h, l)],
-                    )
-                )
-        return out
-
-    if kind in ("chain", "gap"):
-        weights, decode = scored_cases(res, comp)
-        return [case for t in range(weights.size) if (case := decode(t)) is not None]
-
-    raise KeyError(f"no cases for component {comp!r}")
-
-
-def _item_slices(res: InsideResult, lab, a: int, c: int, P: int, Q: int) -> np.ndarray:
-    """[item kind, x - a, y - c]: each first item ``(a..x, c..y)`` of a chain
-    times its branch factor, read from the start-anchored item tensors."""
-    out = np.empty((len(_ITEM_KINDS), P, Q))
-    for row, kind in zip(out, _ITEM_KINDS):
-        item, wbr = _chain_item(res, lab, kind, a, a, c, c)
-        np.multiply(res.store[item[:-4]][1 : P + 1, 1 : Q + 1, a, c], wbr, out=row)
-    return out
+        return ("tri", lab.class_r), wbr_s
+    return ("box",), wbr_r * wbr_s
 
 
 @lru_cache(maxsize=None)
-def _part_mask(lab, parts: tuple) -> np.ndarray:
-    """[item kind, terminal/continued]: 1 where the case belongs to ``parts``.
+def _chain_planes(name: str, parts: tuple, kb: float) -> tuple:
+    """Per plane (item kind, terminal/continued) of a chain vector: ``None``
+    where its entries are no cases of ``parts``, else the item's tensor key,
+    its branch factor and the gap kind that continues after it."""
+    lab = LABELS[name]
+    planes = []
+    for kind in _ITEM_KINDS:
+        key, wbr = _chain_item_key(lab, kind, kb)
+        for terminal in (True, False):
+            case = _part_of(lab, kind, terminal) in parts
+            planes.append((key, wbr, "hy" if kind == "hy" else "na") if case else None)
+    return tuple(planes)
 
-    Read-only, because every caller shares the cached array."""
-    mask = np.array([
-        [_part_of(lab, kind, terminal) in parts for terminal in (True, False)]
-        for kind in _ITEM_KINDS
-    ], dtype=float)
-    mask.flags.writeable = False
-    return mask
+
+# a few dozen entries per shape (labels x the parts a chain can name)
+@lru_cache(maxsize=256)
+def _chain_layout(name: str, parts: tuple, kb: float, shape: tuple) -> tuple:
+    """How a chain of ``name`` reads the stacks of 4D tensors of ``shape``.
+
+    For spans up to ``(N, M)``: the flat offsets of its four first items
+    ``[kind, x - a, y - c]`` in the item stack from cell ``(0, 0, a, c)``;
+    those of the gap rows that continue them ``[kind, N-1 - (b - x - 1),
+    M-1 - (d - y - 1)]`` in the rest stack from ``(0, 0, 0, 0, b, d)``; the
+    items' branch factors ``[kind, 1, 1]``, or ``None`` when all are 1; and
+    the 0/1 mask ``[kind, terminal/continued, N-1 - (b - x), M-1 - (d -
+    y)]`` of the entries that are cases of ``parts``.  A chain of spans
+    ``(P, Q)`` reads the first ``P x Q`` block of the item offsets and the
+    last of the others.  Read-only arrays, because every caller shares the
+    cached ones.
+    """
+    lab = LABELS[name]
+    N, M = shape[0] - 2, shape[1] - 2
+    keys, factors = zip(*(_chain_item_key(lab, kind, kb) for kind in _ITEM_KINDS))
+    size = math.prod(shape)
+    # the flat offset of span cell (p, q) at anchor (0, 0)
+    spans = np.add.outer(np.arange(shape[0]) * math.prod(shape[1:]),
+                         np.arange(shape[1]) * math.prod(shape[2:]))
+    items = np.stack([spans[1 : N + 1, 1 : M + 1] + _ITEM_ORDER.index(key) * size
+                      for key in keys])
+    # the gap row that continues after an item: GHY (0) after a hybrid, else GNA
+    rows = [len(LABELS) * (kind != "hy") + _LABEL_AXIS[name] for kind in _ITEM_KINDS]
+    rest = np.stack([spans[N - 1 :: -1, M - 1 :: -1] + row * size for row in rows])
+    planes = _chain_planes(name, parts, kb)
+    mask = np.empty((len(_ITEM_KINDS), 2, N, M))
+    mask[...] = np.array([plane is not None for plane in planes]).reshape(-1, 2, 1, 1)
+    mask[:, 1, N - 1] = 0.0
+    mask[:, 1, :, M - 1] = 0.0
+    factors = None if set(factors) == {1.0} else np.array(factors)[:, None, None]
+    for arr in (items, rest, factors, mask):
+        if arr is not None:
+            arr.flags.writeable = False
+    return items, rest, factors, mask
 
 
 def _chain_weights(res: InsideResult, comp: tuple) -> np.ndarray:
     _, parts, name, a, b, c, d = comp
-    lab = LABELS[name]
     store, ctx = res.store, res.ctx
     P, Q = b - a + 1, d - c + 1
     L = _LABEL_AXIS[name]
-    items = _item_slices(res, lab, a, c, P, Q)
+    items, rest, factors, mask = _chain_layout(name, parts, ctx.kb, store.shape)
+    N, M = ctx.n, ctx.m
+    corner = store.shape[-1]
+    first = store.stacks["items"].reshape(-1)[a * corner + c :].take(items[:, :P, :Q])
+    if factors is not None:
+        first *= factors
     w = np.empty((len(_ITEM_KINDS), 2, P, Q))
-    # terminal: the tails x+1..b and y+1..d, end anchored at (b, d)
-    w[:, 0] = items * np.multiply.outer(
-        ctx.tail_r[L, P - 1 :: -1, b], ctx.tail_s[L, Q - 1 :: -1, d])
-    # continued: the gap x+1..b, y+1..d, end anchored at (b, d)
-    w[0, 1] = items[0] * store[("ghy", name)][P - 1 :: -1, Q - 1 :: -1, b, d]
-    w[1:, 1] = items[1:] * store[("gna", name)][P - 1 :: -1, Q - 1 :: -1, b, d]
-    w[:, 1, P - 1, :] = 0.0
-    w[:, 1, :, Q - 1] = 0.0
-    w *= _part_mask(lab, parts)[:, :, None, None]
+    # terminal: the tails x+1..b and y+1..d; continued: the gap x+1..b,
+    # y+1..d; both end anchored at (b, d)
+    np.multiply(first, np.multiply.outer(ctx.tail_r[L, P - 1 :: -1, b],
+                                         ctx.tail_s[L, Q - 1 :: -1, d]), out=w[:, 0])
+    np.multiply(first, store.stacks["rest"].reshape(-1)[b * corner + d :].take(
+        rest[:, N - P :, M - Q :]), out=w[:, 1])
+    w *= mask[:, :, N - P :, M - Q :]
     return w.ravel()
 
 
@@ -288,16 +295,19 @@ def _gap_weights(res: InsideResult, comp: tuple) -> np.ndarray:
     _, after, name, x, b, y, d = comp
     lab = LABELS[name]
     P, Q = b - x + 1, d - y + 1
-    # the chain parts over (x1..b, y1..d), end anchored at (b, d)
-    cut = (slice(P, 0, -1), slice(Q, 0, -1), b, d)
     cases = _GAP_CASES[after]
     w = np.empty((len(cases), P, Q))
-    for plane, (seg_r, seg_s, parts) in zip(w, cases):
+    for plane, (seg_r, seg_s, _parts) in zip(w, cases):
         np.multiply.outer(_segment_weights(res.ctx, seg_r, "R", lab.class_r, x, P),
                           _segment_weights(res.ctx, seg_s, "S", lab.class_s, y, Q),
                           out=plane)
-        plane *= sum(res.store[(_PART_FAMILY[part], name)][cut]
-                     for part in parts if part != "nb" or lab.has_nb)
+    # the chain parts over (x1..b, y1..d), end anchored at (b, d)
+    parts = _PARTS if lab.has_nb else _PARTS[:2]
+    chain = res.store.stacks["chain"][parts, _LABEL_AXIS[name], P:0:-1, Q:0:-1, b, d]
+    w[:2] *= sum(chain)
+    if after == "hy":
+        # the third case: no hybrid follows
+        w[2] *= sum(chain[1:])
     return w.ravel()
 
 
@@ -307,9 +317,55 @@ def _segment(seg: str, sid: str, cls: str, i: int, j: int) -> tuple:
     return ("sec", sid, (_SEG_ANY if seg == "any" else _SEG_GE1)[cls], i, j)
 
 
-def decode_case(res: InsideResult, comp: tuple, t: int) -> tuple | None:
-    """The case at index ``t`` of a chain or gap weight vector, or ``None``
-    where the vector holds a structural 0 (see the module docstring)."""
+def _decode_top(res: InsideResult, comp: tuple, t: int) -> tuple:
+    n, m = res.ctx.n, res.ctx.m
+    if t == 0:
+        return (1.0, [("sec", "R", "q", 1, n), ("sec", "S", "q", 1, m)], [])
+    a, c = divmod(t - 1, m)
+    return (1.0, [("sec", "R", "q", 1, a), ("sec", "S", "q", 1, c),
+                  ("chain", ALL_PARTS, "top", a + 1, n, c + 1, m)], [])
+
+
+def _decode_hy(res: InsideResult, comp: tuple, t: int) -> tuple:
+    _, cls, i, j, h, l = comp
+    ctx = res.ctx
+    if i == j and h == l:
+        return (ctx.wext[i, h], [], [("ext", i, h)])
+    i1, h1 = divmod(t, l - h)
+    i1 += i
+    h1 += h
+    step = ctx.step[cls][j - i1 - 1, l - h1 - 1]
+    return (ctx.wext[j, l] * step, [("hy", cls, i, i1, h, h1)], [("ext", j, l)])
+
+
+def _decode_vee(res: InsideResult, comp: tuple, t: int) -> tuple:
+    _, ys, i, j, h, l = comp
+    a = i + 1 + t
+    return (res.ctx.ki, [("sec", "R", "qk", i + 1, a - 1),
+                         ("chain", ("hy", "na"), f"vee_{ys}", a, j - 1, h, l)],
+            [("arc_r", i, j)])
+
+
+def _decode_tri(res: InsideResult, comp: tuple, t: int) -> tuple:
+    _, yr, i, j, h, l = comp
+    c = h + 1 + t
+    return (res.ctx.ki, [("sec", "S", "qk", h + 1, c - 1),
+                         ("chain", ("hy", "na"), f"tri_{yr}", i, j, c, l - 1)],
+            [("arc_s", h, l)])
+
+
+def _decode_box(res: InsideResult, comp: tuple, t: int) -> tuple:
+    _, i, j, h, l = comp
+    a, c = divmod(t, l - h - 1)
+    a += i + 1
+    c += h + 1
+    return (res.ctx.ki * res.ctx.ki,
+            [("sec", "R", "qk", i + 1, a - 1), ("sec", "S", "qk", h + 1, c - 1),
+             ("chain", ALL_PARTS, "box", a, j - 1, c, l - 1)],
+            [("arc_r", i, j), ("arc_s", h, l)])
+
+
+def _decode_chain_or_gap(res: InsideResult, comp: tuple, t: int) -> tuple | None:
     kind, tag, name, x, b, y, d = comp  # tag: a chain's parts, a gap's after
     lab = LABELS[name]
     P, Q = b - x + 1, d - y + 1
@@ -318,24 +374,24 @@ def decode_case(res: InsideResult, comp: tuple, t: int) -> tuple | None:
     x1 += x
     y1 += y
     if kind == "chain":
-        item_kind = _ITEM_KINDS[plane // 2]
-        terminal = plane % 2 == 0
-        if _part_of(lab, item_kind, terminal) not in tag:
+        case = _chain_planes(name, tag, res.ctx.kb)[plane]
+        if case is None:
             return None
-        item, wbr = _chain_item(res, lab, item_kind, x, x1, y, y1)
-        if not terminal:
+        key, wbr, after = case
+        item = key + (x, x1, y, y1)
+        if plane % 2:  # continued
             if x1 == b or y1 == d:
                 return None
-            after = "hy" if item_kind == "hy" else "na"
             return (wbr, [item, ("gap", after, name, x1 + 1, b, y1 + 1, d)], [])
         children = [item]
-        for sid, tail, cls, end, last in (
-            ("R", lab.tail_r, lab.class_r, x1, b), ("S", lab.tail_s, lab.class_s, y1, d)
-        ):
-            if tail == "free":
-                children.append(("sec", sid, _SEG_ANY[cls], end + 1, last))
-            elif end != last:
-                return None
+        if lab.tail_r == "free":
+            children.append(("sec", "R", _SEG_ANY[lab.class_r], x1 + 1, b))
+        elif x1 != b:
+            return None
+        if lab.tail_s == "free":
+            children.append(("sec", "S", _SEG_ANY[lab.class_s], y1 + 1, d))
+        elif y1 != d:
+            return None
         return (wbr, children, [])
     seg_r, seg_s, parts = _GAP_CASES[tag][plane]
     children = [_segment(seg_r, "R", lab.class_r, x, x1 - 1),
@@ -344,21 +400,40 @@ def decode_case(res: InsideResult, comp: tuple, t: int) -> tuple | None:
     return (1.0, children, [])
 
 
+# kind -> (weight vector, decoder of one index)
+_KINDS = {
+    "top": (_top_weights, _decode_top),
+    "hy": (_hy_weights, _decode_hy),
+    "vee": (_vee_weights, _decode_vee),
+    "tri": (_tri_weights, _decode_tri),
+    "box": (_box_weights, _decode_box),
+    "chain": (_chain_weights, _decode_chain_or_gap),
+    "gap": (_gap_weights, _decode_chain_or_gap),
+}
+
+
+def decode_case(res: InsideResult, comp: tuple, t: int) -> tuple | None:
+    """The case at index ``t`` of a component's weight vector, or ``None``
+    where a chain or gap vector holds a structural 0 (see the module
+    docstring)."""
+    try:
+        decode = _KINDS[comp[0]][1]
+    except KeyError:
+        raise KeyError(f"no cases for component {comp!r}") from None
+    return decode(res, comp, t)
+
+
 def scored_cases(
     res: InsideResult, comp: tuple
 ) -> tuple[np.ndarray, Callable[[int], tuple]]:
     """The value of every case of a 4D component (its weight times its child
-    values) and a map from case index to case tuple.
-
-    Chain and gap components build their weight vector from tensor slices
-    and decode an index on demand; the other kinds score their case list.
-    """
-    kind = comp[0]
-    if kind in ("chain", "gap"):
-        weights = _chain_weights(res, comp) if kind == "chain" else _gap_weights(res, comp)
-        return weights, partial(decode_case, res, comp)
-    cases = component_cases(res, comp)
-    return np.array([case_value(res, case) for case in cases]), cases.__getitem__
+    values) and a map from case index to case tuple (see the module
+    docstring for the layout of each kind's vector)."""
+    try:
+        weights, decode = _KINDS[comp[0]]
+    except KeyError:
+        raise KeyError(f"no cases for component {comp!r}") from None
+    return weights(res, comp), partial(decode, res, comp)
 
 
 def case_value(res: InsideResult, case: tuple) -> float:

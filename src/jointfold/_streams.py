@@ -159,11 +159,15 @@ class Streams:
         self.hi, self.lo = _affine(_split(_MUL), _split(1), hi, lo, self.inc_hi, self.inc_lo)
         self.jumps = _jumps(_UNIFORMS)
         self.uniforms = np.empty((keys.size, _UNIFORMS))
-        self.used = np.full(keys.size, _UNIFORMS)
+        self.flat = self.uniforms.reshape(-1)
+        # the flat index of each row's next uniform, and of its first
+        self.start = np.arange(keys.size) * _UNIFORMS
+        self.next = self.start + _UNIFORMS
         self._top_up(np.arange(keys.size))
+        self.fresh = _UNIFORMS
 
     def __len__(self) -> int:
-        return self.used.size
+        return self.start.size
 
     def _states(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The next ``_UNIFORMS`` states of ``rows``, as (hi, lo) arrays:
@@ -191,7 +195,7 @@ class Streams:
 
     def _top_up_chunk(self, rows: np.ndarray) -> None:
         size = self.uniforms.shape[1]
-        used = self.used[rows]
+        used = self.next[rows] - self.start[rows]
         hi, lo = self._states(rows)
         # XSL-RR: rotate hi ^ lo right by the top six bits of the state
         rot = hi >> 58
@@ -203,19 +207,29 @@ class Streams:
         self.uniforms[rows] = both[at[:, None], used[:, None] + np.arange(size)]
         # the state that gave the last fresh value kept
         self.hi[rows], self.lo[rows] = hi[at, used - 1], lo[at, used - 1]
-        self.used[rows] = 0
+        self.next[rows] = self.start[rows]
 
     def take(self, rows: np.ndarray) -> np.ndarray:
         """The next uniform of each row of ``rows`` (distinct row indices).
 
-        When one of them has run out, every row that has used at least half
-        of its uniforms is topped up, so that the rows, which advance at
-        about the same pace, are not refilled a few at a time.
+        ``fresh`` counts the takes that no row can run out in, since a take
+        moves each row by one.  When it reaches 0 and a row has run out,
+        every row that has used at least half of its uniforms is topped up,
+        so that the rows, which advance at about the same pace, are not
+        refilled a few at a time.
         """
-        size = self.uniforms.shape[1]
-        col = self.used[rows]
-        if col.max() == size:
-            self._top_up(np.flatnonzero(self.used >= max(size // 2, 1)))
-            col = self.used[rows]
-        self.used[rows] = col + 1
-        return self.uniforms[rows, col]
+        if not self.fresh:
+            size = self.uniforms.shape[1]
+            used = self.next - self.start
+            if used.max() == size:
+                self._top_up(np.flatnonzero(used >= max(size // 2, 1)))
+                used = self.next - self.start
+            self.fresh = size - int(used.max())
+        self.fresh -= 1
+        if rows.size == 1:
+            at = self.next[rows[0]]
+            self.next[rows[0]] = at + 1
+            return self.flat[at : at + 1].copy()
+        at = self.next[rows]
+        self.next[rows] = at + 1
+        return self.flat.take(at)

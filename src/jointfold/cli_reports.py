@@ -509,13 +509,23 @@ def main(argv: list[str] | None = None) -> int:
     if cfg.command == "sample" and cfg.num < 1:
         print("error: BadConfig: --num must be >= 1", file=sys.stderr)
         return 1
-    if cfg.command == "sample" and cfg.seed < 0:
+    if cfg.seed < 0:
         print("error: BadConfig: --seed must be >= 0", file=sys.stderr)
         return 1
     if cfg.command == "oracle" and cfg.max_structures < 0:
         print("error: BadConfig: --max-structures must be >= 0", file=sys.stderr)
         return 1
-    return run(cfg)
+    try:
+        status = run(cfg)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (``jointfold targets in.fa | head``):
+        # stdout goes to the null device, so that the flush at exit cannot
+        # fail again (the recipe of the Python docs on SIGPIPE)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -10,17 +10,19 @@ stochastic traceback of Ding & Lawrence 2003 (NAR 31:7280).
 All draws of a call walk together, and their bookkeeping is held in index
 arrays.  A priority queue holds the distinct pending components, each with
 the arrays of draws waiting on it.  Popping a component scores its cases
-once, however many draws wait on it: a chain or gap component as one weight
-vector read from tensor slices, the other 4D kinds from their short case
-lists, a secondary cell ``("sec", sid, kind, i, j)`` through
+once, however many draws wait on it: a 4D component as one weight vector
+gathered from the stored tensor families (:func:`jointfold._cases.scored_cases`),
+a secondary cell ``("sec", sid, kind, i, j)`` through
 :meth:`SecEngine.sample`.  After the one normalisation check, the waiting
-draws take one uniform each from their own streams with one fancy index
+draws take one uniform each from their own streams with one gather
 (:meth:`jointfold._streams.Streams.take`), and one ``searchsorted`` over
 the prefix sums picks all of their cases
-(:func:`jointfold.secfold.pick_with_slack`).  One stable ``argsort`` groups
-the draws by chosen case; each distinct case is decoded once, its arcs are
-recorded once as (draws, arc) and its children are handed to the group.
-Each draw's arcs are assembled from these records at the end.
+(:func:`jointfold.secfold.pick_with_slack`).  The draws are grouped by
+chosen case (a lone draw is its own group; a few draws are grouped in
+Python, many with one stable ``argsort``); each distinct case is decoded
+once, its arcs are recorded once as (draws, arc) and its children are
+handed to the group.  Each draw's arcs are assembled from these records at
+the end.
 Forced-unpaired segments (``unp``) and empty secondary segments fix no arcs
 and are not queued.
 
@@ -75,6 +77,8 @@ _SEC_RANK = {kind: r for r, kind in enumerate(reversed(FILL_ORDER))}
 _ARC_SET = {"ext": "ext", "arc_r": "R", "arc_s": "S"}
 # draws walked together by one sample_batch pass; bounds what is held per draw
 _BLOCK = 4096
+# a pop of at most this many draws groups them in Python, not numpy
+_FEW = 16
 
 
 @dataclass(frozen=True)
@@ -108,8 +112,17 @@ def _queue_key(res: InsideResult, comp: tuple) -> tuple:
 
 
 def _groups(chosen: np.ndarray, waiting: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """(case, draws that chose it) for each distinct case of ``chosen``."""
-    if chosen.size == 1 or not (chosen != chosen[0]).any():
+    """(case, draws that chose it) for each distinct case of ``chosen``, in
+    increasing case order; the draws keep their order in ``waiting``."""
+    if chosen.size <= _FEW:
+        cases = chosen.tolist()
+        if cases.count(cases[0]) == len(cases):
+            return [(cases[0], waiting)]
+        by_case: dict[int, list[int]] = {}
+        for t, k in zip(cases, waiting.tolist()):
+            by_case.setdefault(t, []).append(k)
+        return [(t, np.array(by_case[t])) for t in sorted(by_case)]
+    if not (chosen != chosen[0]).any():
         return [(int(chosen[0]), waiting)]
     order = np.argsort(chosen, kind="stable")
     ranked = chosen[order]
@@ -126,14 +139,11 @@ def _groups(chosen: np.ndarray, waiting: np.ndarray) -> list[tuple[int, np.ndarr
 
 def _per_draw(records: list[tuple[np.ndarray, tuple]], n: int) -> list[list[tuple]]:
     """The arcs of each of ``n`` draws from (draws, arc) records."""
-    if not records:
-        return [[] for _ in range(n)]
-    draws = np.concatenate([d for d, _arc in records])
-    ids = np.repeat(np.arange(len(records)), [d.size for d, _arc in records])
-    order = np.argsort(draws, kind="stable")
-    arcs = [records[r][1] for r in ids[order].tolist()]
-    bounds = np.searchsorted(draws[order], np.arange(n + 1)).tolist()
-    return [arcs[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    per: list[list[tuple]] = [[] for _ in range(n)]
+    for draws, arc in records:
+        for k in draws.tolist():
+            per[k].append(arc)
+    return per
 
 
 def _draw(
@@ -166,19 +176,21 @@ def _draw(
     queue = [_queue_key(res, top)]
 
     def enqueue(child: tuple, draws: np.ndarray) -> None:
-        if child in pending:
-            pending[child].append(draws)
-        else:
+        waiting = pending.get(child)
+        if waiting is None:
             pending[child] = [draws]
             heapq.heappush(queue, _queue_key(res, child))
+        else:
+            waiting.append(draws)
 
     while queue:
         comp = heapq.heappop(queue)[-1]
         parts = pending.pop(comp)
         waiting = parts[0] if len(parts) == 1 else np.concatenate(parts)
         us = take(waiting)
+        sec = comp[0] == "sec"
         try:
-            if comp[0] == "sec":
+            if sec:
                 cases, chosen, dev = engines[comp[1]].sample(*comp[2:], us)
             else:
                 weights, decode = scored_cases(res, comp)
@@ -187,11 +199,13 @@ def _draw(
             raise NumericalUnderflow(
                 f"draw {first + int(waiting.min())}: component {comp}: {exc}"
             ) from None
-        slack = max(slack, dev)
+        if dev > slack:
+            slack = dev
+        groups = [(int(chosen[0]), waiting)] if waiting.size == 1 else _groups(chosen, waiting)
 
-        if comp[0] == "sec":
+        if sec:
             sid = comp[1]
-            for t, draws in _groups(chosen, waiting):
+            for t, draws in groups:
                 _w, children, arc = cases[t]
                 if arc is not None:
                     arcs[sid].append((draws, arc))
@@ -200,7 +214,7 @@ def _draw(
                         enqueue(("sec", sid, table, ci, cj), draws)
             continue
 
-        for t, draws in _groups(chosen, waiting):
+        for t, draws in groups:
             _w, children, emissions = decode(t)
             for kind, a, b in emissions:
                 arcs[_ARC_SET[kind]].append((draws, (a, b)))

@@ -58,6 +58,8 @@ __all__ = [
 Case = tuple[float, tuple, tuple | None]
 
 _EMPTY_ONE = ("q", "qk")  # tables whose empty interval has value 1
+# the least positive float
+_TINY = np.nextafter(0.0, 1.0)
 _DINUCLEOTIDES = ["".join(x) for x in itertools.product(ALPHABET, repeat=2)]
 
 # Fill order of the tables of one cell: a case reads cells of the same span
@@ -486,25 +488,25 @@ def pick_with_slack(
     """The index of the case that each uniform of ``us``, in [0, 1), picks,
     and the normalisation slack ``|sum(weights) - total| / total``.
 
-    Case ``t`` is picked with probability ``weights[t] / total``: each
-    uniform is scaled to the sum of the positive weights and located in
-    their prefix sums with ``searchsorted(side="left")``, the first case
-    whose prefix sum reaches it.
+    Case ``t`` is picked with probability ``weights[t] / total``
+    (``weights >= 0``): each uniform is scaled to the sum of the weights and
+    located in their prefix sums with ``searchsorted(side="left")``, the
+    first case whose prefix sum reaches it.  A case of weight 0 repeats the
+    prefix sum before it, so it is never the first to reach a scaled uniform
+    above 0, and a scaled uniform of 0 is raised to the least positive float.
 
     Raises:
         NumericalUnderflow: the slack exceeds 1e-6 (or the sum is not
             finite), or no weight is positive.
     """
-    acc = float(weights.sum())
+    acc = float(np.add.reduce(weights))
     slack = abs(acc - total) / max(abs(total), 1e-300)
     if not math.isfinite(acc) or slack > 1e-6:
         raise NumericalUnderflow(f"cases sum to {acc!r}, table holds {float(total)!r}")
-    positive = (weights > 0.0).nonzero()[0]
-    if positive.size == 0:
+    prefix = weights.cumsum()
+    if not (prefix.size and prefix[-1] > 0.0):
         raise NumericalUnderflow("no positive case")
-    prefix = weights[positive].cumsum()
-    at = prefix.searchsorted(us * prefix[-1], side="left")
-    return positive.take(at, mode="clip"), slack
+    return prefix.searchsorted(np.maximum(us * prefix[-1], _TINY), side="left"), slack
 
 
 def fold(strand: Strand, model: EnergyModel) -> SecEngine:

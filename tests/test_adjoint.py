@@ -10,6 +10,8 @@ the full strand length on each side, far beyond the oracle's sizes.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -182,3 +184,15 @@ def test_chain_sums_without_outside_weight_are_skipped():
         out, raw = _outside(res, src)
         gi._CH_ALL.transpose(src, out, {}, w)
         assert not raw["chain"].any(), (w.p, w.q)
+
+
+def test_every_production_is_quoted_in_the_grammar_table():
+    # docs/grammar.md §4 is a prose copy of _WAVE: its table quotes the
+    # einsum text of every declared production, so the two cannot drift
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "grammar.md").read_text()
+    section = doc[doc.index("## 4. Productions"):doc.index("## 5. ")]
+    table = "\n".join(line for line in section.splitlines() if line.startswith("|"))
+    for prod in _PRODS:
+        out = prod.spec.split("->")[1]
+        text = f"{prod.lhs}[{out}] = " + " ".join(f"{name}[{spec}]" for name, spec in prod.ops)
+        assert f"`{text}`" in table, text

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,6 +222,33 @@ class TestSample:
         captured = capsys.readouterr()
         assert captured.err == "error: BadConfig: --seed must be >= 0\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command, seed", [("pf", "-5"), ("targets", "-1")])
+    def test_negative_seed_is_refused_by_every_command(self, command, seed, fasta, capsys):
+        # the help of --seed reads "random seed (>= 0)" for every command
+        path = fasta(">r\nAAA\n>s\nUUU\n")
+        assert main([command, path, "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: BadConfig: --seed must be >= 0\n"
+        assert captured.out == ""
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("command", ["targets", "pf"])
+    def test_reader_closing_early_is_no_traceback(self, command, fasta):
+        path = fasta(">r\nGGGAAAC\n>s\nGUUUCCC\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "jointfold.cli_reports", command, path],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        # the reader goes away before anything is written, as `| head -0` would
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert err == ""
 
 
 class TestMatrices:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -42,10 +43,10 @@ class TestWeightVectors:
         model = random_model(np.random.default_rng(30 + theta), min_hairpin=theta)
         res = inside(*strands(r, s), model)
         checked = 0
-        for comp in iter_all_components(res):
-            if comp[0] not in ("chain", "gap"):
-                continue
+        kinds = Counter()
+        for comp in (("top",), *iter_all_components(res)):
             weights, _decode = scored_cases(res, comp)
+            kinds[comp[0]] += int((weights > 0.0).sum())
             assert close(float(weights.sum()), component_value(res, comp)), comp
             for t, w in enumerate(weights):
                 case = decode_case(res, comp, t)
@@ -55,6 +56,11 @@ class TestWeightVectors:
                     assert close(case_value(res, case), float(w)), (comp, t, case)
                     checked += w > 0.0
         assert checked > 1000
+        # every kind has cases that a draw can pick, except that S = AUGC
+        # closes no arc at min_hairpin 1 (no tri or box cases there)
+        picked = {kind for kind, count in kinds.items() if count}
+        closing_s = {"tri", "box"} if theta != 1 else set()
+        assert picked == {"top", "hy", "vee", "chain", "gap"} | closing_s, kinds
 
     def test_pick_takes_the_first_prefix_sum_reaching_the_uniform(self):
         weights = np.array([0.0, 1.0, 0.0, 3.0])
@@ -249,6 +255,26 @@ class TestBatch:
                             for ck, ci, cj in children:
                                 if cj >= ci:
                                     assert key(("sec", sid, ck, ci, cj)) > key(cell)
+
+    @pytest.mark.parametrize("seed, n, m, theta, nolp, digest, slack", [
+        (61, 9, 9, 1, False,
+         "7c8ec7e722335b2a38ae6974c7de7888eb36354cb4345182751364f7f684150d",
+         "0x1.06802cb5d2461p-51"),
+        (62, 8, 10, 0, True,
+         "067141e722bd1ba2426a9a478684b8c637af7ce769d96a47fd5df5454a953658",
+         "0x1.cb24107ba25f8p-52"),
+    ])
+    def test_draws_are_pinned(self, seed, n, m, theta, nolp, digest, slack):
+        # recorded before the weight vectors were read with one gather per
+        # family: a change that moves any pick, or any bit of the slack, fails
+        rng = np.random.default_rng(seed)
+        r, s = random_seq(rng, n), random_seq(rng, m)
+        model = dataclasses.replace(random_model(rng, min_hairpin=theta), forbid_lone_pairs=nolp)
+        batch = sample_batch(inside(*strands(r, s), model), 200, seed=seed)
+        keys = [js.key() for js in batch.structures]
+        assert len(set(keys)) > 150
+        assert hashlib.sha256(repr(keys).encode()).hexdigest() == digest
+        assert batch.case_slack.hex() == slack
 
     def test_zero_draws_is_an_error(self):
         res = inside(*strands("A", "U"), unit_model())
