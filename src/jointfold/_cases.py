@@ -230,11 +230,11 @@ def _chain_layout(name: str, parts: tuple, kb: float, shape: tuple) -> tuple:
 
     For spans up to ``(N, M)``: the flat offsets of its four first items
     ``[kind, x - a, y - c]`` in the item stack from cell ``(0, 0, a, c)``;
-    those of the gap rows that continue them ``[kind, N-1 - (b - x - 1),
-    M-1 - (d - y - 1)]`` in the rest stack from ``(0, 0, 0, 0, b, d)``; the
-    items' branch factors ``[kind, 1, 1]``, or ``None`` when all are 1; and
-    the 0/1 mask ``[kind, terminal/continued, N-1 - (b - x), M-1 - (d -
-    y)]`` of the entries that are cases of ``parts``.  A chain of spans
+    those of the gap rows that continue them ``[kind, N-1 - (b - x), M-1 -
+    (d - y)]`` in the rest stack from ``(0, 0, 0, 0, b, d)``; the items'
+    branch factors ``[kind, 1, 1]``, or ``None`` when all are 1; and the 0/1
+    mask ``[kind, terminal/continued, N-1 - (b - x), M-1 - (d - y)]`` of the
+    entries that are cases of ``parts``.  A chain of spans
     ``(P, Q)`` reads the first ``P x Q`` block of the item offsets and the
     last of the others.  Read-only arrays, because every caller shares the
     cached ones.
