@@ -226,10 +226,6 @@ class Streams:
                 used = self.next - self.start
             self.fresh = size - int(used.max())
         self.fresh -= 1
-        if rows.size == 1:
-            at = self.next[rows[0]]
-            self.next[rows[0]] = at + 1
-            return self.flat[at : at + 1].copy()
         at = self.next[rows]
         self.next[rows] = at + 1
         return self.flat.take(at)

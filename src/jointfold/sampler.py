@@ -18,8 +18,8 @@ draws take one uniform each from their own streams with one gather
 (:meth:`jointfold._streams.Streams.take`), and one ``searchsorted`` over
 the prefix sums picks all of their cases
 (:func:`jointfold.secfold.pick_with_slack`).  The draws are grouped by
-chosen case (a lone draw is its own group; a few draws are grouped in
-Python, many with one stable ``argsort``); each distinct case is decoded
+chosen case (up to ``_FEW`` draws in Python, more with one stable
+``argsort``); each distinct case is decoded
 once, its arcs are recorded once as (draws, arc) and its children are
 handed to the group.  Each draw's arcs are assembled from these records at
 the end.
@@ -77,8 +77,11 @@ _SEC_RANK = {kind: r for r, kind in enumerate(reversed(FILL_ORDER))}
 _ARC_SET = {"ext": "ext", "arc_r": "R", "arc_s": "S"}
 # draws walked together by one sample_batch pass; bounds what is held per draw
 _BLOCK = 4096
-# a pop of at most this many draws groups them in Python, not numpy
-_FEW = 16
+# a pop of at most this many draws groups them in Python, not numpy: in the
+# pops of 1000-draw batches, grouping in Python took about as long as the
+# argsort at 49-64 waiting draws and was slower from 65 on at 12x12 (at 24x24
+# from about 160 on); 78% of the pops at 12x12 have at most 16 draws
+_FEW = 64
 
 
 @dataclass(frozen=True)
@@ -201,7 +204,7 @@ def _draw(
             ) from None
         if dev > slack:
             slack = dev
-        groups = [(int(chosen[0]), waiting)] if waiting.size == 1 else _groups(chosen, waiting)
+        groups = _groups(chosen, waiting)
 
         if sec:
             sid = comp[1]
