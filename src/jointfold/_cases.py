@@ -60,21 +60,27 @@ once.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from functools import lru_cache, partial
 
 import numpy as np
 
-from .grammar_inside import _CHY, _CNA, _CNB, _ITEM_ORDER, HY_CLASSES, LABELS, InsideResult
+from .grammar_inside import (
+    CHAIN_PART_ROWS,
+    HY_CLASSES,
+    LABELS,
+    InsideResult,
+    _top_chains,
+    flat_layout,
+)
 
 ALL_PARTS = ("hy", "na", "nb")
 # axis 0 of a chain weight vector; axis 1 is terminal (0) / continued (1)
 _ITEM_KINDS = ("hy", "vee", "tri", "box")
 _LABEL_AXIS = {name: k for k, name in enumerate(LABELS)}
-# the chain parts read by one gather of the chain stack, in the order that
+# the chain rows of the parts, in the order that
 # :meth:`InsideResult.chain_value` adds them (CHY + CNA, then CNB)
-_PARTS = [_CHY, _CNA, _CNB]
+_PARTS = [CHAIN_PART_ROWS[part] for part in ALL_PARTS]
 
 _SEG_ANY = {"E": "q", "K": "qk"}
 _SEG_GE1 = {"E": "q1", "K": "q1k"}
@@ -139,10 +145,10 @@ def _top_weights(res: InsideResult, comp: tuple) -> np.ndarray:
     n, m = ctx.n, ctx.m
     # q(1, g) on each strand, g = 0..n
     q_r, q_s = ctx.sq_any["R"]["E"][:, 1], ctx.sq_any["S"]["E"][:, 1]
-    chain = res.store.stacks["chain"][_PARTS[:2], _LABEL_AXIS["top"], n:0:-1, m:0:-1, n, m]
     w = np.empty(1 + n * m)
     w[0] = q_r[n] * q_s[m]
-    np.multiply(np.multiply.outer(q_r[:n], q_s[:m]), chain[0] + chain[1],
+    # the top-level chain from (a, c) has spans n - a + 1, m - c + 1
+    np.multiply(np.multiply.outer(q_r[:n], q_s[:m]), _top_chains(res.store, ctx)[::-1, ::-1],
                 out=w[1:].reshape(n, m))
     return w
 
@@ -157,7 +163,7 @@ def _hy_weights(res: InsideResult, comp: tuple) -> np.ndarray:
     if i == j or h == l or wlast == 0.0:
         return np.empty(0)
     P, Q = j - i, l - h
-    run = res.store.stacks["items"][_ITEM_ORDER.index(("hy", cls)), 1 : P + 1, 1 : Q + 1, i, h]
+    run = res.store[("hy", cls)][1 : P + 1, 1 : Q + 1, i, h]
     return ((wlast * ctx.step[cls][P - 1 :: -1, Q - 1 :: -1]) * run).ravel()
 
 
@@ -226,31 +232,31 @@ def _chain_planes(name: str, parts: tuple, kb: float) -> tuple:
 # a few dozen entries per shape (labels x the parts a chain can name)
 @lru_cache(maxsize=256)
 def _chain_layout(name: str, parts: tuple, kb: float, shape: tuple) -> tuple:
-    """How a chain of ``name`` reads the stacks of 4D tensors of ``shape``.
+    """How a chain of ``name`` reads the flat item and rest stacks of 4D
+    tensors of ``shape`` (:meth:`TensorStore.flat`, :func:`flat_layout`).
 
     For spans up to ``(N, M)``: the flat offsets of its four first items
-    ``[kind, x - a, y - c]`` in the item stack from cell ``(0, 0, a, c)``;
+    ``[kind, x - a, y - c]`` from cell ``(0, 0, a, c)`` of the item stack;
     those of the gap rows that continue them ``[kind, N-1 - (b - x), M-1 -
-    (d - y)]`` in the rest stack from ``(0, 0, 0, 0, b, d)``; the items'
-    branch factors ``[kind, 1, 1]``, or ``None`` when all are 1; and the 0/1
+    (d - y)]`` from cell ``(0, 0, b, d)`` of the rest stack; the items'
+    branch factors ``[kind, 1, 1]``, or ``None`` when all are 1; the 0/1
     mask ``[kind, terminal/continued, N-1 - (b - x), M-1 - (d - y)]`` of the
-    entries that are cases of ``parts``.  A chain of spans
-    ``(P, Q)`` reads the first ``P x Q`` block of the item offsets and the
-    last of the others.  Read-only arrays, because every caller shares the
-    cached ones.
+    entries that are cases of ``parts``; and the strides of the anchor axes.
+    A chain of spans ``(P, Q)`` reads the first ``P x Q`` block of the item
+    offsets and the last of the others.  Read-only arrays, because every
+    caller shares the cached ones.
     """
     lab = LABELS[name]
     N, M = shape[0] - 2, shape[1] - 2
     keys, factors = zip(*(_chain_item_key(lab, kind, kb) for kind in _ITEM_KINDS))
-    size = math.prod(shape)
+    item_at, (span_r, span_s, *anchor) = flat_layout("items", shape)
+    rest_at, _strides = flat_layout("rest", shape)
     # the flat offset of span cell (p, q) at anchor (0, 0)
-    spans = np.add.outer(np.arange(shape[0]) * math.prod(shape[1:]),
-                         np.arange(shape[1]) * math.prod(shape[2:]))
-    items = np.stack([spans[1 : N + 1, 1 : M + 1] + _ITEM_ORDER.index(key) * size
-                      for key in keys])
-    # the gap row that continues after an item: GHY (0) after a hybrid, else GNA
-    rows = [len(LABELS) * (kind != "hy") + _LABEL_AXIS[name] for kind in _ITEM_KINDS]
-    rest = np.stack([spans[N - 1 :: -1, M - 1 :: -1] + row * size for row in rows])
+    spans = np.add.outer(np.arange(shape[0]) * span_r, np.arange(shape[1]) * span_s)
+    items = np.stack([spans[1 : N + 1, 1 : M + 1] + item_at[key] for key in keys])
+    # the gap row that continues after an item: GHY after a hybrid, else GNA
+    rest = np.stack([spans[N - 1 :: -1, M - 1 :: -1]
+                     + rest_at["ghy" if kind == "hy" else "gna", name] for kind in _ITEM_KINDS])
     planes = _chain_planes(name, parts, kb)
     mask = np.empty((len(_ITEM_KINDS), 2, N, M))
     mask[...] = np.array([plane is not None for plane in planes]).reshape(-1, 2, 1, 1)
@@ -260,7 +266,7 @@ def _chain_layout(name: str, parts: tuple, kb: float, shape: tuple) -> tuple:
     for arr in (items, rest, factors, mask):
         if arr is not None:
             arr.flags.writeable = False
-    return items, rest, factors, mask
+    return items, rest, factors, mask, tuple(anchor)
 
 
 def _chain_weights(res: InsideResult, comp: tuple) -> np.ndarray:
@@ -268,10 +274,10 @@ def _chain_weights(res: InsideResult, comp: tuple) -> np.ndarray:
     store, ctx = res.store, res.ctx
     P, Q = b - a + 1, d - c + 1
     L = _LABEL_AXIS[name]
-    items, rest, factors, mask = _chain_layout(name, parts, ctx.kb, store.shape)
+    items, rest, factors, mask, (anchor_r, anchor_s) = _chain_layout(
+        name, parts, ctx.kb, store.shape)
     N, M = ctx.n, ctx.m
-    corner = store.shape[-1]
-    first = store.stacks["items"].reshape(-1)[a * corner + c :].take(items[:, :P, :Q])
+    first = store.flat("items")[a * anchor_r + c * anchor_s :].take(items[:, :P, :Q])
     if factors is not None:
         first *= factors
     w = np.empty((len(_ITEM_KINDS), 2, P, Q))
@@ -279,7 +285,7 @@ def _chain_weights(res: InsideResult, comp: tuple) -> np.ndarray:
     # y+1..d; both end anchored at (b, d)
     np.multiply(first, np.multiply.outer(ctx.tail_r[L, P - 1 :: -1, b],
                                          ctx.tail_s[L, Q - 1 :: -1, d]), out=w[:, 0])
-    np.multiply(first, store.stacks["rest"].reshape(-1)[b * corner + d :].take(
+    np.multiply(first, store.flat("rest")[b * anchor_r + d * anchor_s :].take(
         rest[:, N - P :, M - Q :]), out=w[:, 1])
     w *= mask[:, :, N - P :, M - Q :]
     return w.ravel()
@@ -296,18 +302,19 @@ def _gap_weights(res: InsideResult, comp: tuple) -> np.ndarray:
     lab = LABELS[name]
     P, Q = b - x + 1, d - y + 1
     cases = _GAP_CASES[after]
+    # the chain parts over (x1..b, y1..d), end anchored at (b, d)
+    stored = ALL_PARTS if lab.has_nb else ALL_PARTS[:2]
+    chain = dict(zip(stored, res.store.stacks["chain"][
+        _PARTS[: len(stored)], _LABEL_AXIS[name], P:0:-1, Q:0:-1, b, d]))
+    sums: dict[tuple, np.ndarray] = {}
     w = np.empty((len(cases), P, Q))
-    for plane, (seg_r, seg_s, _parts) in zip(w, cases):
+    for plane, (seg_r, seg_s, parts) in zip(w, cases):
         np.multiply.outer(_segment_weights(res.ctx, seg_r, "R", lab.class_r, x, P),
                           _segment_weights(res.ctx, seg_s, "S", lab.class_s, y, Q),
                           out=plane)
-    # the chain parts over (x1..b, y1..d), end anchored at (b, d)
-    parts = _PARTS if lab.has_nb else _PARTS[:2]
-    chain = res.store.stacks["chain"][parts, _LABEL_AXIS[name], P:0:-1, Q:0:-1, b, d]
-    w[:2] *= sum(chain)
-    if after == "hy":
-        # the third case: no hybrid follows
-        w[2] *= sum(chain[1:])
+        if parts not in sums:
+            sums[parts] = sum(chain[part] for part in parts if part in chain)
+        plane *= sums[parts]
     return w.ravel()
 
 

@@ -47,6 +47,7 @@ import mmap
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -138,6 +139,9 @@ _GAP_KEYS = tuple((f, L) for f in ("ghy", "gna") for L in LABELS)
 # top and box aliases other slots (CNA of box, CHY of top); no production
 # reads or writes it.
 _CNA, _CNB, _CHY = 0, 1, 2
+# the row of each part of a chain component ("hy", "na", "nb") in the view
+# ``TensorStore.stacks["chain"][row, label]``
+CHAIN_PART_ROWS = {"hy": _CHY, "na": _CNA, "nb": _CNB}
 _NA_HY = slice(0, 3, 2)  # the chain rows CNA and CHY
 _TOP_BOX = slice(0, 6, 5)  # the labels with two free tails
 _CHAIN_KEYS = (tuple(("cna", L) for L in LABELS) + tuple(("cnb", lab.name) for lab in _NB_LABS)
@@ -178,6 +182,18 @@ _OUT_OF = {"items": "out_items", "chain": "out_chain", "rest": "out_gap"}
 # The _Ctx arrays whose outside weight feeds base-pair probabilities (through
 # the secondary tables); every other _Ctx operand is a constant.
 _SEGMENTS = ("kq_r", "kq_s", "gap_r", "gap_s", "tail_r", "tail_s")
+
+
+@lru_cache(maxsize=8)
+def flat_layout(family: str, shape: tuple[int, ...]) -> tuple[dict[tuple, int], tuple[int, ...]]:
+    """Where :meth:`TensorStore.flat` keeps the cells of ``family`` for 4D
+    tables of ``shape``: the offset of each key's slice, and the element
+    strides of the axes ``[span_r, span_s, anchor_r, anchor_s]`` of a slice.
+    ``alloc_families`` stacks the keys' slices in C order."""
+    _lead, keys = (_FAMILIES | _OUT_FAMILIES)[family]
+    size = math.prod(shape)
+    strides = tuple(math.prod(shape[k + 1 :]) for k in range(len(shape)))
+    return {key: k * size for k, key in enumerate(keys)}, strides
 
 
 def _chain_rows(stack: np.ndarray) -> np.ndarray:
@@ -227,7 +243,8 @@ class TensorStore:
     ``_OUT_FAMILIES``); every key in it is a view of one slice, so
     ``store[key]`` reads the same cells as a separate array would, and the
     stack counts the same bytes.  ``stacks[family]`` is the stack, or for a
-    chain family its view ``[part, label, ...]``.
+    chain family its view ``[part, label, ...]``; ``flat(family)`` is the
+    allocation itself, laid out as :func:`flat_layout` says.
     """
 
     def __init__(self, n: int, m: int):
@@ -236,6 +253,7 @@ class TensorStore:
         self.shape = (n + 2, m + 2, n + 2, m + 2)
         self.arrays: dict[tuple, np.ndarray] = {}
         self.stacks: dict[str, np.ndarray] = {}
+        self.flats: dict[str, np.ndarray] = {}
         self.allocated_bytes = 0
         self.peak_bytes = 0
 
@@ -255,9 +273,11 @@ class TensorStore:
             shape = lead + self.shape
             size = int(np.prod(shape))
             buf = mmap.mmap(-1, max(1, size * 8), flags=mmap.MAP_PRIVATE)
-            arr = np.frombuffer(buf, dtype=np.float64, count=size).reshape(shape)
+            flat = np.frombuffer(buf, dtype=np.float64, count=size)
+            arr = flat.reshape(shape)
             if family not in self.stacks:
                 self.allocated_bytes += arr.nbytes
+            self.flats[family] = flat
             self.stacks[family] = _VIEWS[family](arr) if family in _VIEWS else arr
             for key, view in zip(keys, arr.reshape((-1,) + self.shape), strict=True):
                 self.arrays[key] = view
@@ -265,6 +285,11 @@ class TensorStore:
 
     def __getitem__(self, key: tuple) -> np.ndarray:
         return self.arrays[key]
+
+    def flat(self, family: str) -> np.ndarray:
+        """The stack of an allocated family as one flat array (a view, never
+        a copy); :func:`flat_layout` gives where each cell lies in it."""
+        return self.flats[family]
 
 
 class _Ctx:
