@@ -13,9 +13,10 @@ of the parent's, and the number of seeds whose change run beat the parent
 run of the same seed.  ``--out`` writes the record in the layout of the
 ``BENCH_*.json`` files: the summary per workload and every run's JSON line.
 
-The direction ("better") and bound of each metric come from
-``BENCHMARK.json`` in the change tree; its ``run_seconds`` is the default
-run length.  The script only reads ``perfbench/`` and ``BENCHMARK.json``.
+The run length T (``run_seconds``) and the direction ("better") and bound
+of each metric come from ``BENCHMARK.json`` in the change tree.  The script
+only reads ``perfbench/`` and ``BENCHMARK.json``; the quartiles are those of
+``perfbench/repeat.py``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from repeat import spread  # noqa: E402
+
 
 def seed_list(text: str) -> list[int]:
     """``"101-105,110"`` -> [101, 102, 103, 104, 105, 110]."""
@@ -37,13 +41,11 @@ def seed_list(text: str) -> list[int]:
     return seeds
 
 
-def spread(values: list[float]) -> dict:
-    """Median, quartiles and (Q3 - Q1) / median, as ``perfbench/repeat.py``."""
-    med = statistics.median(values)
-    q1, q3 = (statistics.quantiles(values, n=4)[::2] if len(values) > 1
-              else (med, med))
+def rounded_spread(values: list[float]) -> dict:
+    """Median, quartiles and (Q3 - Q1) / median, rounded for the record."""
+    med, q1, q3, rel = spread(values)
     return {"median": round(med, 6), "q1": round(q1, 6), "q3": round(q3, 6),
-            "spread": round((q3 - q1) / med, 4) if med else float("nan")}
+            "spread": round(rel, 4)}
 
 
 def one_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -73,8 +75,8 @@ def summarise(runs: list[dict], seeds: list[int], spec: dict) -> dict:
         wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
         parent, change = (statistics.median(values[s]) for s in sides)
         out[metric] = {
-            "parent": spread(values["parent"]),
-            "change": spread(values["change"]),
+            "parent": rounded_spread(values["parent"]),
+            "change": rounded_spread(values["change"]),
             "change_better_in": f"{wins}/{len(seeds)}",
             "median_change": round(change / parent - 1, 4),
             "bound": bound,
@@ -88,15 +90,13 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True, help="root of the changed tree")
     ap.add_argument("--workloads", required=True, help="comma-separated workload names")
     ap.add_argument("--seeds", type=seed_list, required=True, help="e.g. 101-110 or 1,3,5")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="length of each run (default: run_seconds of BENCHMARK.json)")
     ap.add_argument("--out", type=Path, default=None, help="write the record here")
     ap.add_argument("--parent-label", default="parent", help="the record's 'parent' field")
     ap.add_argument("--change-label", default="change", help="the record's 'change' field")
     args = ap.parse_args(argv)
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     spec = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs, summary = [], {}
