@@ -77,10 +77,10 @@ _SEC_RANK = {kind: r for r, kind in enumerate(reversed(FILL_ORDER))}
 _ARC_SET = {"ext": "ext", "arc_r": "R", "arc_s": "S"}
 # draws walked together by one sample_batch pass; bounds what is held per draw
 _BLOCK = 4096
-# a pop of at most this many draws groups them in Python, not numpy: in the
-# pops of 1000-draw batches, grouping in Python took about as long as the
-# argsort at 49-64 waiting draws and was slower from 65 on at 12x12 (at 24x24
-# from about 160 on); 78% of the pops at 12x12 have at most 16 draws
+# a pop of at most this many draws groups them in Python, not numpy: over the
+# pops of 1000-draw batches, grouping in Python took as long as the argsort at
+# 49-64 waiting draws and longer from 65 on at 12x12 (from about 160 on at
+# 24x24), and 90% of the pops at 12x12 wait on at most 64 draws
 _FEW = 64
 
 
