@@ -30,7 +30,7 @@ stored tensor families (``store.stacks``), one gather per family.  Case
 
 * top: the case without a chain, then ``(a, c)`` for the top-level chain
   from ``(a, c)`` to ``(n, m)`` after the structures of ``1..a-1`` and
-  ``1..c-1`` (``ctx.sq_any``);
+  ``1..c-1`` (``ctx.prefix_r``/``prefix_s``);
 * hy: ``(i1, h1)`` for the run ``(i..i1, h..h1)`` extended by the arc
   ``(j, l)`` (a single-arc cell has its one case);
 * vee / tri: ``a`` (``c``), the first item of the enclosed chain after the
@@ -45,9 +45,13 @@ stored tensor families (``store.stacks``), one gather per family.  Case
   part the component excludes, a flush tail that is not empty, a continued
   case with nothing left to follow) hold 0;
 * gap: (case, x1, y1) for the segments ``x..x1-1`` and ``y..y1-1`` from
-  ``ctx.sq_any``/``sq_ge1``/``sq_unp`` times the chain parts that start at
-  ``(x1, y1)``; one case after a tight block, three after a hybrid
-  (``_GAP_CASES``).
+  ``ctx.gap_r``/``gap_s`` (or the bare ``ctx.bare_r``/``bare_s``) times the
+  chain parts that start at ``(x1, y1)``; one case after a tight block,
+  three after a hybrid (``_GAP_CASES``).
+
+These are the strand factors that the fill reads, formed once per run by
+``_Ctx``; the case tuples name the tables of their segments through
+``SEGMENT_TABLES``, as the factors do.
 
 A component whose guard fails (an inadmissible closing arc, a hybrid that
 cannot end at ``(j, l)``) has an empty vector.  None of these reads the
@@ -66,9 +70,11 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .grammar_inside import (
+    _GAP_TERMS,
     CHAIN_PART_ROWS,
     HY_CLASSES,
     LABELS,
+    SEGMENT_TABLES,
     InsideResult,
     _top_chains,
     flat_layout,
@@ -81,9 +87,6 @@ _LABEL_AXIS = {name: k for k, name in enumerate(LABELS)}
 # the chain rows of the parts, in the order that
 # :meth:`InsideResult.chain_value` adds them (CHY + CNA, then CNB)
 _PARTS = [CHAIN_PART_ROWS[part] for part in ALL_PARTS]
-
-_SEG_ANY = {"E": "q", "K": "qk"}
-_SEG_GE1 = {"E": "q1", "K": "q1k"}
 
 # The cases of a gap, one per plane of its weight vector: the R segment
 # x..x1-1, the S segment y..y1-1 (any structure, at least one branch, or all
@@ -143,13 +146,12 @@ def component_cases(res: InsideResult, comp: tuple) -> list[tuple]:
 def _top_weights(res: InsideResult, comp: tuple) -> np.ndarray:
     ctx = res.ctx
     n, m = ctx.n, ctx.m
-    # q(1, g) on each strand, g = 0..n
-    q_r, q_s = ctx.sq_any["R"]["E"][:, 1], ctx.sq_any["S"]["E"][:, 1]
     w = np.empty(1 + n * m)
-    w[0] = q_r[n] * q_s[m]
-    # the top-level chain from (a, c) has spans n - a + 1, m - c + 1
-    np.multiply(np.multiply.outer(q_r[:n], q_s[:m]), _top_chains(res.store, ctx)[::-1, ::-1],
-                out=w[1:].reshape(n, m))
+    w[0] = ctx.prefix_r[0] * ctx.prefix_s[0]
+    # the top-level chain from (a, c) has spans n - a + 1, m - c + 1, after
+    # q(1, a - 1) and q(1, c - 1)
+    np.multiply(np.multiply.outer(ctx.prefix_r[n:0:-1], ctx.prefix_s[m:0:-1]),
+                _top_chains(res.store, ctx)[::-1, ::-1], out=w[1:].reshape(n, m))
     return w
 
 
@@ -291,27 +293,21 @@ def _chain_weights(res: InsideResult, comp: tuple) -> np.ndarray:
     return w.ravel()
 
 
-def _segment_weights(ctx, seg: str, sid: str, cls: str, start: int, size: int):
-    """Weights of the segments ``start..start+g-1``, g = 0..size-1."""
-    table = {"any": ctx.sq_any, "ge1": ctx.sq_ge1, "unp": ctx.sq_unp}[seg]
-    return table[sid][cls][:size, start]
-
-
 def _gap_weights(res: InsideResult, comp: tuple) -> np.ndarray:
     _, after, name, x, b, y, d = comp
-    lab = LABELS[name]
+    ctx, lab, L = res.ctx, LABELS[name], _LABEL_AXIS[name]
     P, Q = b - x + 1, d - y + 1
     cases = _GAP_CASES[after]
     # the chain parts over (x1..b, y1..d), end anchored at (b, d)
     stored = ALL_PARTS if lab.has_nb else ALL_PARTS[:2]
     chain = dict(zip(stored, res.store.stacks["chain"][
-        _PARTS[: len(stored)], _LABEL_AXIS[name], P:0:-1, Q:0:-1, b, d]))
+        _PARTS[: len(stored)], L, P:0:-1, Q:0:-1, b, d]))
     sums: dict[tuple, np.ndarray] = {}
     w = np.empty((len(cases), P, Q))
     for plane, (seg_r, seg_s, parts) in zip(w, cases):
-        np.multiply.outer(_segment_weights(res.ctx, seg_r, "R", lab.class_r, x, P),
-                          _segment_weights(res.ctx, seg_s, "S", lab.class_s, y, Q),
-                          out=plane)
+        t = _GAP_TERMS.index((seg_r, seg_s))  # the last term is the bare one
+        r, s = (ctx.gap_r[t, L], ctx.gap_s[t, L]) if t < 3 else (ctx.bare_r[L], ctx.bare_s[L])
+        np.multiply.outer(r[:P, x], s[:Q, y], out=plane)
         if parts not in sums:
             sums[parts] = sum(chain[part] for part in parts if part in chain)
         plane *= sums[parts]
@@ -321,7 +317,7 @@ def _gap_weights(res: InsideResult, comp: tuple) -> np.ndarray:
 def _segment(seg: str, sid: str, cls: str, i: int, j: int) -> tuple:
     if seg == "unp":
         return ("unp", sid, cls, i, j)
-    return ("sec", sid, (_SEG_ANY if seg == "any" else _SEG_GE1)[cls], i, j)
+    return ("sec", sid, SEGMENT_TABLES[seg][cls], i, j)
 
 
 def _decode_top(res: InsideResult, comp: tuple, t: int) -> tuple:
@@ -392,11 +388,11 @@ def _decode_chain_or_gap(res: InsideResult, comp: tuple, t: int) -> tuple | None
             return (wbr, [item, ("gap", after, name, x1 + 1, b, y1 + 1, d)], [])
         children = [item]
         if lab.tail_r == "free":
-            children.append(("sec", "R", _SEG_ANY[lab.class_r], x1 + 1, b))
+            children.append(("sec", "R", SEGMENT_TABLES["any"][lab.class_r], x1 + 1, b))
         elif x1 != b:
             return None
         if lab.tail_s == "free":
-            children.append(("sec", "S", _SEG_ANY[lab.class_s], y1 + 1, d))
+            children.append(("sec", "S", SEGMENT_TABLES["any"][lab.class_s], y1 + 1, d))
         elif y1 != d:
             return None
         return (wbr, children, [])

@@ -278,18 +278,11 @@ def _cmd_bpp(cfg: RunConfig, stream) -> None:
     os.makedirs(cfg.outdir, exist_ok=True)
     hdr = _header(cfg, model, "rows/cols are 1-based sequence positions")
     write_matrix_tsv(os.path.join(cfg.outdir, "bpp_r.tsv"), hdr, prob.bpp_r, 1, n, 1, n)
-    # S matrices in user coordinates: arc (h,l) -> (m-l+1, m-h+1)
-    bpp_s_user = np.zeros((m + 2, m + 2))
-    for h in range(1, m + 1):
-        for l in range(h, m + 1):
-            bpp_s_user[_s_user(l, m), _s_user(h, m)] = prob.bpp_s[h, l]
+    # S in user coordinates, position h at m-h+1: arc (h,l) -> (m-l+1, m-h+1)
+    bpp_s_user = prob.bpp_s[::-1, ::-1].T
     write_matrix_tsv(os.path.join(cfg.outdir, "bpp_s.tsv"), hdr, bpp_s_user, 1, m, 1, m)
-    bpp_ext_user = np.zeros((n + 2, m + 2))
-    for i in range(1, n + 1):
-        for h in range(1, m + 1):
-            bpp_ext_user[i, _s_user(h, m)] = prob.bpp_ext[i, h]
     write_matrix_tsv(
-        os.path.join(cfg.outdir, "bpp_ext.tsv"), hdr, bpp_ext_user, 1, n, 1, m
+        os.path.join(cfg.outdir, "bpp_ext.tsv"), hdr, prob.bpp_ext[:, ::-1], 1, n, 1, m
     )
     stream.write("wrote bpp_r.tsv bpp_s.tsv bpp_ext.tsv\n")
 
@@ -418,14 +411,20 @@ def _cmd_oracle(cfg: RunConfig, stream) -> None:
             )
 
 
+# name -> (implementation, help, the flags it reads beyond --params, --seed
+# and --no-interaction, which every command takes: the header prints the seed)
 _COMMANDS = {
-    "pf": _cmd_pf,
-    "bpp": _cmd_bpp,
-    "hybrids": _cmd_hybrids,
-    "targets": _cmd_targets,
-    "sample": _cmd_sample,
-    "dotplot": _cmd_dotplot,
-    "oracle": _cmd_oracle,
+    "pf": (_cmd_pf, "total and per-strand partition functions",
+           ("--mem-budget-gib", "--json")),
+    "bpp": (_cmd_bpp, "base-pair probability matrices (TSV)", ("--mem-budget-gib", "--outdir")),
+    "hybrids": (_cmd_hybrids, "hybrid (contact-region) probability tables",
+                ("--mem-budget-gib", "--outdir")),
+    "targets": (_cmd_targets, "ranked target sites", ("--mem-budget-gib", "--threshold")),
+    "sample": (_cmd_sample, "Boltzmann-distributed structure samples",
+               ("--mem-budget-gib", "--num")),
+    "dotplot": (_cmd_dotplot, "SVG contact-region dot plot",
+                ("--mem-budget-gib", "--outdir", "--threshold")),
+    "oracle": (_cmd_oracle, "brute-force cross-check (small inputs only)", ("--max-structures",)),
 }
 
 
@@ -433,7 +432,7 @@ def run(cfg: RunConfig, stream=None) -> int:
     """Execute one subcommand; returns the process exit status."""
     stream = stream if stream is not None else sys.stdout
     try:
-        _COMMANDS[cfg.command](cfg, stream)
+        _COMMANDS[cfg.command][0](cfg, stream)
     except CliError as exc:
         print(f"error: {exc.oneline()}", file=sys.stderr)
         return 1
@@ -454,65 +453,51 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("pf", "total and per-strand partition functions"),
-        ("bpp", "base-pair probability matrices (TSV)"),
-        ("hybrids", "hybrid (contact-region) probability tables"),
-        ("targets", "ranked target sites"),
-        ("sample", "Boltzmann-distributed structure samples"),
-        ("dotplot", "SVG contact-region dot plot"),
-        ("oracle", "brute-force cross-check (small inputs only)"),
-    ):
+    flags = {
+        "--params": dict(dest="params_path", default=None,
+                         help=f"energy parameter file (default ${PARAMS_ENV})"),
+        "--seed": dict(type=int, default=1, help="random seed (>= 0)"),
+        "--no-interaction": dict(action="store_true",
+                                 help="set every exterior-arc weight to zero"),
+        "--outdir": dict(default=".", help="artifact directory"),
+        "--threshold": dict(type=float, default=0.1,
+                            help="report regions with probability above this"),
+        "--num": dict(type=int, default=10, help="number of samples"),
+        "--mem-budget-gib": dict(type=float, default=2.0, help="memory budget for DP tables"),
+        "--json": dict(dest="as_json", action="store_true",
+                       help="machine-readable scalar output"),
+        "--max-structures": dict(type=int, default=2_000_000, help="oracle enumeration budget"),
+    }
+    for name, (_run, help_text, own) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("inputs", nargs="+", help="FASTA file(s) with the two records")
-        p.add_argument("--params", dest="params_path", default=None,
-                       help=f"energy parameter file (default ${PARAMS_ENV})")
-        p.add_argument("--outdir", default=".", help="artifact directory")
-        p.add_argument("--threshold", type=float, default=0.1, help=(
-            "draw contact regions with probability above this / 100"
-            if name == "dotplot" else "report regions with probability above this"))
-        p.add_argument("--num", type=int, default=10, help="number of samples")
-        p.add_argument("--seed", type=int, default=1, help="random seed (>= 0)")
-        p.add_argument("--mem-budget-gib", type=float, default=2.0,
-                       help="memory budget for DP tables")
-        p.add_argument("--json", dest="as_json", action="store_true",
-                       help="machine-readable scalar output")
-        p.add_argument("--no-interaction", action="store_true",
-                       help="set every exterior-arc weight to zero")
-        p.add_argument("--max-structures", type=int, default=2_000_000,
-                       help="oracle enumeration budget")
+        for flag in ("--params", "--seed", "--no-interaction") + own:
+            spec = flags[flag]
+            if name == "dotplot" and flag == "--threshold":
+                spec = {**spec, "help": "draw contact regions with probability above this / 100"}
+            p.add_argument(flag, **spec)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if not (math.isfinite(args.mem_budget_gib) and args.mem_budget_gib > 0.0):
+    args = vars(_build_parser().parse_args(argv))
+    gib = args.pop("mem_budget_gib", DEFAULT_BUDGET_BYTES / 1024**3)
+    if not (math.isfinite(gib) and gib > 0.0):
         print("error: BadConfig: --mem-budget-gib must be finite and > 0", file=sys.stderr)
         return 1
-    cfg = RunConfig(
-        command=args.command,
-        inputs=args.inputs,
-        params_path=args.params_path,
-        outdir=args.outdir,
-        threshold=args.threshold,
-        num=args.num,
-        seed=args.seed,
-        memory_budget_bytes=int(args.mem_budget_gib * 1024**3),
-        as_json=args.as_json,
-        no_interaction=args.no_interaction,
-        max_structures=args.max_structures,
-    )
+    # a flag that a command does not take keeps the RunConfig default
+    cfg = RunConfig(**args, memory_budget_bytes=int(gib * 1024**3))
     top = 100 if cfg.command == "dotplot" else 1  # dotplot reads a percentage
     if not 0.0 <= cfg.threshold <= top:
         print(f"error: BadConfig: threshold must be in [0,{top}]", file=sys.stderr)
         return 1
-    if cfg.command == "sample" and cfg.num < 1:
+    if cfg.num < 1:
         print("error: BadConfig: --num must be >= 1", file=sys.stderr)
         return 1
     if cfg.seed < 0:
         print("error: BadConfig: --seed must be >= 0", file=sys.stderr)
         return 1
-    if cfg.command == "oracle" and cfg.max_structures < 0:
+    if cfg.max_structures < 0:
         print("error: BadConfig: --max-structures must be >= 0", file=sys.stderr)
         return 1
     try:

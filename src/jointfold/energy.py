@@ -105,6 +105,8 @@ class EnergyModel:
                 raise ParamError(f"invalid pair type {pt!r}")
         if self.min_hairpin < 0:
             raise ParamError(f"min_hairpin must be >= 0, got {self.min_hairpin}")
+        if not (math.isfinite(self.rt) and self.rt > 0.0):
+            raise ParamError(f"rt must be finite and > 0, got {self.rt!r}")
 
     # -- energies ---------------------------------------------------------
 
@@ -185,28 +187,13 @@ class EnergyModel:
         return replace(self, ext_default=math.inf, ext_overrides={})
 
     def canonical_params(self) -> list[tuple[str, str]]:
+        rt, *floats = ((key, repr(getattr(self, name))) for key, name in _SCALAR_FLOAT_KEYS.items())
         out = [
-            ("rt", repr(self.rt)),
+            rt,
             ("min_hairpin", str(self.min_hairpin)),
             ("forbid_lone_pairs", str(self.forbid_lone_pairs).lower()),
             ("pairs", ",".join(self.pairs)),
-            ("hairpin_init", repr(self.hairpin_init)),
-            ("hairpin_slope", repr(self.hairpin_slope)),
-            ("interior_init", repr(self.interior_init)),
-            ("interior_slope", repr(self.interior_slope)),
-            ("stack", repr(self.stack_default)),
-            ("multi_init", repr(self.multi_init)),
-            ("multi_branch", repr(self.multi_branch)),
-            ("multi_unpaired", repr(self.multi_unpaired)),
-            ("kiss_init", repr(self.kiss_init)),
-            ("kiss_branch", repr(self.kiss_branch)),
-            ("kiss_unpaired", repr(self.kiss_unpaired)),
-            ("sigma0", repr(self.sigma0)),
-            ("sigma", repr(self.sigma)),
-            ("beta3", repr(self.beta3)),
-            ("g_int_init", repr(self.g_int_init)),
-            ("g_int_slope", repr(self.g_int_slope)),
-            ("ext_arc", repr(self.ext_default)),
+            *floats,
         ]
         for (a, b), v in sorted(self.stack_overrides.items()):
             out.append((f"stack_{a}{b}", repr(v)))
@@ -286,6 +273,9 @@ def weight_hybrid_step(
     return w
 
 
+# the float keys of a parameter file and the fields they set, in the order
+# of ``EnergyModel.canonical_params`` (which puts the integer, boolean and
+# pair-type keys after ``rt``)
 _SCALAR_FLOAT_KEYS = {
     "rt": "rt",
     "hairpin_init": "hairpin_init",

@@ -17,6 +17,9 @@ Each wave production of ``docs/grammar.md`` §4 is declared once, in
 ``_WAVE``: an einsum over named operands (a stored family, a ``_Ctx`` array
 or a derived operand), the index of each operand built from the wave's spans,
 a guard, and where each operand's outside weight goes (``_Prod``).  The
+``_Ctx`` arrays read from the secondary tables are declared once too, as an
+index into those tables and a weight (``_Ctx.factors``), and the outside pass
+scatters their outside weight back through the same index.  The
 derived operand (the branch-weighted items) and the chain sums are declared
 with their forward and their transpose: CH_all = CNA + CNB + CHY is stored
 once per wave, at its own cell, and CH_nohy = CNA + CNB is formed over the
@@ -47,7 +50,7 @@ import mmap
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
@@ -157,11 +160,15 @@ _FAMILIES: _Families = {
     "ch_all": ((6,), tuple(("ch_all", L) for L in LABELS)),
 }
 
-# The terms of GHY/GNA over CH_all (docs/grammar.md §4): the segment kind on
-# R and on S; the first two fill GHY, the last GNA.  The bare GHY term over
-# CH_nohy has unpaired segments on both strands.  Unpaired segments are
-# constants: only R rows 1:3 carry outside weight.
-_GAP_TERMS = (("unp", "ge1"), ("ge1", "any"), ("any", "any"))
+# The terms of GHY/GNA (docs/grammar.md §4): the segment kind on R and on S.
+# Over CH_all the first two fill GHY and the third GNA; the last, the bare
+# term, fills GHY over CH_nohy.  Unpaired segments are constants: of the
+# terms over CH_all only R rows 1:3 carry outside weight.
+_GAP_TERMS = (("unp", "ge1"), ("ge1", "any"), ("any", "any"), ("unp", "unp"))
+# The secondary table that a segment of each kind reads, by exposure class
+# (docs/grammar.md §3): any structure, or at least one branch.  The other
+# kinds read none: "unp" is all unpaired, "flush" the empty tail.
+SEGMENT_TABLES = {"any": {"E": "q", "K": "qk"}, "ge1": {"E": "q1", "K": "q1k"}}
 
 
 def _out_keys(keys: tuple[tuple, ...]) -> tuple[tuple, ...]:
@@ -293,16 +300,22 @@ class TensorStore:
 
 
 class _Ctx:
-    """Precomputed per-run grids: admissibility, weights, segment diagonals.
+    """Precomputed per-run grids: admissibility, weights, strand factors.
 
-    The single-strand tables enter as span-anchored diagonals gathered by
-    :meth:`SecEngine.by_span`: ``sq_*[strand][cls][g, x]`` is the weight of a
-    segment of length ``g`` starting at ``x``, ``tq_*[strand][cls][g, j]``
-    that of a segment ending at ``j``, and ``adm_*[g, x]`` the admissibility
-    of the arc over the segment starting at ``x``.  A segment or tail of
-    length 0 has weight 1 wherever it is anchored; a flush tail is empty.
-    ``prefix_r[p]`` is ``q(1, n-p)``, the structures of R left of a
-    top-level chain of span ``p`` (``prefix_s`` likewise on S).
+    Every strand factor that a production reads is declared once, in
+    ``factors``: its strand engine, and per entry a flat index into that
+    engine's :attr:`SecEngine.planes` and a weight (:meth:`SecEngine.segment`
+    gives both for one segment kind).  The factor is ``weight *
+    planes.take(index)``, and :func:`jointfold.outside_prob.outside` scatters
+    its outside weight back through the same index.  ``kq_*[g, x]`` is the
+    segment of length ``g`` inside a tight block's closing arc from ``x``;
+    ``gap_*[t, l, g, x]`` the segments of the terms ``_GAP_TERMS[:3]`` of
+    label ``l`` after an item, ``bare_*[l, g, x]`` those of the bare term;
+    ``tail_*[l, g, j]`` the tail of label ``l`` that ends at ``j`` (empty
+    where the label is flush on that strand); ``prefix_r[p]`` is ``q(1,
+    n-p)``, the structures of R left of a top-level chain of span ``p``
+    (``prefix_s`` likewise on S).  ``adm_*[g, x]`` is the admissibility of
+    the arc over the segment from ``x``.
     """
 
     def __init__(self, R: Strand, S: Strand, model: EnergyModel,
@@ -328,8 +341,6 @@ class _Ctx:
         self.arc_s = self.adm_s.any(axis=1)
         self.close_r = self.ki * self.adm_r
         self.close_s = self.ki * self.adm_s
-        self.prefix_r = sec_r.tables["q"][1, n::-1]
-        self.prefix_s = sec_s.tables["q"][1, m::-1]
 
         # STEP[cls][gr, gs]: hybrid extension weight by gap sizes; the gap
         # energy depends on gr + gs only
@@ -343,46 +354,32 @@ class _Ctx:
         self.step["EK"] = base * bs[None, :]
         self.step["KE"] = base * br[:, None]
         self.step["KK"] = base * br[:, None] * bs[None, :]
-
-        self.sq_any, self.sq_ge1, self.sq_unp = {}, {}, {}
-        self.tq_any, self.tq_flush = {}, {}
-        for sid, eng in (("R", sec_r), ("S", sec_s)):
-            on_strand = eng.by_span(np.ones((eng.n + 2, eng.n + 2)))
-            self.tq_flush[sid] = np.zeros_like(on_strand)
-            self.tq_flush[sid][0] = 1.0
-            self.sq_any[sid], self.sq_ge1[sid] = {}, {}
-            self.sq_unp[sid], self.tq_any[sid] = {}, {}
-            for cls, anyk, ge1k, uw in (("E", "q", "q1", 1.0), ("K", "qk", "q1k", self.ku)):
-                sq, tq = eng.by_span(eng.tables[anyk]), eng.by_span(eng.tables[anyk], end=True)
-                su = on_strand * np.array([uw ** g for g in range(eng.n + 2)])[:, None]
-                sq[0] = tq[0] = su[0] = 1.0
-                self.sq_any[sid][cls], self.tq_any[sid][cls] = sq, tq
-                self.sq_ge1[sid][cls] = eng.by_span(eng.tables[ge1k])
-                self.sq_unp[sid][cls] = su
-        self._label_stacks()
-
-    def _label_stacks(self) -> None:
-        """Per-label operand stacks, indexed like the label axis of the store."""
-
-        def per_label(fn) -> np.ndarray:
-            return np.stack([fn(lab) for lab in _LABS])
-
-        # gap segment factors: term t of _GAP_TERMS is gap_r[t] (x) gap_s[t]
-        # over CH_all; the bare GHY term is bare_r (x) bare_s over CH_nohy
-        seg = {"any": self.sq_any, "ge1": self.sq_ge1, "unp": self.sq_unp}
-        self.gap_r = np.stack([per_label(lambda lab: seg[kr]["R"][lab.class_r])
-                               for kr, _ks in _GAP_TERMS])
-        self.gap_s = np.stack([per_label(lambda lab: seg[ks]["S"][lab.class_s])
-                               for _kr, ks in _GAP_TERMS])
-        self.bare_r = per_label(lambda lab: self.sq_unp["R"][lab.class_r])
-        self.bare_s = per_label(lambda lab: self.sq_unp["S"][lab.class_s])
-        self.tail_r = per_label(lambda lab: self.tq_flush["R"] if lab.tail_r == "flush"
-                                else self.tq_any["R"][lab.class_r])
-        self.tail_s = per_label(lambda lab: self.tq_flush["S"] if lab.tail_s == "flush"
-                                else self.tq_any["S"][lab.class_s])
         self.step_stack = np.stack([self.step[c] for c in HY_CLASSES])
-        # the segment inside a tight block's closing arc
-        self.kq_r, self.kq_s = self.sq_any["R"]["K"], self.sq_any["S"]["K"]
+
+        # every strand factor: per strand, name -> (the segment kind and
+        # exposure class of each entry of its leading axes, in C order; end
+        # anchored; the shape of those axes)
+        self.factors: dict[str, tuple[SecEngine, np.ndarray, np.ndarray]] = {}
+        for k, (side, eng, length) in enumerate((("r", sec_r, n), ("s", sec_s, m))):
+            classes = [(lab.class_r, lab.class_s)[k] for lab in _LABS]
+            tails = ["any" if (lab.tail_r, lab.tail_s)[k] == "free" else "flush" for lab in _LABS]
+            declared = {
+                "kq": ([("any", "K")], False, ()),
+                "gap": ([(term[k], c) for term in _GAP_TERMS[:3] for c in classes], False,
+                        (3, len(_LABS))),
+                "bare": ([(_GAP_TERMS[3][k], c) for c in classes], False, (len(_LABS),)),
+                "tail": (list(zip(tails, classes)), True, (len(_LABS),)),
+                "prefix": ([("any", "E")], False, ()),
+            }
+            segment = cache(partial(self._segment, eng))  # a few kinds, many labels
+            for name, (segments, end, shape) in declared.items():
+                pairs = [segment(kind, cls, end) for kind, cls in segments]
+                index, weight = (np.stack(a).reshape(shape + a[0].shape) for a in zip(*pairs))
+                value = weight * eng.planes.take(index)
+                if name == "prefix":  # q(1, n-p): the segment of length n-p from 1
+                    index, weight, value = (a[length::-1, 1] for a in (index, weight, value))
+                self.factors[f"{name}_{side}"] = eng, index, weight
+                setattr(self, f"{name}_{side}", value)
 
         # branch[row, t]: weight of item t in the combined item of one chain
         # row.  Row blocks, one row per label each, in the order of the chain
@@ -406,6 +403,14 @@ class _Ctx:
         # the transpose of the combined items; the hybrid rows come twice, the
         # second time for the block-placement rows 9:13 of out_items
         self.to_items = np.concatenate((self.branch.T, self.branch.T[_HY]))
+
+    def _segment(self, eng: SecEngine, kind: str, cls: str, end: bool):
+        """The index and weight of one segment kind of exposure class
+        ``cls``: a table of ``SEGMENT_TABLES``, all unpaired ("unp") or
+        empty ("flush")."""
+        if kind in SEGMENT_TABLES:
+            return eng.segment(SEGMENT_TABLES[kind][cls], end)
+        return eng.segment(None, end, 0.0 if kind == "flush" else self.ku if cls == "K" else 1.0)
 
 
 @dataclass

@@ -4,22 +4,25 @@ The sweep visits waves in the reverse of the inside order and applies the
 transpose of every production that :mod:`jointfold.grammar_inside` declares
 in ``_WAVE``; nothing here restates a production.  For ``C = einsum(A, B,
 ...)`` the transpose adds ``einsum(C_out, B, ... -> A)`` into A's outside
-target at A's own index: the outside family of a stored operand, a per-label
-segment accumulator for a ``_Ctx`` segment factor, nothing for a constant.
-The outside value of a cell times its inside value, divided by the total
-partition function, is the probability that a parse contains the component
-at that cell; the top-level placements seed the sweep.  Like the fill, each
-wave transposes every chain label, hybrid class and tight kind at once on the
-stacked tensor families of the inside store: at most 15 ``numpy.einsum``
-calls and 2 matrix products per wave.  The readouts into the base-pair
-masses take 3 einsum calls once the sweep is done.
+target at A's own index: the outside family of a stored operand, an
+accumulator shaped like the factor for a strand factor of ``_Ctx``, nothing
+for a constant.  The outside value of a cell times its inside value, divided
+by the total partition function, is the probability that a parse contains
+the component at that cell; the top-level placements seed the sweep.  Like
+the fill, each wave transposes every chain label, hybrid class and tight kind
+at once on the stacked tensor families of the inside store: at most 15
+``numpy.einsum`` calls and 2 matrix products per wave.  The readouts into the
+base-pair masses take 3 einsum calls once the sweep is done.
 
 Base-pair probabilities combine three sources: tight-block closing arcs
-(read off the block tensors directly), arcs inside secondary segments
-(propagated into the per-strand tables and swept by the 2D outside), and
+(read off the block tensors directly), arcs inside secondary segments, and
 exterior arcs (each arc is the last arc of exactly one anchored hybrid
-prefix).  Hybrid probabilities come from the block-placement accumulator
-only, which is exactly the maximal-hybrid placement mass.
+prefix).  For the second, each strand factor's outside weight, the top-level
+prefixes' included, is scattered back through the index that
+``_Ctx.factors`` declares for it, onto the cells of the strand's 2D tables,
+and the 2D outside (:meth:`SecEngine.outside`) sweeps them.  Hybrid
+probabilities come from the block-placement accumulator only, which is
+exactly the maximal-hybrid placement mass.
 """
 
 from __future__ import annotations
@@ -30,9 +33,7 @@ import numpy as np
 
 from ._cases import verify_reconstruction
 from .grammar_inside import (
-    _GAP_TERMS,
     _HY,
-    _LABS,
     _NA_HY,
     _OUT_FAMILIES,
     _OUT_OF,
@@ -128,22 +129,10 @@ class _OutSweep:
         self.res = res
         self.ctx = res.ctx
         self.store = res.store
-        n, m = self.ctx.n, self.ctx.m
-        self.n, self.m = n, m
-        # diagonal accumulators [g,x] / [g,j] for segment and tail factors
-        self.out_sq = {
-            sid: {k: np.zeros((ln + 2, ln + 2)) for k in ("q", "q1", "qk", "q1k")}
-            for sid, ln in (("R", n), ("S", m))
-        }
-        self.out_tq = {
-            sid: {k: np.zeros((ln + 2, ln + 2)) for k in ("q", "qk")}
-            for sid, ln in (("R", n), ("S", m))
-        }
-        # interval accumulators (i,j) of q for top-level segments
-        self.out_iv = {"R": np.zeros((n + 2, n + 2)), "S": np.zeros((m + 2, m + 2))}
+        self.n, self.m = self.ctx.n, self.ctx.m
         # the outside target of every operand the productions transpose into:
-        # the outside families, and per-label segment accumulators that are
-        # folded into out_sq / out_tq by exposure class at the end
+        # the outside families, and one accumulator per strand factor that
+        # carries outside weight
         stacks = self.store.stacks
         self.out = {f: stacks[o] for f, o in _OUT_OF.items()}
         self.out.update({k: np.zeros_like(getattr(self.ctx, k)) for k in _SEGMENTS})
@@ -151,17 +140,16 @@ class _OutSweep:
     # -- seeds ---------------------------------------------------------------
 
     def seed_top(self) -> None:
-        """Outside weights of the top level: the strands without interaction,
-        and each top-level chain ``[p, q]`` ending at ``(n, m)`` with the
-        prefixes ``q(1, n-p)`` and ``q(1, m-q)`` left of it."""
+        """Outside weights of the top level: each top-level chain ``[p, q]``
+        ending at ``(n, m)`` with the prefixes ``q(1, n-p)`` and ``q(1,
+        m-q)`` left of it, and those prefixes; span 0 is the strand without
+        interaction, ``q(1, n)`` beside ``q(1, m)``."""
         n, m = self.n, self.m
         wr, ws = self.ctx.prefix_r, self.ctx.prefix_s
-        self.out_iv["R"][1, n] += ws[0]
-        self.out_iv["S"][1, m] += wr[0]
         self.out["chain"][_NA_HY, 0, 1 : n + 1, 1 : m + 1, n, m] += wr[1:, None] * ws[1:]
         chains = _top_chains(self.store, self.ctx)
-        self.out_iv["R"][1, n - 1 : 0 : -1] += (chains @ ws[1:])[:-1]
-        self.out_iv["S"][1, m - 1 : 0 : -1] += (wr[1:] @ chains)[:-1]
+        self.out["prefix_r"] = np.concatenate((ws[:1], chains @ ws[1:]))
+        self.out["prefix_s"] = np.concatenate((wr[:1], wr[1:] @ chains))
 
     # -- readouts ------------------------------------------------------------
 
@@ -182,41 +170,25 @@ class _OutSweep:
         self.bpp_ext_mass = np.bincount(ends, mass[p, q, i, h], (n + 2) * (m + 2)).reshape(
             n + 2, m + 2)
 
-    def fold_label_accumulators(self) -> None:
-        """Add the per-label segment accumulators into the per-class diagonals
-        (unpaired factors and flush tails are constants and dropped)."""
-        kinds = {"any": {"E": "q", "K": "qk"}, "ge1": {"E": "q1", "K": "q1k"}}
-        out = self.out
-        self.out_sq["R"]["qk"] += out["kq_r"]
-        self.out_sq["S"]["qk"] += out["kq_s"]
-        for k, lab in enumerate(_LABS):
-            for t, (seg_r, seg_s) in enumerate(_GAP_TERMS):
-                if seg_r in kinds:
-                    self.out_sq["R"][kinds[seg_r][lab.class_r]] += out["gap_r"][t, k]
-                if seg_s in kinds:
-                    self.out_sq["S"][kinds[seg_s][lab.class_s]] += out["gap_s"][t, k]
-            if lab.tail_r == "free":
-                self.out_tq["R"][kinds["any"][lab.class_r]] += out["tail_r"][k]
-            if lab.tail_s == "free":
-                self.out_tq["S"][kinds["any"][lab.class_s]] += out["tail_s"][k]
-
     # -- finalisation --------------------------------------------------------
 
-    def sec_seeds(self, sid: str, eng: SecEngine) -> dict[str, np.ndarray]:
-        """Outside weights of one strand's 2D cells, scattered from the
-        diagonal accumulators: ``out_sq[kind][g, i]`` and ``out_tq[kind][g,
-        j]`` both belong to cell ``(i, j)`` with ``g = j - i + 1``."""
-        seeds = {kind: eng.from_span(diag) for kind, diag in self.out_sq[sid].items()}
-        for kind, diag in self.out_tq[sid].items():
-            seeds[kind] += eng.from_span(diag, end=True)
-        seeds["q"] += self.out_iv[sid]
-        return seeds
+    def sec_seeds(self, eng: SecEngine) -> dict[str, np.ndarray]:
+        """Outside weights of one strand's 2D cells: the outside weight of
+        each of its strand factors, times the factor's weight, scattered
+        back through the factor's index into the engine's planes.  What
+        lands on the constant planes (unpaired and empty segments) is
+        dropped."""
+        acc = np.zeros(eng.planes.size)
+        for name, (owner, index, weight) in self.ctx.factors.items():
+            if owner is eng and name in self.out:
+                np.add.at(acc, index, weight * self.out[name])
+        return dict(zip(eng.kinds, acc.reshape(-1, eng.n + 2, eng.n + 2)))
 
     def arc_mass(self, sid: str, eng: SecEngine) -> np.ndarray:
         """Base-pair mass of one strand's arcs ``[i, j]``: the tight-block
         closers, and the arcs inside secondary segments (swept by the 2D
         outside)."""
-        out2d = eng.outside(self.sec_seeds(sid, eng))
+        out2d = eng.outside(self.sec_seeds(eng))
         return eng.from_span(self.closers[sid]) + eng.arc_probabilities(out2d, 1.0)
 
 
@@ -248,7 +220,6 @@ def outside(res: InsideResult, verify_conservation: bool = False) -> ProbTables:
         w = _Wave(res.ctx, p, q)
         _transpose_wave(src, sweep.out, w)
     sweep.readouts()
-    sweep.fold_label_accumulators()
 
     z = res.q_total
     bpp_r = sweep.arc_mass("R", res.sec_r) / z

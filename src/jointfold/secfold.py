@@ -16,9 +16,12 @@ its 2D tables, ``tables[kind][i, j]`` over 1-based cells:
 * ``qm``/``qm1`` - multi-class helpers used inside the closed tables.
 
 The 4D grammar reads these tables as span-anchored diagonals ``[g, x]``, the
-segment of length ``g`` that starts (or ends) at ``x``.  That conversion is
-:meth:`SecEngine.by_span`; its transpose :meth:`SecEngine.from_span` passes
-outside weights back onto the cells.
+segment of length ``g`` that starts (or ends) at ``x``.  A strand factor of
+the grammar is declared as a flat index into the planes of the tables and a
+weight per ``[g, x]`` (:meth:`SecEngine.segment`): a gather forms it, and a
+scatter through the same index passes its outside weight back onto the
+cells.  :meth:`SecEngine.by_span` gathers any other ``[i, j]`` array onto
+spans, and :meth:`SecEngine.from_span` is its transpose.
 
 The multi- and kissing-class tables are one recursion instantiated with two
 affine weight classes.  Every recursion is written twice.  The per-cell case
@@ -160,6 +163,7 @@ class SecEngine:
         # the tables, then the constant planes that the span declarations
         # read: ones, and the stack weight of (i+1, j-1) inside each arc (i, j)
         self._planes = np.zeros((len(kinds) + 2, size, size))
+        self.planes = self._planes.reshape(-1)  # all of them, flat
         self.tables: dict[str, np.ndarray] = dict(zip(kinds, self._planes))
         for k in _EMPTY_ONE:
             for i in range(1, size):
@@ -395,7 +399,7 @@ class SecEngine:
     def _span_cells(self, end: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per ``[g, x]``: whether the span ``g >= 0`` anchored at ``x`` lies
         on the strand, and the cell ``(i, j)`` it names there (else ``(0, 0)``)."""
-        g, x = np.indices((self.n + 2, self.n + 2))
+        g, x = np.arange(self.n + 2)[:, None], np.arange(self.n + 2)
         i, j = (x - g + 1, x) if end else (x, x + g - 1)
         ok = (i >= 1) & (j <= self.n)
         return ok, i * ok, j * ok
@@ -417,11 +421,37 @@ class SecEngine:
         table[i[ok], j[ok]] = diag[ok]
         return table
 
+    def segment(self, table: str | None, end: bool = False,
+                unpaired: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+        """A strand factor over spans, as ``[g, x]`` arrays of flat indices
+        into :attr:`planes` and of weights; the factor is ``weight *
+        planes.take(index)``, and the transpose scatters its outside weight
+        times ``weight`` back through ``index``.  Entry ``[g, x]`` is the
+        segment of length ``g`` that starts at ``x``, or ends there when
+        anchored at the ``end``.  With a ``table`` it reads that table's
+        cell, weight 1 on the strand and 0 off it; without one it is all
+        unpaired, weight ``unpaired ** g`` on the strand.  Every entry that
+        reads no cell (no table, off the strand, span 0) reads the plane of
+        ones; at span 0 the weight is the value of an empty interval, 1 for
+        ``q``, ``qk`` and unpaired bases, else 0."""
+        ok, i, j = self._span_cells(end)
+        size = self.n + 2
+        ones = len(self.kinds) * size * size
+        if table is None:
+            index = np.full(ok.shape, ones)
+            weight = ok * np.array([unpaired ** g for g in range(size)])[:, None]
+        else:
+            index = np.where(ok, self.kinds.index(table) * size * size + i * size + j, ones)
+            weight = ok * 1.0
+        index[0] = ones
+        weight[0] = table is None or table in _EMPTY_ONE
+        return index, weight
+
     def fill(self) -> None:
         """Fill every table, one span at a time for all start positions."""
         if self._filled:
             return
-        flat = self._planes.reshape(-1)
+        flat = self.planes
         declared = self._declared()
         for s in range(1, self.n + 1):
             cell = self._diag[: self.n - s + 1, None]
@@ -447,7 +477,7 @@ class SecEngine:
         out = dict(zip(self.kinds, acc))
         for k, arr in seeds.items():
             out[k] += arr
-        flat, acc = self._planes.reshape(-1), acc.reshape(-1)
+        flat, acc = self.planes, acc.reshape(-1)
         declared = self._declared()[::-1]
         for s in range(self.n, 0, -1):
             cell = self._diag[: self.n - s + 1, None]

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from jointfold.cli_reports import (
+    _build_parser,
     CliError,
     RunConfig,
     format_target_line,
@@ -19,6 +20,9 @@ from jointfold.cli_reports import (
     read_matrix_tsv,
     run,
 )
+from jointfold.energy import default_model
+from jointfold.grammar_inside import inside
+from jointfold.outside_prob import outside
 
 
 UNIT_PARAMS = "\n".join(
@@ -233,6 +237,50 @@ class TestSample:
         assert captured.out == ""
 
 
+class TestFlags:
+    def test_pf_refuses_a_sample_count(self, fasta, capsys):
+        path = fasta(">r\nAAA\n>s\nUUU\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["pf", path, "--num", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --num 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, reads", [
+        ("pf", {"--json", "--mem-budget-gib"}),
+        ("bpp", {"--outdir", "--mem-budget-gib"}),
+        ("hybrids", {"--outdir", "--mem-budget-gib"}),
+        ("targets", {"--threshold", "--mem-budget-gib"}),
+        ("sample", {"--num", "--mem-budget-gib"}),
+        ("dotplot", {"--outdir", "--threshold", "--mem-budget-gib"}),
+        ("oracle", {"--max-structures"}),
+    ])
+    def test_each_command_takes_only_the_flags_it_reads(self, command, reads, capsys):
+        parser = _build_parser()
+        for flag, value in (("--params", "p.txt"), ("--seed", "3"), ("--no-interaction", None),
+                            ("--outdir", "x"), ("--threshold", "0.5"), ("--num", "3"),
+                            ("--mem-budget-gib", "1"), ("--json", None),
+                            ("--max-structures", "9")):
+            argv = [command, "in.fa", flag] + ([value] if value else [])
+            if flag in reads or flag in ("--params", "--seed", "--no-interaction"):
+                parser.parse_args(argv)
+                continue
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 2, (command, flag)
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rt", ["0", "-0.6"])
+    def test_bad_rt_is_a_one_line_error(self, rt, fasta, tmp_path, capsys):
+        params = tmp_path / "p.txt"
+        params.write_text(f"rt = {rt}\n")
+        path = fasta(">r\nAAA\n>s\nUUU\n")
+        assert main(["pf", path, "--params", str(params)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: ParseError: {params}: rt must be finite and > 0, got {float(rt)!r}\n")
+        assert captured.out == ""
+
+
 class TestClosedPipe:
     @pytest.mark.parametrize("command", ["targets", "pf"])
     def test_reader_closing_early_is_no_traceback(self, command, fasta):
@@ -253,13 +301,28 @@ class TestClosedPipe:
 
 class TestMatrices:
     def test_bpp_round_trip(self, fasta, tmp_path):
-        path = fasta(">r\nGAAAC\n>s\nGUUUC\n")
-        out = tmp_path / "out"
-        status, _ = capture(cfg("bpp", [path], outdir=str(out)))
-        assert status == 0
-        mat = read_matrix_tsv(str(out / "bpp_ext.tsv"))
-        assert mat.shape == (5, 5)
-        assert (mat >= 0).all() and (mat <= 1 + 1e-9).all()
+        # S is indexed from its 3' end inside: the files put internal S
+        # position h at column (or row) m - h + 1, with 17 digits, so the
+        # read-back values are the tables' own
+        for k, (r, s) in enumerate((("GAAAC", "GUUUC"), ("GCAAAGCU", "AGGAAACCUA"))):
+            path = fasta(f">r\n{r}\n>s\n{s}\n", name=f"in{k}.fa")
+            out = tmp_path / f"out{k}"
+            status, _ = capture(cfg("bpp", [path], outdir=str(out)))
+            assert status == 0
+            n, m = len(r), len(s)
+            mat = read_matrix_tsv(str(out / "bpp_ext.tsv"))
+            assert mat.shape == (n, m)
+            assert (mat >= 0).all() and (mat <= 1 + 1e-9).all()
+            arcs = read_matrix_tsv(str(out / "bpp_s.tsv"))
+            assert arcs.shape == (m, m) and (arcs > 0).any()
+            R, S = ingest_fasta([path])
+            prob = outside(inside(R, S, default_model()))
+            for i in range(1, n + 1):
+                for h in range(1, m + 1):
+                    assert mat[i - 1, m - h] == prob.bpp_ext[i, h], (r, s, i, h)
+            for h in range(1, m + 1):
+                for l in range(1, m + 1):
+                    assert arcs[m - l, m - h] == prob.bpp_s[h, l], (r, s, h, l)
 
     def test_hybrid_projection_round_trip(self, fasta, unit_params, tmp_path):
         path = fasta(">r\nAAA\n>s\nUUU\n")

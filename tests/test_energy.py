@@ -127,6 +127,24 @@ class TestParamsFile:
         assert default_model().fingerprint() != unit_model().fingerprint()
         assert default_model().fingerprint() == default_model().fingerprint()
 
+    def test_fingerprints_are_pinned(self, tmp_path):
+        # the canonical parameter text is part of every report header: any
+        # change to its keys, order or number format changes these digests
+        assert default_model().fingerprint() == "0c1e4814d85f"
+        path = tmp_path / "p.txt"
+        path.write_text(
+            "rt = 0.6\nmin_hairpin = 2\nforbid_lone_pairs = true\npairs = GC,CG,AU,UA\n"
+            "stack = -1.5\nstack_GC_CG = -3.25\nstack_AU_UA = -0.75\nkiss_unpaired = 0.2\n"
+            "ext_arc = -2.0\next_GC = -2.5\next_AU = inf\n")
+        assert load_params(str(path)).fingerprint() == "620529ab99fb"
+
+    @pytest.mark.parametrize("rt", ["0", "-0.6", "inf", "nan"])
+    def test_rt_must_be_finite_and_positive(self, rt):
+        with pytest.raises(ParamError, match="rt must be finite and > 0"):
+            parse_params(f"rt = {rt}\n")
+        with pytest.raises(ParamError, match="rt must be finite and > 0"):
+            EnergyModel(rt=float(rt))
+
     def test_inf_disables(self):
         m = parse_params("ext_arc = inf\n")
         assert m.w_ext("A", "U") == 0.0

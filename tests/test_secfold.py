@@ -258,7 +258,7 @@ class TestTracedEntryPoints:
 
 class TestSpanLayout:
     """``by_span`` and ``from_span`` against their index definition, and the
-    ``_Ctx`` segment arrays against per-cell reads of the tables."""
+    strand factors declared in ``_Ctx`` against per-cell reads of the tables."""
 
     @staticmethod
     def _engine(n: int) -> SecEngine:
@@ -307,23 +307,56 @@ class TestSpanLayout:
 
     @pytest.mark.parametrize("r, s", [("G", "C"), ("GGACU", "AGUCCAUGC")])
     def test_segment_arrays_are_the_table_cells(self, r, s):
+        """Every entry of every declared strand factor reads the table cell
+        that its span names, with weight 1 (0 off the strand), or the plane
+        of ones with the weight of an unpaired, flush or empty segment; its
+        value in ``_Ctx`` is that cell's value times the weight."""
         model = random_model(np.random.default_rng(6), min_hairpin=0)
         R, S = Strand.query(r), Strand.target_internal(s)
         ctx = grammar_inside._Ctx(R, S, model, fold(R, model), fold(S, model))
-        for sid, eng in (("R", ctx.sec_r), ("S", ctx.sec_s)):
-            n = eng.n
-            for cls, anyk, ge1k in (("E", "q", "q1"), ("K", "qk", "q1k")):
-                uw = model.w_kiss_unpaired if cls == "K" else 1.0
-                for g in range(n + 1):
-                    for x in range(1, n + 2 - g):
-                        assert ctx.sq_any[sid][cls][g, x] == (
-                            1.0 if g == 0 else eng.value(anyk, x, x + g - 1))
-                        assert ctx.sq_ge1[sid][cls][g, x] == eng.value(ge1k, x, x + g - 1)
-                        assert ctx.sq_unp[sid][cls][g, x] == uw ** g
-                    for j in range(g, n + 1):
-                        assert ctx.tq_any[sid][cls][g, j] == (
-                            1.0 if g == 0 else eng.value(anyk, j - g + 1, j))
-            adm = ctx.adm_r if sid == "R" else ctx.adm_s
+        tables = {("any", "E"): "q", ("any", "K"): "qk", ("ge1", "E"): "q1", ("ge1", "K"): "q1k"}
+        terms = [("unp", "ge1"), ("ge1", "any"), ("any", "any")]  # GHY, GHY, GNA
+        labs = list(grammar_inside.LABELS.values())
+        assert {name[:-2] for name in ctx.factors} == {"kq", "gap", "bare", "tail", "prefix"}
+        for k, (side, eng) in enumerate((("r", ctx.sec_r), ("s", ctx.sec_s))):
+            n, area = eng.n, (eng.n + 2) ** 2
+            ones = len(eng.kinds) * area
+            cls = [(lab.class_r, lab.class_s)[k] for lab in labs]
+            tail = [(lab.tail_r, lab.tail_s)[k] for lab in labs]
+            # factor -> its entries: (leading index, [g, x] entries or None for
+            # all of them, segment kind, exposure class, end anchored)
+            segments = {"kq": [((), None, "any", "K", False)],
+                        "gap": [((t, l), None, term[k], c, False)
+                                for t, term in enumerate(terms) for l, c in enumerate(cls)],
+                        "bare": [((l,), None, "unp", c, False) for l, c in enumerate(cls)],
+                        "tail": [((l,), None, "any" if t == "free" else "flush", c, True)
+                                 for l, (t, c) in enumerate(zip(tail, cls))],
+                        "prefix": [((p,), (n - p, 1), "any", "E", False) for p in range(n + 1)]}
+            checked = 0
+            for name, entries in segments.items():
+                owner, index, weight = ctx.factors[f"{name}_{side}"]
+                value = getattr(ctx, f"{name}_{side}")
+                assert owner is eng and index.shape == weight.shape == value.shape
+                for lead, span, kind, c, end in entries:
+                    cells = [span] if span else np.ndindex(n + 2, n + 2)
+                    for g, x in cells:
+                        i, j = (x - g + 1, x) if end else (x, x + g - 1)
+                        on = 1 <= i and j <= n
+                        at = lead if span else lead + (g, x)
+                        if g >= 1 and on and kind in ("any", "ge1"):
+                            table = tables[kind, c]
+                            assert index[at] == eng.kinds.index(table) * area + i * (n + 2) + j
+                            want_w, want = 1.0, eng.value(table, i, j)
+                        else:
+                            assert index[at] == ones, (name, at)
+                            u = model.w_kiss_unpaired if c == "K" else 1.0
+                            # the empty interval, an unpaired segment, else 0
+                            want_w = want = (float(kind != "ge1") if g == 0
+                                             else u ** g if on and kind == "unp" else 0.0)
+                        assert weight[at] == want_w and value[at] == want, (name, at)
+                        checked += 1
+            assert checked == (1 + 3 * 6 + 6 + 6) * (n + 2) ** 2 + n + 1
+            adm = ctx.adm_r if side == "r" else ctx.adm_s
             for g in range(n + 2):
                 for x in range(n + 2):
                     j = x + g - 1
