@@ -166,7 +166,7 @@ def _hy_weights(res: InsideResult, comp: tuple) -> np.ndarray:
         return np.empty(0)
     P, Q = j - i, l - h
     run = res.store[("hy", cls)][1 : P + 1, 1 : Q + 1, i, h]
-    return ((wlast * ctx.step[cls][P - 1 :: -1, Q - 1 :: -1]) * run).ravel()
+    return ((wlast * ctx.step[HY_CLASSES.index(cls), P - 1 :: -1, Q - 1 :: -1]) * run).ravel()
 
 
 def _vee_weights(res: InsideResult, comp: tuple) -> np.ndarray:
@@ -337,7 +337,7 @@ def _decode_hy(res: InsideResult, comp: tuple, t: int) -> tuple:
     i1, h1 = divmod(t, l - h)
     i1 += i
     h1 += h
-    step = ctx.step[cls][j - i1 - 1, l - h1 - 1]
+    step = ctx.step[HY_CLASSES.index(cls), j - i1 - 1, l - h1 - 1]
     return (ctx.wext[j, l] * step, [("hy", cls, i, i1, h, h1)], [("ext", j, l)])
 
 

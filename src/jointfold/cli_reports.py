@@ -23,24 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .energy import EnergyModel, ParamError, default_model, load_params
+from .energy import EnergyModel, ParamError, default_model, parse_params
 from .grammar_inside import InsideResult, estimate_memory_bytes, inside
 from .oracle import LimitExceeded, OracleLimits, enumerate_interactions
-from .outside_prob import (
-    HybridProbMatrix,
-    ProbTables,
-    hybrid_probabilities,
-    outside,
-    target_sites,
-)
+from .outside_prob import hybrid_probabilities, outside, target_sites
 from .sampler import sample_batch
 from .secfold import NumericalUnderflow
-from .seq_model import Strand, StrandRole, extract_hybrids
+from .seq_model import Strand, StrandRole
 
 __all__ = ["CliError", "RunConfig", "ingest_fasta", "run", "main"]
 
 PARAMS_ENV = "JOINTFOLD_PARAMS"
-DEFAULT_BUDGET_BYTES = 2 * 1024**3
 
 
 class CliError(Exception):
@@ -63,13 +56,37 @@ class RunConfig:
     threshold: float = 0.1
     num: int = 10
     seed: int = 1
-    memory_budget_bytes: int = DEFAULT_BUDGET_BYTES
+    memory_budget_bytes: int = 2 * 1024**3
     as_json: bool = False
     no_interaction: bool = False
     max_structures: int = 2_000_000
 
 
-# -- FASTA ---------------------------------------------------------------
+# -- files ---------------------------------------------------------------
+
+
+def _read_text(path: str, missing: str) -> str:
+    """The text of a UTF-8 file; a file that cannot be read is a
+    :class:`CliError` (``missing`` words the message of an absent one)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise CliError("MissingFile", f"{missing}: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError("BadEncoding",
+                       f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
+    except OSError as exc:
+        raise CliError("BadFile", f"{path}: {exc.strerror}") from None
+
+
+def _outdir(cfg: RunConfig) -> str:
+    """The artifact directory, made if it does not exist."""
+    try:
+        os.makedirs(cfg.outdir, exist_ok=True)
+    except OSError as exc:
+        raise CliError("BadOutdir", f"{cfg.outdir}: {exc.strerror}") from None
+    return cfg.outdir
 
 
 def _parse_fasta_text(text: str, path: str) -> list[tuple[str, str]]:
@@ -93,12 +110,7 @@ def ingest_fasta(paths: list[str]) -> tuple[Strand, Strand]:
     """
     records: list[tuple[str, str]] = []
     for path in paths:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except FileNotFoundError:
-            raise CliError("MissingFile", f"no such file: {path}") from None
-        records.extend(_parse_fasta_text(text, path))
+        records.extend(_parse_fasta_text(_read_text(path, "no such file"), path))
     if len(records) != 2:
         raise CliError(
             "WrongRecordCount", f"need exactly 2 records, found {len(records)}"
@@ -206,10 +218,9 @@ def _structure_lines(res: InsideResult, js, idx: int) -> list[str]:
 def _load_model(cfg: RunConfig) -> EnergyModel:
     path = cfg.params_path or os.environ.get(PARAMS_ENV)
     if path:
+        text = _read_text(path, "no such params file")
         try:
-            model = load_params(path)
-        except FileNotFoundError:
-            raise CliError("MissingFile", f"no such params file: {path}") from None
+            model = parse_params(text)
         except ParamError as exc:
             raise CliError("ParseError", f"{path}: {exc}") from None
     else:
@@ -275,15 +286,13 @@ def _prob_pipeline(cfg: RunConfig, stream):
 def _cmd_bpp(cfg: RunConfig, stream) -> None:
     R, S, model, res, prob = _prob_pipeline(cfg, stream)
     n, m = len(R), len(S)
-    os.makedirs(cfg.outdir, exist_ok=True)
+    outdir = _outdir(cfg)
     hdr = _header(cfg, model, "rows/cols are 1-based sequence positions")
-    write_matrix_tsv(os.path.join(cfg.outdir, "bpp_r.tsv"), hdr, prob.bpp_r, 1, n, 1, n)
+    write_matrix_tsv(os.path.join(outdir, "bpp_r.tsv"), hdr, prob.bpp_r, 1, n, 1, n)
     # S in user coordinates, position h at m-h+1: arc (h,l) -> (m-l+1, m-h+1)
     bpp_s_user = prob.bpp_s[::-1, ::-1].T
-    write_matrix_tsv(os.path.join(cfg.outdir, "bpp_s.tsv"), hdr, bpp_s_user, 1, m, 1, m)
-    write_matrix_tsv(
-        os.path.join(cfg.outdir, "bpp_ext.tsv"), hdr, prob.bpp_ext[:, ::-1], 1, n, 1, m
-    )
+    write_matrix_tsv(os.path.join(outdir, "bpp_s.tsv"), hdr, bpp_s_user, 1, m, 1, m)
+    write_matrix_tsv(os.path.join(outdir, "bpp_ext.tsv"), hdr, prob.bpp_ext[:, ::-1], 1, n, 1, m)
     stream.write("wrote bpp_r.tsv bpp_s.tsv bpp_ext.tsv\n")
 
 
@@ -291,8 +300,8 @@ def _cmd_hybrids(cfg: RunConfig, stream) -> None:
     R, S, model, res, prob = _prob_pipeline(cfg, stream)
     n, m = len(R), len(S)
     hyb = hybrid_probabilities(res, prob)
-    os.makedirs(cfg.outdir, exist_ok=True)
-    path = os.path.join(cfg.outdir, "hybrids.tsv")
+    outdir = _outdir(cfg)
+    path = os.path.join(outdir, "hybrids.tsv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_header(cfg, model, "columns: r_start r_end s_start s_end p"))
         fh.write("# s coordinates 5'->3'\n")
@@ -304,7 +313,7 @@ def _cmd_hybrids(cfg: RunConfig, stream) -> None:
     for (i, j, _h, _l, w) in hyb.entries(0.0):
         proj[i, j] += w
     write_matrix_tsv(
-        os.path.join(cfg.outdir, "hybrids_r_projection.tsv"),
+        os.path.join(outdir, "hybrids_r_projection.tsv"),
         _header(cfg, model, "P(target region R[i,j]) summed over partner footprints"),
         proj, 1, n, 1, n,
     )
@@ -359,8 +368,7 @@ def _cmd_dotplot(cfg: RunConfig, stream) -> None:
     R, S, model, res, prob = _prob_pipeline(cfg, stream)
     n, m = len(R), len(S)
     hyb = hybrid_probabilities(res, prob)
-    os.makedirs(cfg.outdir, exist_ok=True)
-    path = os.path.join(cfg.outdir, "dotplot.svg")
+    path = os.path.join(_outdir(cfg), "dotplot.svg")
     cell = 12
     width = (n + 3) * cell
     height = (m + 3) * cell
@@ -453,23 +461,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
+    # no defaults here: a flag that is not given keeps its RunConfig default
     flags = {
-        "--params": dict(dest="params_path", default=None,
+        "--params": dict(dest="params_path",
                          help=f"energy parameter file (default ${PARAMS_ENV})"),
-        "--seed": dict(type=int, default=1, help="random seed (>= 0)"),
+        "--seed": dict(type=int, help="random seed (>= 0)"),
         "--no-interaction": dict(action="store_true",
                                  help="set every exterior-arc weight to zero"),
-        "--outdir": dict(default=".", help="artifact directory"),
-        "--threshold": dict(type=float, default=0.1,
-                            help="report regions with probability above this"),
-        "--num": dict(type=int, default=10, help="number of samples"),
-        "--mem-budget-gib": dict(type=float, default=2.0, help="memory budget for DP tables"),
+        "--outdir": dict(help="artifact directory"),
+        "--threshold": dict(type=float, help="report regions with probability above this"),
+        "--num": dict(type=int, help="number of samples"),
+        "--mem-budget-gib": dict(type=float, help="memory budget for DP tables"),
         "--json": dict(dest="as_json", action="store_true",
                        help="machine-readable scalar output"),
-        "--max-structures": dict(type=int, default=2_000_000, help="oracle enumeration budget"),
+        "--max-structures": dict(type=int, help="oracle enumeration budget"),
     }
     for name, (_run, help_text, own) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         p.add_argument("inputs", nargs="+", help="FASTA file(s) with the two records")
         for flag in ("--params", "--seed", "--no-interaction") + own:
             spec = flags[flag]
@@ -479,26 +487,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv: list[str] | None = None) -> int:
+def _config(argv: list[str] | None) -> RunConfig:
+    """The run configuration of a command line.
+
+    Raises:
+        CliError: a number is out of its range (``BadConfig``).
+    """
     args = vars(_build_parser().parse_args(argv))
-    gib = args.pop("mem_budget_gib", DEFAULT_BUDGET_BYTES / 1024**3)
-    if not (math.isfinite(gib) and gib > 0.0):
-        print("error: BadConfig: --mem-budget-gib must be finite and > 0", file=sys.stderr)
-        return 1
-    # a flag that a command does not take keeps the RunConfig default
-    cfg = RunConfig(**args, memory_budget_bytes=int(gib * 1024**3))
+    if "mem_budget_gib" in args:
+        gib = args.pop("mem_budget_gib")
+        if not (math.isfinite(gib) and gib > 0.0):
+            raise CliError("BadConfig", "--mem-budget-gib must be finite and > 0")
+        args["memory_budget_bytes"] = int(gib * 1024**3)
+    cfg = RunConfig(**args)
     top = 100 if cfg.command == "dotplot" else 1  # dotplot reads a percentage
     if not 0.0 <= cfg.threshold <= top:
-        print(f"error: BadConfig: threshold must be in [0,{top}]", file=sys.stderr)
-        return 1
-    if cfg.num < 1:
-        print("error: BadConfig: --num must be >= 1", file=sys.stderr)
-        return 1
-    if cfg.seed < 0:
-        print("error: BadConfig: --seed must be >= 0", file=sys.stderr)
-        return 1
-    if cfg.max_structures < 0:
-        print("error: BadConfig: --max-structures must be >= 0", file=sys.stderr)
+        raise CliError("BadConfig", f"threshold must be in [0,{top}]")
+    for flag, value, least in (("--num", cfg.num, 1), ("--seed", cfg.seed, 0),
+                               ("--max-structures", cfg.max_structures, 0)):
+        if value < least:
+            raise CliError("BadConfig", f"{flag} must be >= {least}")
+    return cfg
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        cfg = _config(argv)
+    except CliError as exc:
+        print(f"error: {exc.oneline()}", file=sys.stderr)
         return 1
     try:
         status = run(cfg)

@@ -300,29 +300,29 @@ class TensorStore:
 
 
 class _Ctx:
-    """Precomputed per-run grids: admissibility, weights, strand factors.
+    """Precomputed per-run grids: weights and strand factors.
 
     Every strand factor that a production reads is declared once, in
     ``factors``: its strand engine, and per entry a flat index into that
     engine's :attr:`SecEngine.planes` and a weight (:meth:`SecEngine.segment`
     gives both for one segment kind).  The factor is ``weight *
     planes.take(index)``, and :func:`jointfold.outside_prob.outside` scatters
-    its outside weight back through the same index.  ``kq_*[g, x]`` is the
-    segment of length ``g`` inside a tight block's closing arc from ``x``;
-    ``gap_*[t, l, g, x]`` the segments of the terms ``_GAP_TERMS[:3]`` of
-    label ``l`` after an item, ``bare_*[l, g, x]`` those of the bare term;
-    ``tail_*[l, g, j]`` the tail of label ``l`` that ends at ``j`` (empty
-    where the label is flush on that strand); ``prefix_r[p]`` is ``q(1,
-    n-p)``, the structures of R left of a top-level chain of span ``p``
-    (``prefix_s`` likewise on S).  ``adm_*[g, x]`` is the admissibility of
-    the arc over the segment from ``x``.
+    its outside weight back through the same index.  ``adm_*[g, x]`` is the
+    admissibility of the arc over the segment of length ``g`` from ``x``, read
+    off the engine's constant plane of arcs; ``close_*`` (the closing-arc
+    factor of a tight block) and ``arc_*`` (whether any arc of a span is
+    admissible) derive from it.  ``kq_*[g, x]`` is the segment inside a tight
+    block's closing arc from ``x``; ``gap_*[t, l, g, x]`` the segments of the
+    terms ``_GAP_TERMS[:3]`` of label ``l`` after an item, ``bare_*[l, g, x]``
+    those of the bare term; ``tail_*[l, g, j]`` the tail of label ``l`` that
+    ends at ``j`` (empty where the label is flush on that strand);
+    ``prefix_r[p]`` is ``q(1, n-p)``, the structures of R left of a top-level
+    chain of span ``p`` (``prefix_s`` likewise on S).
     """
 
-    def __init__(self, R: Strand, S: Strand, model: EnergyModel,
-                 sec_r: SecEngine, sec_s: SecEngine):
-        self.R, self.S, self.model = R, S, model
-        self.sec_r, self.sec_s = sec_r, sec_s
-        n, m = len(R), len(S)
+    def __init__(self, sec_r: SecEngine, sec_s: SecEngine):
+        model = sec_r.model
+        n, m = sec_r.n, sec_s.n
         self.n, self.m = n, m
         self.ki = model.w_kiss_init
         self.kb = model.w_kiss_branch
@@ -330,31 +330,17 @@ class _Ctx:
 
         w_ext = np.array([[model.w_ext(a, b) for b in ALPHABET] for a in ALPHABET])
         self.wext = np.zeros((n + 2, m + 2))
-        self.wext[1:-1, 1:-1] = w_ext[np.array(R.codes())[:, None], S.codes()]
+        self.wext[1:-1, 1:-1] = w_ext[np.array(sec_r.strand.codes())[:, None], sec_s.strand.codes()]
 
-        # arc[p]: any admissible arc of span p (else no tight block closes at
-        # that span); the closing-arc factor of a tight block: kiss_init on
-        # admissible arcs
-        self.adm_r = sec_r.by_span(sec_r.adm_plane)
-        self.adm_s = sec_s.by_span(sec_s.adm_plane)
-        self.arc_r = self.adm_r.any(axis=1)
-        self.arc_s = self.adm_s.any(axis=1)
-        self.close_r = self.ki * self.adm_r
-        self.close_s = self.ki * self.adm_s
-
-        # STEP[cls][gr, gs]: hybrid extension weight by gap sizes; the gap
-        # energy depends on gr + gs only
-        self.step = {}
+        # step[c, gr, gs]: hybrid extension weight of class HY_CLASSES[c] by
+        # gap sizes; the gap energy depends on gr + gs only
         by_sum = np.array([model.w_step_base(g, 0) for g in range(n + m + 1)])
         base = by_sum[np.add.outer(np.arange(n + 1), np.arange(m + 1))]
         b3 = model.w_beta3
         br = b3 ** np.arange(n + 1)
         bs = b3 ** np.arange(m + 1)
-        self.step["EE"] = base
-        self.step["EK"] = base * bs[None, :]
-        self.step["KE"] = base * br[:, None]
-        self.step["KK"] = base * br[:, None] * bs[None, :]
-        self.step_stack = np.stack([self.step[c] for c in HY_CLASSES])
+        self.step = np.stack([base, base * bs[None, :], base * br[:, None],
+                              base * br[:, None] * bs[None, :]])
 
         # every strand factor: per strand, name -> (the segment kind and
         # exposure class of each entry of its leading axes, in C order; end
@@ -364,6 +350,7 @@ class _Ctx:
             classes = [(lab.class_r, lab.class_s)[k] for lab in _LABS]
             tails = ["any" if (lab.tail_r, lab.tail_s)[k] == "free" else "flush" for lab in _LABS]
             declared = {
+                "adm": ([("adm", None)], False, ()),
                 "kq": ([("any", "K")], False, ()),
                 "gap": ([(term[k], c) for term in _GAP_TERMS[:3] for c in classes], False,
                         (3, len(_LABS))),
@@ -380,6 +367,11 @@ class _Ctx:
                     index, weight, value = (a[length::-1, 1] for a in (index, weight, value))
                 self.factors[f"{name}_{side}"] = eng, index, weight
                 setattr(self, f"{name}_{side}", value)
+        # arc[p]: any admissible arc of span p (else no tight block closes at
+        # that span); the closing-arc factor of a tight block: kiss_init on
+        # admissible arcs
+        self.arc_r, self.arc_s = self.adm_r.any(axis=1), self.adm_s.any(axis=1)
+        self.close_r, self.close_s = self.ki * self.adm_r, self.ki * self.adm_s
 
         # branch[row, t]: weight of item t in the combined item of one chain
         # row.  Row blocks, one row per label each, in the order of the chain
@@ -406,10 +398,12 @@ class _Ctx:
 
     def _segment(self, eng: SecEngine, kind: str, cls: str, end: bool):
         """The index and weight of one segment kind of exposure class
-        ``cls``: a table of ``SEGMENT_TABLES``, all unpaired ("unp") or
-        empty ("flush")."""
+        ``cls``: a table of ``SEGMENT_TABLES``, the arcs' admissibility
+        ("adm"), all unpaired ("unp") or empty ("flush")."""
         if kind in SEGMENT_TABLES:
             return eng.segment(SEGMENT_TABLES[kind][cls], end)
+        if kind == "adm":
+            return eng.segment("adm", end)
         return eng.segment(None, end, 0.0 if kind == "flush" else self.ku if cls == "K" else 1.0)
 
 
@@ -482,7 +476,7 @@ def inside(
 
     sec_r = fold(R, model)
     sec_s = fold(S, model)
-    ctx = _Ctx(R, S, model, sec_r, sec_s)
+    ctx = _Ctx(sec_r, sec_s)
     n, m = ctx.n, ctx.m
     store = TensorStore(n, m)
     store.alloc_families(_FAMILIES)
@@ -746,7 +740,7 @@ _PER_WAVE = ("ci", "ch_all", "ch_nohy")
 # The productions of one wave (docs/grammar.md §4), in fill order.
 _WAVE = (
     # HY[c](i,j;h,l) = ext_arc(j,l) * sum HY[c](i,i1;h,h1) * step_c
-    _Prod("items[cih] = items[cabih] step_stack[cab] wext[ih]",
+    _Prod("items[cih] = items[cabih] step[cab] wext[ih]",
           lambda w: ((_HY, w.p, w.q, w.I, w.H),
                      (_HY, slice(1, w.p), slice(1, w.q), w.I, w.H),
                      (_ALL, _down(w.p - 2), _down(w.q - 2)), (w.J, w.L)),

@@ -158,12 +158,12 @@ class _OutSweep:
         blocks (R-closed and S-closed kinds), read off the finished item
         accumulators once the sweep is done.  The exterior arc of a hybrid is
         its last one, at the end ``(i+p-1, h+q-1)`` of its start-anchored
-        cell ``[p, q, i, h]``."""
+        cell ``[p, q, i, h]``.  The closing-arc mass ``[span, start]`` of a
+        strand is the outside weight of its admissibility factor ``adm_*``."""
         n, m = self.n, self.m
         o, v = self.out["items"], self.store.stacks["items"]
-        # the closing-arc mass of the tight blocks, [span, start] per strand
-        self.closers = {"R": np.einsum("cpqih,cpqih->pi", o[_R_CLOSED], v[_R_CLOSED]),
-                        "S": np.einsum("cpqih,cpqih->qh", o[_S_CLOSED], v[_S_CLOSED])}
+        self.out["adm_r"] = np.einsum("cpqih,cpqih->pi", o[_R_CLOSED], v[_R_CLOSED])
+        self.out["adm_s"] = np.einsum("cpqih,cpqih->qh", o[_S_CLOSED], v[_S_CLOSED])
         mass = np.einsum("cpqih,cpqih->pqih", o[_HY], v[_HY])
         p, q, i, h = np.nonzero(mass)
         ends = (i + p - 1) * (m + 2) + h + q - 1
@@ -172,24 +172,22 @@ class _OutSweep:
 
     # -- finalisation --------------------------------------------------------
 
-    def sec_seeds(self, eng: SecEngine) -> dict[str, np.ndarray]:
-        """Outside weights of one strand's 2D cells: the outside weight of
-        each of its strand factors, times the factor's weight, scattered
-        back through the factor's index into the engine's planes.  What
-        lands on the constant planes (unpaired and empty segments) is
-        dropped."""
+    def arc_mass(self, eng: SecEngine) -> np.ndarray:
+        """Base-pair mass of one strand's arcs ``[i, j]``.  The outside weight
+        of each of its strand factors, times the factor's weight, is
+        scattered back through the factor's index into the engine's planes.
+        On the tables that seeds the 2D outside, which sweeps the arcs inside
+        secondary segments; on the admissibility plane it is the mass of the
+        tight blocks' closing arcs.  What lands on the other constant planes
+        (unpaired and empty segments) is dropped."""
         acc = np.zeros(eng.planes.size)
         for name, (owner, index, weight) in self.ctx.factors.items():
             if owner is eng and name in self.out:
                 np.add.at(acc, index, weight * self.out[name])
-        return dict(zip(eng.kinds, acc.reshape(-1, eng.n + 2, eng.n + 2)))
-
-    def arc_mass(self, sid: str, eng: SecEngine) -> np.ndarray:
-        """Base-pair mass of one strand's arcs ``[i, j]``: the tight-block
-        closers, and the arcs inside secondary segments (swept by the 2D
-        outside)."""
-        out2d = eng.outside(self.sec_seeds(eng))
-        return eng.from_span(self.closers[sid]) + eng.arc_probabilities(out2d, 1.0)
+        planes = acc.reshape(-1, eng.n + 2, eng.n + 2)
+        out2d = eng.outside(dict(zip(eng.kinds, planes)))
+        adm = eng.offset["adm"] // planes[0].size
+        return planes[adm] + eng.arc_probabilities(out2d, 1.0)
 
 
 def outside(res: InsideResult, verify_conservation: bool = False) -> ProbTables:
@@ -222,8 +220,8 @@ def outside(res: InsideResult, verify_conservation: bool = False) -> ProbTables:
     sweep.readouts()
 
     z = res.q_total
-    bpp_r = sweep.arc_mass("R", res.sec_r) / z
-    bpp_s = sweep.arc_mass("S", res.sec_s) / z
+    bpp_r = sweep.arc_mass(res.sec_r) / z
+    bpp_s = sweep.arc_mass(res.sec_s) / z
     bpp_ext = sweep.bpp_ext_mass / z
 
     tpf = None

@@ -15,13 +15,12 @@ its 2D tables, ``tables[kind][i, j]`` over 1-based cells:
 * ``q1k``  - kissing-class with at least one branch,
 * ``qm``/``qm1`` - multi-class helpers used inside the closed tables.
 
-The 4D grammar reads these tables as span-anchored diagonals ``[g, x]``, the
-segment of length ``g`` that starts (or ends) at ``x``.  A strand factor of
-the grammar is declared as a flat index into the planes of the tables and a
-weight per ``[g, x]`` (:meth:`SecEngine.segment`): a gather forms it, and a
-scatter through the same index passes its outside weight back onto the
-cells.  :meth:`SecEngine.by_span` gathers any other ``[i, j]`` array onto
-spans, and :meth:`SecEngine.from_span` is its transpose.
+The 4D grammar reads these tables, and the constant plane of the arcs'
+admissibility, as span-anchored diagonals ``[g, x]``, the segment of length
+``g`` that starts (or ends) at ``x``.  A strand factor of the grammar is
+declared as a flat index into the planes and a weight per ``[g, x]``
+(:meth:`SecEngine.segment`): a gather forms it, and a scatter through the
+same index passes its outside weight back onto the cells.
 
 The multi- and kissing-class tables are one recursion instantiated with two
 affine weight classes.  Every recursion is written twice.  The per-cell case
@@ -160,10 +159,13 @@ class SecEngine:
         kinds = [k for k in FILL_ORDER if k not in (("qb",) if self.nolp else _HELIX)]
         self.kinds = kinds
         size = self.n + 2
-        # the tables, then the constant planes that the span declarations
-        # read: ones, and the stack weight of (i+1, j-1) inside each arc (i, j)
-        self._planes = np.zeros((len(kinds) + 2, size, size))
+        # the tables, then the constant planes that the declarations read:
+        # ones, the stack weight of (i+1, j-1) inside each arc (i, j), and the
+        # admissibility of each arc
+        names = kinds + ["one", "stack", "adm"]
+        self._planes = np.zeros((len(names), size, size))
         self.planes = self._planes.reshape(-1)  # all of them, flat
+        self.offset = {k: p * size * size for p, k in enumerate(names)}  # of each plane
         self.tables: dict[str, np.ndarray] = dict(zip(kinds, self._planes))
         for k in _EMPTY_ONE:
             for i in range(1, size):
@@ -177,7 +179,7 @@ class SecEngine:
         self._w_multi_unpaired = [model.w_multi_unpaired ** k for k in range(size)]
         self._diag = np.arange(1, self.n + 1) * (size + 1)  # flat index of (i, i)
         self._cases: list[_Cases] | None = None
-        self.adm_plane: np.ndarray | None = None  # adm() of every arc, from _arc_planes
+        self._spans = {end: self._span_cells(end) for end in (False, True)}
         self._filled = False
 
     # -- admissibility ----------------------------------------------------
@@ -278,16 +280,15 @@ class SecEngine:
 
     def _arc_planes(self) -> np.ndarray:
         """Per arc ``(i, j)``, 1-based: the admissibility of the helix ``(i,
-        j), (i+1, j-1)``.  Also keeps that of the arc itself (``adm_plane``) and
-        fills the constant planes: ones, and the weight of stacking ``(i+1,
-        j-1)`` inside each admissible arc that has room for it."""
+        j), (i+1, j-1)``.  Also fills the constant planes: ones, the weight of
+        stacking ``(i+1, j-1)`` inside each admissible arc that has room for
+        it, and the admissibility of each arc (:meth:`adm`)."""
         m, n, size = self.model, self.n, self.n + 2
-        ones, stack = self._planes[-2:]
+        ones, stack, adm = self._planes[-3:]
         ones[...] = 1.0
         codes = np.array([BASE_CODE[b] for b in self.seq], dtype=np.intp)
         pair_ok = np.array([[m.pairable(x, y) for y in ALPHABET] for x in ALPHABET])
         ii, jj = np.indices((size, size))
-        adm = np.zeros((size, size))
         adm[1:-1, 1:-1] = pair_ok[codes[:, None], codes[None, :]]
         adm *= jj - ii - 1 >= m.min_hairpin
         w_stack = np.zeros((16, 16))  # [outer, inner], each pair coded 4 * a + b
@@ -298,7 +299,6 @@ class SecEngine:
         stack[x + 1, y + 1] = w_stack[4 * codes[x] + codes[y], 4 * codes[x + 1] + codes[y - 1]]
         helix = adm.copy()
         helix[1:-1, 1:-1] *= adm[2:, :-2]
-        self.adm_plane = adm
         return helix
 
     def _declared(self) -> list[_Cases]:
@@ -315,10 +315,8 @@ class SecEngine:
             return self._cases
         m = self.model
         n, size, bk = self.n, self.n + 2, self.branch_kind
-        area = size * size
         theta = m.min_hairpin
-        plane = {k: p * area for p, k in enumerate(self.kinds)}
-        plane["one"], plane["stack"] = len(self.kinds) * area, (len(self.kinds) + 1) * area
+        plane = self.offset
         helix = self._arc_planes()
         w_hairpin = np.array([m.w_hairpin(k) for k in range(n)])
         # interior loops with a and b unpaired bases on the two sides, the
@@ -374,14 +372,15 @@ class SecEngine:
             add(kind, s, wb, one, (bk, 0, s - 1))  # one branch, empty prefix
             s, t = _ragged(spans - 2)  # last branch (i + t + 1, j)
             add(kind, s, wb, (base, 0, t), (bk, t + 1, s - 1))
-        scale = {"qb": self.adm_plane, "qend": self.adm_plane, "qbh": helix}
+        adm = self.planes[plane["adm"]: plane["adm"] + size * size]
+        scale = {"qb": adm, "qend": adm, "qbh": helix.reshape(-1)}
         self._cases = []
         for kind in self.kinds:
             s, weights, left, right = (np.concatenate(c) for c in zip(*groups.pop(kind)))
             order = np.argsort(s, kind="stable")
             bounds = np.searchsorted(s[order], np.arange(1, n + 2)).tolist()
             self._cases.append(_Cases(
-                plane[kind], None if kind not in scale else scale[kind].reshape(-1), bounds,
+                plane[kind], scale.get(kind), bounds,
                 weights[order], left[order].astype(np.int32), right[order].astype(np.int32)))
         return self._cases
 
@@ -396,30 +395,14 @@ class SecEngine:
         """The partition function of the whole strand."""
         return float(self.tables["q"][1, self.n])
 
-    def _span_cells(self, end: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per ``[g, x]``: whether the span ``g >= 0`` anchored at ``x`` lies
-        on the strand, and the cell ``(i, j)`` it names there (else ``(0, 0)``)."""
+    def _span_cells(self, end: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Per ``[g, x]``: whether the span ``g >= 1`` anchored at ``x`` lies
+        on the strand, and the flat index within a plane of the cell ``(i,
+        j)`` it names there (else 0)."""
         g, x = np.arange(self.n + 2)[:, None], np.arange(self.n + 2)
         i, j = (x - g + 1, x) if end else (x, x + g - 1)
-        ok = (i >= 1) & (j <= self.n)
-        return ok, i * ok, j * ok
-
-    def by_span(self, table: np.ndarray, end: bool = False) -> np.ndarray:
-        """A table ``[i, j]`` gathered onto spans: ``[g, x]`` holds ``table[x,
-        x+g-1]``, or ``table[x-g+1, x]`` when anchored at the ``end``; 0 for a
-        span that does not fit on the strand.  Span 0 reads the empty
-        intervals ``table[i, i-1]``."""
-        ok, i, j = self._span_cells(end)
-        return np.where(ok, table[i, j], 0.0)
-
-    def from_span(self, diag: np.ndarray, end: bool = False) -> np.ndarray:
-        """The transpose of :meth:`by_span` over spans ``g >= 1``: ``diag[g,
-        x]`` scattered onto the cell ``[i, j]`` that it names."""
-        ok, i, j = self._span_cells(end)
-        ok[0] = False
-        table = np.zeros_like(diag)
-        table[i[ok], j[ok]] = diag[ok]
-        return table
+        ok = (g >= 1) & (i >= 1) & (j <= self.n)
+        return ok, (ok * (i * (self.n + 2) + j)).astype(np.int32)
 
     def segment(self, table: str | None, end: bool = False,
                 unpaired: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -428,22 +411,20 @@ class SecEngine:
         planes.take(index)``, and the transpose scatters its outside weight
         times ``weight`` back through ``index``.  Entry ``[g, x]`` is the
         segment of length ``g`` that starts at ``x``, or ends there when
-        anchored at the ``end``.  With a ``table`` it reads that table's
-        cell, weight 1 on the strand and 0 off it; without one it is all
-        unpaired, weight ``unpaired ** g`` on the strand.  Every entry that
-        reads no cell (no table, off the strand, span 0) reads the plane of
-        ones; at span 0 the weight is the value of an empty interval, 1 for
-        ``q``, ``qk`` and unpaired bases, else 0."""
-        ok, i, j = self._span_cells(end)
-        size = self.n + 2
-        ones = len(self.kinds) * size * size
+        anchored at the ``end``.  With a ``table`` (a kind, or the plane
+        ``adm``) it reads that plane's cell, weight 1 on the strand and 0 off
+        it; without one it is all unpaired, weight ``unpaired ** g`` on the
+        strand.  Every entry that reads no cell (no table, off the strand,
+        span 0) reads the plane of ones; at span 0 the weight is the value of
+        an empty interval, 1 for ``q``, ``qk`` and unpaired bases, else 0."""
+        ok, cell = self._spans[end]
+        ones = self.offset["one"]
         if table is None:
-            index = np.full(ok.shape, ones)
-            weight = ok * np.array([unpaired ** g for g in range(size)])[:, None]
+            index = np.full(ok.shape, ones, dtype=np.int32)
+            weight = ok * np.array([unpaired ** g for g in range(self.n + 2)])[:, None]
         else:
-            index = np.where(ok, self.kinds.index(table) * size * size + i * size + j, ones)
+            index = np.where(ok, self.offset[table] + cell, ones)
             weight = ok * 1.0
-        index[0] = ones
         weight[0] = table is None or table in _EMPTY_ONE
         return index, weight
 

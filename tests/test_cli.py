@@ -12,6 +12,7 @@ import pytest
 
 from jointfold.cli_reports import (
     _build_parser,
+    _config,
     CliError,
     RunConfig,
     format_target_line,
@@ -93,6 +94,50 @@ class TestIngest:
     def test_missing_file(self):
         with pytest.raises(CliError, match="no such file"):
             ingest_fasta(["/nonexistent.fa"])
+
+
+class TestFileErrors:
+    """A file that cannot be read, or an output directory that cannot be
+    made, ends the run with one line ``error: <Class>: <path>: <reason>``."""
+
+    @staticmethod
+    def _fails_with(argv, line, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+    def test_fasta_that_is_a_directory(self, tmp_path, capsys):
+        self._fails_with(["pf", str(tmp_path)], f"BadFile: {tmp_path}: Is a directory", capsys)
+
+    def test_fasta_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "in.fa"
+        path.write_bytes(b">r\nGA\xffC\n>s\nGUUUC\n")
+        self._fails_with(["pf", str(path)],
+                         f"BadEncoding: {path}: not UTF-8: invalid start byte at byte 5", capsys)
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_params_that_cannot_be_read(self, via, fasta, tmp_path, capsys, monkeypatch):
+        path = fasta(">r\nGAAAC\n>s\nGUUUC\n")
+        latin = tmp_path / "latin.txt"
+        latin.write_bytes(b"# \xe9nergie\n")
+        for params, line in ((tmp_path, f"BadFile: {tmp_path}: Is a directory"),
+                             (latin, f"BadEncoding: {latin}: not UTF-8: invalid continuation "
+                                     "byte at byte 2")):
+            if via == "flag":
+                argv = ["pf", path, "--params", str(params)]
+            else:
+                monkeypatch.setenv("JOINTFOLD_PARAMS", str(params))
+                argv = ["pf", path]
+            self._fails_with(argv, line, capsys)
+
+    @pytest.mark.parametrize("command", ["bpp", "hybrids", "dotplot"])
+    def test_outdir_that_cannot_be_made(self, command, fasta, tmp_path, capsys):
+        path = fasta(">r\nGAAAC\n>s\nGUUUC\n")
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        self._fails_with([command, path, "--outdir", str(taken)],
+                         f"BadOutdir: {taken}: File exists", capsys)
+        self._fails_with([command, path, "--outdir", str(taken / "sub")],
+                         f"BadOutdir: {taken / 'sub'}: Not a directory", capsys)
 
 
 class TestPf:
@@ -268,6 +313,11 @@ class TestFlags:
                 parser.parse_args(argv)
             assert exc.value.code == 2, (command, flag)
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pf", "bpp", "hybrids", "targets", "sample", "dotplot",
+                                         "oracle"])
+    def test_flags_not_given_keep_the_run_config_defaults(self, command):
+        assert _config([command, "x.fa"]) == RunConfig(command=command, inputs=["x.fa"])
 
     @pytest.mark.parametrize("rt", ["0", "-0.6"])
     def test_bad_rt_is_a_one_line_error(self, rt, fasta, tmp_path, capsys):

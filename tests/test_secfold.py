@@ -257,39 +257,8 @@ class TestTracedEntryPoints:
 
 
 class TestSpanLayout:
-    """``by_span`` and ``from_span`` against their index definition, and the
-    strand factors declared in ``_Ctx`` against per-cell reads of the tables."""
-
-    @staticmethod
-    def _engine(n: int) -> SecEngine:
-        rng = np.random.default_rng(n)
-        return fold(Strand.query(random_seq(rng, n)), random_model(rng, min_hairpin=1))
-
-    @pytest.mark.parametrize("n", [1, 2, 7, 30])
-    @pytest.mark.parametrize("end", [False, True])
-    def test_gather_and_scatter_follow_the_index_definition(self, n, end):
-        eng = self._engine(n)
-        rng = np.random.default_rng(n + 1)
-        table, diag = rng.random((2, n + 2, n + 2))
-        got, back = eng.by_span(table, end=end), eng.from_span(diag, end=end)
-        want_back = np.zeros_like(table)
-        for g in range(n + 2):
-            for x in range(n + 2):
-                i, j = (x - g + 1, x) if end else (x, x + g - 1)
-                on_strand = i >= 1 and j <= n
-                assert got[g, x] == (table[i, j] if on_strand else 0.0), (g, x)
-                if on_strand and g >= 1:
-                    want_back[i, j] = diag[g, x]
-        assert np.array_equal(back, want_back)
-
-    @pytest.mark.parametrize("n", [1, 2, 7, 30])
-    @pytest.mark.parametrize("end", [False, True])
-    def test_scatter_is_the_transpose_of_the_gather(self, n, end):
-        eng = self._engine(n)
-        table, diag = np.random.default_rng(n + 2).random((2, n + 2, n + 2))
-        lhs = (eng.from_span(diag, end=end) * table).sum()
-        rhs = (diag[1:] * eng.by_span(table, end=end)[1:]).sum()
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+    """The strand factors declared in ``_Ctx`` against per-cell reads of the
+    tables and of the arcs' admissibility."""
 
     @pytest.mark.parametrize("r, s", [("G", "C"), ("GGACU", "AGUCCAUGC")])
     def test_step_kernel_is_the_per_cell_weight(self, r, s):
@@ -297,28 +266,33 @@ class TestSpanLayout:
         ``w_step_base`` call per pair of gap sizes, bit for bit."""
         model = random_model(np.random.default_rng(9), min_hairpin=0)
         R, S = Strand.query(r), Strand.target_internal(s)
-        ctx = grammar_inside._Ctx(R, S, model, fold(R, model), fold(S, model))
+        ctx = grammar_inside._Ctx(fold(R, model), fold(S, model))
         n, m = len(r), len(s)
         want = np.array([[model.w_step_base(gr, gs) for gs in range(m + 1)]
                          for gr in range(n + 1)])
-        assert np.array_equal(ctx.step["EE"], want)
+        step = dict(zip(grammar_inside.HY_CLASSES, ctx.step))
+        assert np.array_equal(step["EE"], want)
         b3r, b3s = model.w_beta3 ** np.arange(n + 1), model.w_beta3 ** np.arange(m + 1)
-        assert np.array_equal(ctx.step["KK"], want * b3r[:, None] * b3s[None, :])
+        assert np.array_equal(step["KK"], want * b3r[:, None] * b3s[None, :])
 
     @pytest.mark.parametrize("r, s", [("G", "C"), ("GGACU", "AGUCCAUGC")])
     def test_segment_arrays_are_the_table_cells(self, r, s):
         """Every entry of every declared strand factor reads the table cell
         that its span names, with weight 1 (0 off the strand), or the plane
         of ones with the weight of an unpaired, flush or empty segment; its
-        value in ``_Ctx`` is that cell's value times the weight."""
+        value in ``_Ctx`` is that cell's value times the weight.  The
+        admissibility factor reads the arc's cell of the admissibility plane
+        on the strand, and the plane of ones at weight 0 off it and at span 0."""
         model = random_model(np.random.default_rng(6), min_hairpin=0)
         R, S = Strand.query(r), Strand.target_internal(s)
-        ctx = grammar_inside._Ctx(R, S, model, fold(R, model), fold(S, model))
+        engines = fold(R, model), fold(S, model)
+        ctx = grammar_inside._Ctx(*engines)
         tables = {("any", "E"): "q", ("any", "K"): "qk", ("ge1", "E"): "q1", ("ge1", "K"): "q1k"}
         terms = [("unp", "ge1"), ("ge1", "any"), ("any", "any")]  # GHY, GHY, GNA
         labs = list(grammar_inside.LABELS.values())
-        assert {name[:-2] for name in ctx.factors} == {"kq", "gap", "bare", "tail", "prefix"}
-        for k, (side, eng) in enumerate((("r", ctx.sec_r), ("s", ctx.sec_s))):
+        assert {name[:-2] for name in ctx.factors} == {"adm", "kq", "gap", "bare", "tail",
+                                                        "prefix"}
+        for k, (side, eng) in enumerate(zip("rs", engines)):
             n, area = eng.n, (eng.n + 2) ** 2
             ones = len(eng.kinds) * area
             cls = [(lab.class_r, lab.class_s)[k] for lab in labs]
@@ -356,8 +330,15 @@ class TestSpanLayout:
                         assert weight[at] == want_w and value[at] == want, (name, at)
                         checked += 1
             assert checked == (1 + 3 * 6 + 6 + 6) * (n + 2) ** 2 + n + 1
-            adm = ctx.adm_r if side == "r" else ctx.adm_s
+            owner, index, weight = ctx.factors[f"adm_{side}"]
+            adm = getattr(ctx, f"adm_{side}")
+            assert owner is eng and index.shape == weight.shape == adm.shape == (n + 2, n + 2)
             for g in range(n + 2):
                 for x in range(n + 2):
                     j = x + g - 1
-                    assert adm[g, x] == (1 <= x and j <= n and g >= 1 and eng.adm(x, j))
+                    if g >= 1 and 1 <= x and j <= n:
+                        assert index[g, x] == eng.offset["adm"] + x * (n + 2) + j
+                        assert weight[g, x] == 1.0
+                    else:
+                        assert index[g, x] == ones and weight[g, x] == 0.0, (g, x)
+                    assert adm[g, x] == (g >= 1 and 1 <= x and j <= n and eng.adm(x, j))
