@@ -80,8 +80,18 @@ def _read_text(path: str, missing: str) -> str:
         raise CliError("BadFile", f"{path}: {exc.strerror}") from None
 
 
+def _create(path: str):
+    """``path`` opened for writing text; a path that cannot be written is a
+    :class:`CliError`."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise CliError("BadOutput", f"{path}: {exc.strerror}") from None
+
+
 def _outdir(cfg: RunConfig) -> str:
-    """The artifact directory, made if it does not exist."""
+    """The artifact directory, made if it does not exist; the commands that
+    write files make it before they compute anything."""
     try:
         os.makedirs(cfg.outdir, exist_ok=True)
     except OSError as exc:
@@ -160,7 +170,7 @@ def _fmt(x: float) -> str:
 
 def write_matrix_tsv(path: str, header: str, mat: np.ndarray,
                      row_lo: int, row_hi: int, col_lo: int, col_hi: int) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write(header)
         fh.write("#\t" + "\t".join(str(c) for c in range(col_lo, col_hi + 1)) + "\n")
         for r in range(row_lo, row_hi + 1):
@@ -284,9 +294,9 @@ def _prob_pipeline(cfg: RunConfig, stream):
 
 
 def _cmd_bpp(cfg: RunConfig, stream) -> None:
+    outdir = _outdir(cfg)
     R, S, model, res, prob = _prob_pipeline(cfg, stream)
     n, m = len(R), len(S)
-    outdir = _outdir(cfg)
     hdr = _header(cfg, model, "rows/cols are 1-based sequence positions")
     write_matrix_tsv(os.path.join(outdir, "bpp_r.tsv"), hdr, prob.bpp_r, 1, n, 1, n)
     # S in user coordinates, position h at m-h+1: arc (h,l) -> (m-l+1, m-h+1)
@@ -297,12 +307,12 @@ def _cmd_bpp(cfg: RunConfig, stream) -> None:
 
 
 def _cmd_hybrids(cfg: RunConfig, stream) -> None:
+    outdir = _outdir(cfg)
     R, S, model, res, prob = _prob_pipeline(cfg, stream)
     n, m = len(R), len(S)
     hyb = hybrid_probabilities(res, prob)
-    outdir = _outdir(cfg)
     path = os.path.join(outdir, "hybrids.tsv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write(_header(cfg, model, "columns: r_start r_end s_start s_end p"))
         fh.write("# s coordinates 5'->3'\n")
         for (i, j, h, l, w) in hyb.entries(0.0):
@@ -365,10 +375,10 @@ def _cmd_sample(cfg: RunConfig, stream) -> None:
 
 
 def _cmd_dotplot(cfg: RunConfig, stream) -> None:
+    path = os.path.join(_outdir(cfg), "dotplot.svg")
     R, S, model, res, prob = _prob_pipeline(cfg, stream)
     n, m = len(R), len(S)
     hyb = hybrid_probabilities(res, prob)
-    path = os.path.join(_outdir(cfg), "dotplot.svg")
     cell = 12
     width = (n + 3) * cell
     height = (m + 3) * cell
@@ -393,7 +403,7 @@ def _cmd_dotplot(cfg: RunConfig, stream) -> None:
             f"{_s_user(h, m)}] p={_fmt(w)}</title></rect>\n"
         )
     buf.write("</svg>\n")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write(buf.getvalue())
     stream.write("wrote dotplot.svg\n")
 

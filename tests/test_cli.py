@@ -134,10 +134,20 @@ class TestFileErrors:
         path = fasta(">r\nGAAAC\n>s\nGUUUC\n")
         taken = tmp_path / "taken"
         taken.write_text("")
-        self._fails_with([command, path, "--outdir", str(taken)],
-                         f"BadOutdir: {taken}: File exists", capsys)
+        assert main([command, path, "--outdir", str(taken)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: BadOutdir: {taken}: File exists\n"
+        assert captured.out == ""  # refused before any table is filled
         self._fails_with([command, path, "--outdir", str(taken / "sub")],
                          f"BadOutdir: {taken / 'sub'}: Not a directory", capsys)
+
+    @pytest.mark.parametrize("command, first", [("bpp", "bpp_r.tsv"), ("hybrids", "hybrids.tsv"),
+                                                ("dotplot", "dotplot.svg")])
+    def test_output_file_that_cannot_be_written(self, command, first, fasta, tmp_path, capsys):
+        path = fasta(">r\nGAAAC\n>s\nGUUUC\n")
+        (tmp_path / "out" / first).mkdir(parents=True)
+        self._fails_with([command, path, "--outdir", str(tmp_path / "out")],
+                         f"BadOutput: {tmp_path / 'out' / first}: Is a directory", capsys)
 
 
 class TestPf:
