@@ -310,17 +310,17 @@ def _cmd_hybrids(cfg: RunConfig, stream) -> None:
     outdir = _outdir(cfg)
     R, S, model, res, prob = _prob_pipeline(cfg, stream)
     n, m = len(R), len(S)
-    hyb = hybrid_probabilities(res, prob)
+    entries = hybrid_probabilities(res, prob).entries(0.0)
     path = os.path.join(outdir, "hybrids.tsv")
     with _create(path) as fh:
         fh.write(_header(cfg, model, "columns: r_start r_end s_start s_end p"))
         fh.write("# s coordinates 5'->3'\n")
-        for (i, j, h, l, w) in hyb.entries(0.0):
+        for (i, j, h, l, w) in entries:
             fh.write(
                 f"{i}\t{j}\t{_s_user(l, m)}\t{_s_user(h, m)}\t{_fmt(w)}\n"
             )
     proj = np.zeros((n + 2, n + 2))
-    for (i, j, _h, _l, w) in hyb.entries(0.0):
+    for (i, j, _h, _l, w) in entries:
         proj[i, j] += w
     write_matrix_tsv(
         os.path.join(outdir, "hybrids_r_projection.tsv"),

@@ -31,10 +31,16 @@ pass (:mod:`jointfold.outside_prob`) forms ci and then walks ``_WAVE`` in
 reverse through one transpose rule (``_transpose_wave``): for ``C =
 einsum(A, B, ...)`` it adds ``einsum(C_out, B, ... -> A)`` into A's outside
 target at A's own index, so a production and its transpose cannot drift
-apart.  Per wave that is at most 11 ``numpy.einsum`` calls and one matrix
-product inside (hybrids 1, tight blocks 3, chains 5, gaps 2), and at most 15
-einsum calls and 2 matrix products in the transpose (gaps 4, chains 6, tight
-blocks 5; the hybrid step is a plain product).
+apart.  The transpose of each production is split by target into two parts:
+the 4D part (the outside families and the per-wave operands ci, CH_all and
+CH_nohy), which the outside sweep runs, and the strand part (the strand
+factors of ``_SEGMENTS``), which only base-pair probabilities read and a
+second reverse pass runs.  Per wave that is at most 11 ``numpy.einsum``
+calls and one matrix product inside (hybrids 1, tight blocks 3, chains 5,
+gaps 2); at most 5 einsum calls and 2 matrix products in the 4D part (gaps
+2, chains 2, tight blocks 1; the other transposes into stored families are
+plain products); and at most 10 einsum calls and one matrix product, which
+forms ci again, in the strand part (gaps 2, chains 4, tight blocks 4).
 
 Under a unit model every entry is an ensemble count; the brute-force oracle
 checks both the counts and the weighted sums cell for cell (via the
@@ -588,6 +594,11 @@ class _Prod:
     chain follows.  Where its ``C_out`` is zero throughout the wave's cells,
     the transpose adds nothing and is skipped.  Every other lhs holds cells
     that the top-level chains weight at each wave, so it is not checked.
+
+    ``grads`` holds one entry per operand with an outside target; ``parts``
+    splits it into the 4D targets and the strand factors, each with the
+    operands of ``copy`` that its entries read, and ``transpose`` runs one
+    part.
     """
 
     def __init__(self, text: str, at: Callable, when=None, rows=None, add=False,
@@ -616,11 +627,19 @@ class _Prod:
                 cuts = [lv and spec[0] in x and (_ALL,) * x.index(spec[0]) + (lv,) for x in specs]
                 pad = None if res == spec else _broadcast(res, spec)
                 self.grads.append((k + 1, name, others, how, pad, lv, cuts))
+        # the two parts of the transpose: the 4D targets, then the strand
+        # factors; each with the copied operands that its grads read
+        self.parts = []
+        for strand in (False, True):
+            grads = [g for g in self.grads if (g[1] in _SEGMENTS) == strand]
+            read = {j for g in grads for j in g[2]}
+            self.parts.append((grads, [j for j in self.copy if j in read]))
 
-    def _args(self, src: dict, idx: tuple) -> list:
-        """The einsum arguments; None for an operand that is not formed."""
+    def _args(self, src: dict, idx: tuple, copy: list) -> list:
+        """The einsum arguments, those in ``copy`` copied; None for an
+        operand that is not formed."""
         args = [None if name not in src else src[name][i] for (name, _spec), i in zip(self.ops, idx[1:])]
-        for j in self.copy:
+        for j in copy:
             args[j] = _work(src, "scratch", args[j].shape, args[j])
         return args
 
@@ -628,7 +647,7 @@ class _Prod:
         if self.when is not None and not self.when(w):
             return
         idx = self.at(w)
-        args, lhs = self._args(src, idx), src[self.lhs][idx[0]]
+        args, lhs = self._args(src, idx, self.copy), src[self.lhs][idx[0]]
         if self.rows is not None:
             res = np.einsum(self.spec, *args)
             for row, ks in self.groups:
@@ -641,9 +660,14 @@ class _Prod:
         else:
             np.einsum(self.spec, *args, out=lhs)
 
-    def transpose(self, src: dict, out: dict, adj: dict, w: _Wave) -> None:
-        """Pass on the outside weight of the lhs to each operand's target."""
-        if self.when is not None and not self.when(w):
+    def transpose(self, src: dict, out: dict, adj: dict | None, w: _Wave,
+                  strand: bool = False) -> None:
+        """Pass on the outside weight of the lhs to the targets of one part
+        of the transpose: the 4D targets (the outside families and the
+        per-wave operands of ``adj``), or with ``strand`` the strand factors
+        of ``_SEGMENTS``."""
+        grads, copy = self.parts[strand]
+        if not grads or (self.when is not None and not self.when(w)):
             return
         idx = self.at(w)
         o = out[self.lhs][idx[0]]
@@ -651,10 +675,10 @@ class _Prod:
             return
         if self.rows is not None:
             o = o[self.rows]
-        args = self._args(src, idx)
+        args = self._args(src, idx, copy)
         for j, bc in self.fold:
             o = o * args[j][bc]
-        for op, name, others, how, pad, live, cuts in self.grads:
+        for op, name, others, how, pad, live, cuts in grads:
             arrays = [o] + [args[j] for j in others]
             if live is not None:
                 arrays = [a[cut] if cut else a for a, cut in zip(arrays, cuts)]
@@ -842,14 +866,30 @@ def _fill_wave(src: dict, w: _Wave) -> None:
         prod.fill(src, w)
 
 
-def _transpose_wave(src: dict, out: dict, w: _Wave) -> None:
-    """Add the transpose of every production of one wave, in reverse order.
+# The productions with strand-factor targets, in reverse fill order.
+_STRAND_PRODS = tuple(prod for prod in reversed(_WAVE)
+                      if isinstance(prod, _Prod) and prod.parts[True][0])
 
-    ``out`` maps each inside family (``_OUT_OF``) and each of ``_SEGMENTS``
-    to its outside accumulator.  The combined items are formed first, for
-    the transposes that read them; their outside weight starts at zero.
+
+def _transpose_wave(src: dict, out: dict, w: _Wave, strand: bool = False) -> None:
+    """Add one part of the transpose of every production of one wave, in
+    reverse order.
+
+    ``out`` maps each inside family (``_OUT_OF``) to its outside
+    accumulator, and with ``strand`` each of ``_SEGMENTS`` too.  The combined
+    items are formed first, for the transposes that read them.  Without
+    ``strand`` the 4D part runs: the outside weight of the combined items
+    and the chain sums starts at zero and is passed on to the stored parts.
+    With ``strand`` only the transposes into the strand factors run; they
+    read the outside weight of their lhs, which must be final, as it is once
+    the 4D part has run at every wave: a cell gets outside weight only from
+    larger waves and from later productions of its own wave.
     """
     _CI.fill(src, w)
+    if strand:
+        for prod in _STRAND_PRODS:
+            prod.transpose(src, out, None, w, True)
+        return
     adj = {"ci": _work(src, "out_ci", src["ci"].shape, 0.0)}
     for prod in reversed(_WAVE):
         prod.transpose(src, out, adj, w)

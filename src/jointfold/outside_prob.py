@@ -10,9 +10,17 @@ for a constant.  The outside value of a cell times its inside value, divided
 by the total partition function, is the probability that a parse contains
 the component at that cell; the top-level placements seed the sweep.  Like
 the fill, each wave transposes every chain label, hybrid class and tight kind
-at once on the stacked tensor families of the inside store: at most 15
-``numpy.einsum`` calls and 2 matrix products per wave.  The readouts into the
-base-pair masses take 3 einsum calls once the sweep is done.
+at once on the stacked tensor families of the inside store.
+
+:func:`outside` runs only the 4D part of each transpose: at most 5
+``numpy.einsum`` calls and 2 matrix products per wave.  That fills every
+outside family, the block-placement accumulators included, so hybrid
+probabilities come from it alone: the block-placement mass is exactly the
+maximal-hybrid placement mass.  The base-pair pass runs on the first read of
+a base-pair table (:class:`ProbTables`).  A second reverse sweep forms the
+combined items again and runs the strand part of each transpose against the
+finished outside families: at most 10 einsum calls and one matrix product
+per wave.  The readouts into the base-pair masses then take 3 einsum calls.
 
 Base-pair probabilities combine three sources: tight-block closing arcs
 (read off the block tensors directly), arcs inside secondary segments, and
@@ -20,14 +28,13 @@ exterior arcs (each arc is the last arc of exactly one anchored hybrid
 prefix).  For the second, each strand factor's outside weight, the top-level
 prefixes' included, is scattered back through the index that
 ``_Ctx.factors`` declares for it, onto the cells of the strand's 2D tables,
-and the 2D outside (:meth:`SecEngine.outside`) sweeps them.  Hybrid
-probabilities come from the block-placement accumulator only, which is
-exactly the maximal-hybrid placement mass.
+and the 2D outside (:meth:`SecEngine.outside`) sweeps them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,14 +76,33 @@ class ProbTables:
 
     ``bpp_r``/``bpp_s`` are (L+2)x(L+2) arrays over interior arcs,
     ``bpp_ext`` is (N+2)x(M+2) over exterior arcs; all entries in [0,1].
+    :func:`outside` fills only the 4D outside tables, which hybrid and
+    target-site probabilities read.  The first read of any of the three
+    base-pair arrays runs the base-pair pass (:meth:`_OutSweep.base_pairs`)
+    and computes all three; they are cached, so a later read returns the
+    same arrays.
     """
 
     res: InsideResult
     z: float
-    bpp_r: np.ndarray
-    bpp_s: np.ndarray
-    bpp_ext: np.ndarray
+    _sweep: _OutSweep = field(repr=False, compare=False)
     tpf_max_deviation: float | None = None
+
+    @cached_property
+    def _base_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._sweep.base_pairs(self.z)
+
+    @property
+    def bpp_r(self) -> np.ndarray:
+        return self._base_pairs[0]
+
+    @property
+    def bpp_s(self) -> np.ndarray:
+        return self._base_pairs[1]
+
+    @property
+    def bpp_ext(self) -> np.ndarray:
+        return self._base_pairs[2]
 
 
 @dataclass
@@ -130,51 +156,74 @@ class _OutSweep:
         self.ctx = res.ctx
         self.store = res.store
         self.n, self.m = self.ctx.n, self.ctx.m
-        # the outside target of every operand the productions transpose into:
-        # the outside families, and one accumulator per strand factor that
-        # carries outside weight
-        stacks = self.store.stacks
-        self.out = {f: stacks[o] for f, o in _OUT_OF.items()}
-        self.out.update({k: np.zeros_like(getattr(self.ctx, k)) for k in _SEGMENTS})
 
-    # -- seeds ---------------------------------------------------------------
+    @property
+    def out(self) -> dict[str, np.ndarray]:
+        """The outside families in the store, the targets of the 4D part of
+        the transposes.  Read from the store at each use: a second
+        :func:`outside` on the same result replaces them, with the same
+        values, and frees the first call's."""
+        return {f: self.store.stacks[o] for f, o in _OUT_OF.items()}
 
     def seed_top(self) -> None:
-        """Outside weights of the top level: each top-level chain ``[p, q]``
-        ending at ``(n, m)`` with the prefixes ``q(1, n-p)`` and ``q(1,
-        m-q)`` left of it, and those prefixes; span 0 is the strand without
-        interaction, ``q(1, n)`` beside ``q(1, m)``."""
+        """Outside weights of the top-level chains ``[p, q]`` ending at ``(n,
+        m)``: the prefixes ``q(1, n-p)`` and ``q(1, m-q)`` left of them."""
         n, m = self.n, self.m
         wr, ws = self.ctx.prefix_r, self.ctx.prefix_s
-        self.out["chain"][_NA_HY, 0, 1 : n + 1, 1 : m + 1, n, m] += wr[1:, None] * ws[1:]
+        chain = self.store.stacks["out_chain"]
+        chain[_NA_HY, 0, 1 : n + 1, 1 : m + 1, n, m] += wr[1:, None] * ws[1:]
+
+    def transpose(self, out: dict[str, np.ndarray], strand: bool = False) -> None:
+        """One part of the transpose of every wave, in reverse fill order:
+        the 4D part, or with ``strand`` the strand part."""
+        src = _operands(self.store, self.ctx)
+        for p, q in reversed(_waves(self.n, self.m)):
+            _transpose_wave(src, out, _Wave(self.ctx, p, q), strand)
+
+    # -- the base-pair pass ----------------------------------------------------
+
+    def base_pairs(self, z: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``bpp_r``, ``bpp_s`` and ``bpp_ext`` from the finished outside
+        families, for a partition function ``z``."""
+        out = self.strand_weights()
+        return (self.arc_mass(self.res.sec_r, out) / z,
+                self.arc_mass(self.res.sec_s, out) / z, self.exterior_mass() / z)
+
+    def strand_weights(self) -> dict[str, np.ndarray]:
+        """The outside weight of every strand factor that carries some, by
+        name.  A second reverse sweep runs the strand part of the transposes
+        (``_SEGMENTS``) against the finished outside families.  The prefixes
+        get the top-level chains right of them; span 0 is the strand without
+        interaction, ``q(1, n)`` beside ``q(1, m)``.  The closing-arc mass
+        ``[span, start]`` of the tight blocks (R-closed and S-closed kinds),
+        read off the finished item accumulators, is the outside weight of
+        the admissibility factors ``adm_*``."""
+        out = self.out
+        out.update({k: np.zeros_like(getattr(self.ctx, k)) for k in _SEGMENTS})
+        self.transpose(out, True)
+        wr, ws = self.ctx.prefix_r, self.ctx.prefix_s
         chains = _top_chains(self.store, self.ctx)
-        self.out["prefix_r"] = np.concatenate((ws[:1], chains @ ws[1:]))
-        self.out["prefix_s"] = np.concatenate((wr[:1], wr[1:] @ chains))
+        out["prefix_r"] = np.concatenate((ws[:1], chains @ ws[1:]))
+        out["prefix_s"] = np.concatenate((wr[:1], wr[1:] @ chains))
+        o, v = self.store.stacks["out_items"], self.store.stacks["items"]
+        out["adm_r"] = np.einsum("cpqih,cpqih->pi", o[_R_CLOSED], v[_R_CLOSED])
+        out["adm_s"] = np.einsum("cpqih,cpqih->qh", o[_S_CLOSED], v[_S_CLOSED])
+        return out
 
-    # -- readouts ------------------------------------------------------------
-
-    def readouts(self) -> None:
-        """Exterior-arc mass of the hybrids and closing-arc mass of the tight
-        blocks (R-closed and S-closed kinds), read off the finished item
-        accumulators once the sweep is done.  The exterior arc of a hybrid is
-        its last one, at the end ``(i+p-1, h+q-1)`` of its start-anchored
-        cell ``[p, q, i, h]``.  The closing-arc mass ``[span, start]`` of a
-        strand is the outside weight of its admissibility factor ``adm_*``."""
+    def exterior_mass(self) -> np.ndarray:
+        """Exterior-arc mass ``[i, h]`` of the hybrids.  The exterior arc of a
+        hybrid is its last one, at the end ``(i+p-1, h+q-1)`` of its
+        start-anchored cell ``[p, q, i, h]``."""
         n, m = self.n, self.m
-        o, v = self.out["items"], self.store.stacks["items"]
-        self.out["adm_r"] = np.einsum("cpqih,cpqih->pi", o[_R_CLOSED], v[_R_CLOSED])
-        self.out["adm_s"] = np.einsum("cpqih,cpqih->qh", o[_S_CLOSED], v[_S_CLOSED])
+        o, v = self.store.stacks["out_items"], self.store.stacks["items"]
         mass = np.einsum("cpqih,cpqih->pqih", o[_HY], v[_HY])
         p, q, i, h = np.nonzero(mass)
         ends = (i + p - 1) * (m + 2) + h + q - 1
-        self.bpp_ext_mass = np.bincount(ends, mass[p, q, i, h], (n + 2) * (m + 2)).reshape(
-            n + 2, m + 2)
+        return np.bincount(ends, mass[p, q, i, h], (n + 2) * (m + 2)).reshape(n + 2, m + 2)
 
-    # -- finalisation --------------------------------------------------------
-
-    def arc_mass(self, eng: SecEngine) -> np.ndarray:
+    def arc_mass(self, eng: SecEngine, out: dict[str, np.ndarray]) -> np.ndarray:
         """Base-pair mass of one strand's arcs ``[i, j]``.  The outside weight
-        of each of its strand factors, times the factor's weight, is
+        ``out`` of each of its strand factors, times the factor's weight, is
         scattered back through the factor's index into the engine's planes.
         On the tables that seeds the 2D outside, which sweeps the arcs inside
         secondary segments; on the admissibility plane it is the mass of the
@@ -182,8 +231,8 @@ class _OutSweep:
         (unpaired and empty segments) is dropped."""
         acc = np.zeros(eng.planes.size)
         for name, (owner, index, weight) in self.ctx.factors.items():
-            if owner is eng and name in self.out:
-                np.add.at(acc, index, weight * self.out[name])
+            if owner is eng and name in out:
+                np.add.at(acc, index, weight * out[name])
         planes = acc.reshape(-1, eng.n + 2, eng.n + 2)
         out2d = eng.outside(dict(zip(eng.kinds, planes)))
         adm = eng.offset["adm"] // planes[0].size
@@ -191,9 +240,12 @@ class _OutSweep:
 
 
 def outside(res: InsideResult, verify_conservation: bool = False) -> ProbTables:
-    """Run the outside sweep and assemble all probability tables.
+    """Run the outside sweep and return the probability tables.
 
-    With ``verify_conservation`` every component cell is recomputed from its
+    The sweep fills the 4D outside tables, from which
+    :func:`hybrid_probabilities` reads; the base-pair probabilities are
+    computed when first read (:class:`ProbTables`).  With
+    ``verify_conservation`` every component cell is recomputed from its
     production cases (conditional probabilities summing to one); the worst
     relative deviation lands in ``ProbTables.tpf_max_deviation``.  Intended
     for small instances.
@@ -212,26 +264,13 @@ def outside(res: InsideResult, verify_conservation: bool = False) -> ProbTables:
     res.store.alloc_families(_OUT_FAMILIES)
     sweep = _OutSweep(res)
     sweep.seed_top()
-    n, m = res.ctx.n, res.ctx.m
-    src = _operands(res.store, res.ctx)
-    for p, q in reversed(_waves(n, m)):
-        w = _Wave(res.ctx, p, q)
-        _transpose_wave(src, sweep.out, w)
-    sweep.readouts()
-
-    z = res.q_total
-    bpp_r = sweep.arc_mass(res.sec_r) / z
-    bpp_s = sweep.arc_mass(res.sec_s) / z
-    bpp_ext = sweep.bpp_ext_mass / z
+    sweep.transpose(sweep.out)
 
     tpf = None
     if verify_conservation:
         tpf = verify_reconstruction(res, rel_tol=1e-9)
 
-    return ProbTables(
-        res=res, z=z, bpp_r=bpp_r, bpp_s=bpp_s, bpp_ext=bpp_ext,
-        tpf_max_deviation=tpf,
-    )
+    return ProbTables(res=res, z=res.q_total, _sweep=sweep, tpf_max_deviation=tpf)
 
 
 def hybrid_probabilities(res: InsideResult, prob: ProbTables) -> HybridProbMatrix:

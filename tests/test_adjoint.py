@@ -4,8 +4,10 @@ For every production ``C = F(A, B, ...)`` of ``grammar_inside._WAVE`` the
 outside pass applies one transpose rule.  With random operands and a random
 outside weight ``C_out`` the transpose must satisfy
 ``<C_out, F(A, ...)> == <A_out, A>`` for every operand A that has an outside
-target (Claerbout's dot-product test).  The waves checked have spans 1, 2 and
-the full strand length on each side, far beyond the oracle's sizes.
+target (Claerbout's dot-product test).  The transpose runs in two parts, the
+4D targets and the strand factors; both run, and each grad is checked once.
+The waves checked have spans 1, 2 and the full strand length on each side,
+far beyond the oracle's sizes.
 """
 
 from __future__ import annotations
@@ -83,6 +85,17 @@ def _forward(prod, src, w) -> np.ndarray:
 _PRODS = [prod for prod in gi._WAVE if isinstance(prod, gi._Prod)]
 
 
+def _both_parts(prod, src, out, adj, w) -> None:
+    """The 4D part of the transpose, then the strand part; together they
+    hold every grad exactly once, the strand factors in the second."""
+    (grads_4d, _copy), (grads_strand, _copy) = prod.parts
+    assert sorted(map(id, grads_4d + grads_strand)) == sorted(map(id, prod.grads))
+    strand = set(map(id, grads_strand))
+    assert all((g[1] in gi._SEGMENTS) == (id(g) in strand) for g in prod.grads)
+    prod.transpose(src, out, adj, w)
+    prod.transpose(src, out, adj, w, True)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("k", range(len(_PRODS)))
 def test_production_transpose_is_the_adjoint(seed, k):
@@ -100,7 +113,7 @@ def test_production_transpose_is_the_adjoint(seed, k):
         c_out = rng.random(np.shape(src[prod.lhs][idx[0]]))
         out[prod.lhs][idx[0]] = c_out
         adj = {"ci": np.zeros(ci_shape)}
-        prod.transpose(src, out, adj, w)
+        _both_parts(prod, src, out, adj, w)
         for op, name, *_rest, live, _cuts in prod.grads:
             at = idx[op]
             saved = None
@@ -171,7 +184,7 @@ def test_production_without_outside_weight_is_skipped(k):
             continue
         out, _raw = _outside(res, src)
         adj = {"ci": np.zeros((3, 6, w.p, w.q, N - w.p + 1, M - w.q + 1))}
-        prod.transpose(src, out, adj, w)
+        _both_parts(prod, src, out, adj, w)
         assert adj.keys() == {"ci"} and not adj["ci"].any(), (prod.lhs, w.p, w.q)
         assert not any(np.any(target) for target in out.values()), (prod.lhs, w.p, w.q)
         checked += 1

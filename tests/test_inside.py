@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from jointfold.grammar_inside import (
     LABELS,
     CapacityExceeded,
     HY_CLASSES,
+    _OUT_FAMILIES,
     _tensor_bytes,
     estimate_memory_bytes,
     flat_layout,
@@ -220,7 +224,11 @@ class TestCapacity:
         first = outside(res)
         tables = {key: arr.copy() for key, arr in res.store.arrays.items()}
         peak, allocated = res.store.peak_bytes, res.store.allocated_bytes
+        first_stacks = [weakref.ref(res.store.flat(family)) for family in _OUT_FAMILIES]
         second = outside(res)
+        gc.collect()
+        # the first call's tables are freed, though its ProbTables lives on
+        assert not any(ref() is not None for ref in first_stacks)
         assert res.store.peak_bytes == peak
         assert res.store.allocated_bytes == allocated
         assert peak <= estimate_memory_bytes(9, 9)

@@ -12,7 +12,7 @@ from jointfold.energy import unit_model
 from jointfold.grammar_inside import inside
 from jointfold.oracle import enumerate_interactions, exact_probabilities
 from jointfold.outside_prob import hybrid_probabilities, outside, target_sites
-from jointfold.secfold import NumericalUnderflow, secondary_bpp
+from jointfold.secfold import NumericalUnderflow, SecEngine, secondary_bpp
 from jointfold.seq_model import Strand
 
 from helpers import random_model, random_seq
@@ -216,6 +216,46 @@ class TestWorkBuffers:
         assert len(got) == 84 + 4 and got.keys() == want.keys()
         for key, arr in want.items():
             assert np.array_equal(got[key], arr), key
+
+
+class TestBasePairPass:
+    """``outside`` fills only the 4D outside tables; the base-pair pass runs
+    on the first read of ``bpp_*`` and is cached."""
+
+    def test_targets_need_no_base_pair_pass(self, monkeypatch):
+        rng = np.random.default_rng(57)
+        r, s = random_seq(rng, 6), random_seq(rng, 5)
+        model = random_model(rng, min_hairpin=1)
+
+        def refused(*_args, **_kwargs):
+            raise AssertionError("base-pair work outside the base-pair pass")
+
+        def transpose_4d(prod, src, out, adj, w, strand=False):
+            if strand:
+                refused()
+            return transpose(prod, src, out, adj, w)
+
+        transpose = grammar_inside._Prod.transpose
+        monkeypatch.setattr(grammar_inside._Prod, "transpose", transpose_4d)
+        monkeypatch.setattr(SecEngine, "outside", refused)
+        res, prob = pipeline(r, s, model)
+        hyb = hybrid_probabilities(res, prob)
+        table = target_sites(hyb, threshold=0.0)
+        assert table.rows
+        monkeypatch.undo()
+
+        tables = {key: arr.copy() for key, arr in res.store.arrays.items()}
+        first = (prob.bpp_r, prob.bpp_s, prob.bpp_ext)
+        assert all(a is b for a, b in zip(first, (prob.bpp_r, prob.bpp_s, prob.bpp_ext)))
+        assert np.array_equal(hybrid_probabilities(res, prob).total, hyb.total)
+        for key, arr in tables.items():
+            assert np.array_equal(res.store[key], arr), key
+        exact = exact_probabilities(enumerate_interactions(*strands(r, s), model))
+        for name, arr in zip(("bpp_r", "bpp_s", "bpp_ext"), first):
+            want = np.zeros_like(arr)
+            for cell, p in exact[name].items():
+                want[cell] = p
+            assert np.allclose(arr, want, rtol=0.0, atol=1e-9), name
 
 
 class TestTargetSites:

@@ -217,8 +217,8 @@ class TestLongStrands:
 class TestTracedEntryPoints:
     """The benchmark times the secondary layer by replacing
     ``grammar_inside.fold`` and ``SecEngine.outside``; every secondary fill
-    and outside sweep of ``inside()`` and ``outside()`` must run inside one
-    of those calls."""
+    and outside sweep of ``inside()``, ``outside()`` and the base-pair pass
+    must run inside one of those calls."""
 
     def test_patched_entry_points_see_all_secondary_work(self, monkeypatch):
         depth = {"fold": 0, "outside": 0}
@@ -252,7 +252,7 @@ class TestTracedEntryPoints:
         S = Strand.target_internal(random_seq(rng, 9))
         res = grammar_inside.inside(R, S, random_model(rng, min_hairpin=1))
         assert calls["fold"] == 2 and calls["evaluate"] > 0
-        outside(res)
+        outside(res).bpp_r
         assert calls["outside"] == 2 and calls["transpose"] > 0
 
 
