@@ -29,7 +29,7 @@ from .oracle import LimitExceeded, OracleLimits, enumerate_interactions
 from .outside_prob import hybrid_probabilities, outside, target_sites
 from .sampler import sample_batch
 from .secfold import NumericalUnderflow
-from .seq_model import Strand, StrandRole
+from .seq_model import Strand
 
 __all__ = ["CliError", "RunConfig", "ingest_fasta", "run", "main"]
 
@@ -125,22 +125,21 @@ def ingest_fasta(paths: list[str]) -> tuple[Strand, Strand]:
         raise CliError(
             "WrongRecordCount", f"need exactly 2 records, found {len(records)}"
         )
-    out = []
-    for (rid, seq), role in zip(records, (StrandRole.QUERY, StrandRole.TARGET)):
-        cleaned = seq.upper().replace("T", "U")
-        for pos, base in enumerate(cleaned, start=1):
+    cleaned = []
+    for rid, seq in records:
+        seq = seq.upper().replace("T", "U")
+        for pos, base in enumerate(seq, start=1):
             if base not in "ACGU":
                 raise CliError(
                     "BadAlphabet",
                     f"record {rid!r}: invalid residue {base!r} at position {pos}",
                 )
-        if not cleaned:
+        if not seq:
             raise CliError("BadFasta", f"record {rid!r}: empty sequence")
-        if role is StrandRole.QUERY:
-            out.append(Strand.query(cleaned, id=rid or "R"))
-        else:
-            out.append(Strand.target_from_5to3(cleaned, id=rid or "S"))
-    return out[0], out[1]
+        cleaned.append(seq)
+    (r_id, _), (s_id, _) = records
+    return (Strand.query(cleaned[0], id=r_id or "R"),
+            Strand.target_from_5to3(cleaned[1], id=s_id or "S"))
 
 
 # -- report helpers -------------------------------------------------------
@@ -310,22 +309,19 @@ def _cmd_hybrids(cfg: RunConfig, stream) -> None:
     outdir = _outdir(cfg)
     R, S, model, res, prob = _prob_pipeline(cfg, stream)
     n, m = len(R), len(S)
-    entries = hybrid_probabilities(res, prob).entries(0.0)
+    hyb = hybrid_probabilities(res, prob)
     path = os.path.join(outdir, "hybrids.tsv")
     with _create(path) as fh:
         fh.write(_header(cfg, model, "columns: r_start r_end s_start s_end p"))
         fh.write("# s coordinates 5'->3'\n")
-        for (i, j, h, l, w) in entries:
+        for (i, j, h, l, w) in hyb.entries(0.0):
             fh.write(
                 f"{i}\t{j}\t{_s_user(l, m)}\t{_s_user(h, m)}\t{_fmt(w)}\n"
             )
-    proj = np.zeros((n + 2, n + 2))
-    for (i, j, _h, _l, w) in entries:
-        proj[i, j] += w
     write_matrix_tsv(
         os.path.join(outdir, "hybrids_r_projection.tsv"),
         _header(cfg, model, "P(target region R[i,j]) summed over partner footprints"),
-        proj, 1, n, 1, n,
+        hyb.region_mass()[0], 1, n, 1, n,
     )
     stream.write("wrote hybrids.tsv hybrids_r_projection.tsv\n")
 

@@ -322,9 +322,9 @@ def _parse_float(value: str, line: int) -> float:
         raise ParamError(f"expected a number, got {value!r}", line) from None
 
 
-def parse_params(text: str, base: EnergyModel | None = None) -> EnergyModel:
+def parse_params(text: str) -> EnergyModel:
     """Parse parameter-file text into a model (unknown keys are errors)."""
-    model = base if base is not None else default_model()
+    model = default_model()
     fields: dict = {}
     stack_overrides = dict(model.stack_overrides)
     ext_overrides = dict(model.ext_overrides)
@@ -369,7 +369,7 @@ def parse_params(text: str, base: EnergyModel | None = None) -> EnergyModel:
     return replace(model, **fields)
 
 
-def load_params(path: str, base: EnergyModel | None = None) -> EnergyModel:
+def load_params(path: str) -> EnergyModel:
     """Load a parameter file; unspecified keys keep their defaults.
 
     Raises:
@@ -378,4 +378,4 @@ def load_params(path: str, base: EnergyModel | None = None) -> EnergyModel:
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return parse_params(text, base=base)
+    return parse_params(text)

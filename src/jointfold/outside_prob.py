@@ -78,36 +78,42 @@ class ProbTables:
     ``bpp_ext`` is (N+2)x(M+2) over exterior arcs; all entries in [0,1].
     :func:`outside` fills only the 4D outside tables, which hybrid and
     target-site probabilities read.  The first read of any of the three
-    base-pair arrays runs the base-pair pass (:meth:`_OutSweep.base_pairs`)
-    and computes all three; they are cached, so a later read returns the
-    same arrays.
+    base-pair arrays runs the base-pair pass (:func:`_base_pairs`) and
+    computes all three; they are cached, so a later read returns the same
+    arrays.
     """
 
     res: InsideResult
-    z: float
-    _sweep: _OutSweep = field(repr=False, compare=False)
     tpf_max_deviation: float | None = None
 
+    @property
+    def z(self) -> float:
+        return self.res.q_total
+
     @cached_property
-    def _base_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._sweep.base_pairs(self.z)
+    def _bpp(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _base_pairs(self.res)
 
     @property
     def bpp_r(self) -> np.ndarray:
-        return self._base_pairs[0]
+        return self._bpp[0]
 
     @property
     def bpp_s(self) -> np.ndarray:
-        return self._base_pairs[1]
+        return self._bpp[1]
 
     @property
     def bpp_ext(self) -> np.ndarray:
-        return self._base_pairs[2]
+        return self._bpp[2]
 
 
 @dataclass
 class HybridProbMatrix:
-    """Maximal-hybrid footprint probabilities, start-anchored ``[p, q, i, h]``."""
+    """Maximal-hybrid footprint probabilities, start-anchored ``[p, q, i, h]``.
+
+    ``total`` is zero at every cell that is no footprint on the two strands
+    (``p, q >= 1``, ``1 <= i``, ``i+p-1 <= n``, ``1 <= h``, ``h+q-1 <= m``).
+    """
 
     n: int
     m: int
@@ -118,16 +124,30 @@ class HybridProbMatrix:
             return 0.0
         return float(self.total[j - i + 1, l - h + 1, i, h])
 
-    def entries(self, threshold: float = 0.0):
-        """Yield (i, j, h, l, probability) for cells above the threshold."""
-        idx = np.argwhere(self.total > threshold)
-        rows = []
-        for p, q, i, h in idx:
-            if 1 <= i and i + p - 1 <= self.n and 1 <= h and h + q - 1 <= self.m:
-                rows.append((int(i), int(i + p - 1), int(h), int(h + q - 1),
-                             float(self.total[p, q, i, h])))
-        rows.sort(key=lambda r: (-r[4], r[0], r[1], r[2], r[3]))
-        return rows
+    def _above(self, threshold: float) -> tuple[np.ndarray, ...]:
+        """The footprints above ``threshold`` as arrays ``i, j, h, l, p``,
+        by descending probability, then by ``i, j, h, l``."""
+        p, q, i, h = np.nonzero(self.total > threshold)
+        w = self.total[p, q, i, h]
+        j, l = i + p - 1, h + q - 1
+        order = np.lexsort((l, h, j, i, -w))
+        return tuple(a[order] for a in (i, j, h, l, w))
+
+    def entries(self, threshold: float = 0.0) -> list[tuple[int, int, int, int, float]]:
+        """(i, j, h, l, probability) for the cells above the threshold, by
+        descending probability, then by ``i, j, h, l``."""
+        return list(zip(*(a.tolist() for a in self._above(threshold))))
+
+    def region_mass(self) -> tuple[np.ndarray, np.ndarray]:
+        """The probability that a maximal hybrid covers exactly the region
+        ``[i, j]`` of R, and ``[h, l]`` of S: the sum of ``p_hy`` over the
+        partner-strand footprints.  Each cell adds its footprints in the
+        order of :meth:`entries`."""
+        i, j, h, l, w = self._above(0.0)
+        mass_r, mass_s = np.zeros((self.n + 2, self.n + 2)), np.zeros((self.m + 2, self.m + 2))
+        np.add.at(mass_r, (i, j), w)
+        np.add.at(mass_s, (h, l), w)
+        return mass_r, mass_s
 
 
 @dataclass(frozen=True)
@@ -150,93 +170,84 @@ class TargetTable:
         return self.rows[0] if self.rows else None
 
 
-class _OutSweep:
-    def __init__(self, res: InsideResult):
-        self.res = res
-        self.ctx = res.ctx
-        self.store = res.store
-        self.n, self.m = self.ctx.n, self.ctx.m
+def _out(res: InsideResult) -> dict[str, np.ndarray]:
+    """The outside families in the store, the targets of the 4D part of the
+    transposes.  Read from the store at each use: a second :func:`outside` on
+    the same result replaces them, with the same values, and frees the first
+    call's."""
+    return {f: res.store.stacks[o] for f, o in _OUT_OF.items()}
 
-    @property
-    def out(self) -> dict[str, np.ndarray]:
-        """The outside families in the store, the targets of the 4D part of
-        the transposes.  Read from the store at each use: a second
-        :func:`outside` on the same result replaces them, with the same
-        values, and frees the first call's."""
-        return {f: self.store.stacks[o] for f, o in _OUT_OF.items()}
 
-    def seed_top(self) -> None:
-        """Outside weights of the top-level chains ``[p, q]`` ending at ``(n,
-        m)``: the prefixes ``q(1, n-p)`` and ``q(1, m-q)`` left of them."""
-        n, m = self.n, self.m
-        wr, ws = self.ctx.prefix_r, self.ctx.prefix_s
-        chain = self.store.stacks["out_chain"]
-        chain[_NA_HY, 0, 1 : n + 1, 1 : m + 1, n, m] += wr[1:, None] * ws[1:]
+def _transpose(res: InsideResult, out: dict[str, np.ndarray], strand: bool = False) -> None:
+    """One part of the transpose of every wave, in reverse fill order: the
+    4D part, or with ``strand`` the strand part."""
+    src = _operands(res.store, res.ctx)
+    for p, q in reversed(_waves(res.ctx.n, res.ctx.m)):
+        _transpose_wave(src, out, _Wave(res.ctx, p, q), strand)
 
-    def transpose(self, out: dict[str, np.ndarray], strand: bool = False) -> None:
-        """One part of the transpose of every wave, in reverse fill order:
-        the 4D part, or with ``strand`` the strand part."""
-        src = _operands(self.store, self.ctx)
-        for p, q in reversed(_waves(self.n, self.m)):
-            _transpose_wave(src, out, _Wave(self.ctx, p, q), strand)
 
-    # -- the base-pair pass ----------------------------------------------------
+# -- the base-pair pass --------------------------------------------------------
 
-    def base_pairs(self, z: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``bpp_r``, ``bpp_s`` and ``bpp_ext`` from the finished outside
-        families, for a partition function ``z``."""
-        out = self.strand_weights()
-        return (self.arc_mass(self.res.sec_r, out) / z,
-                self.arc_mass(self.res.sec_s, out) / z, self.exterior_mass() / z)
 
-    def strand_weights(self) -> dict[str, np.ndarray]:
-        """The outside weight of every strand factor that carries some, by
-        name.  A second reverse sweep runs the strand part of the transposes
-        (``_SEGMENTS``) against the finished outside families.  The prefixes
-        get the top-level chains right of them; span 0 is the strand without
-        interaction, ``q(1, n)`` beside ``q(1, m)``.  The closing-arc mass
-        ``[span, start]`` of the tight blocks (R-closed and S-closed kinds),
-        read off the finished item accumulators, is the outside weight of
-        the admissibility factors ``adm_*``."""
-        out = self.out
-        out.update({k: np.zeros_like(getattr(self.ctx, k)) for k in _SEGMENTS})
-        self.transpose(out, True)
-        wr, ws = self.ctx.prefix_r, self.ctx.prefix_s
-        chains = _top_chains(self.store, self.ctx)
-        out["prefix_r"] = np.concatenate((ws[:1], chains @ ws[1:]))
-        out["prefix_s"] = np.concatenate((wr[:1], wr[1:] @ chains))
-        o, v = self.store.stacks["out_items"], self.store.stacks["items"]
-        out["adm_r"] = np.einsum("cpqih,cpqih->pi", o[_R_CLOSED], v[_R_CLOSED])
-        out["adm_s"] = np.einsum("cpqih,cpqih->qh", o[_S_CLOSED], v[_S_CLOSED])
-        return out
+def _base_pairs(res: InsideResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``bpp_r``, ``bpp_s`` and ``bpp_ext`` from the finished outside
+    families."""
+    out, z = _strand_weights(res), res.q_total
+    return (_arc_mass(res, res.sec_r, out) / z, _arc_mass(res, res.sec_s, out) / z,
+            _exterior_mass(res) / z)
 
-    def exterior_mass(self) -> np.ndarray:
-        """Exterior-arc mass ``[i, h]`` of the hybrids.  The exterior arc of a
-        hybrid is its last one, at the end ``(i+p-1, h+q-1)`` of its
-        start-anchored cell ``[p, q, i, h]``."""
-        n, m = self.n, self.m
-        o, v = self.store.stacks["out_items"], self.store.stacks["items"]
-        mass = np.einsum("cpqih,cpqih->pqih", o[_HY], v[_HY])
-        p, q, i, h = np.nonzero(mass)
-        ends = (i + p - 1) * (m + 2) + h + q - 1
-        return np.bincount(ends, mass[p, q, i, h], (n + 2) * (m + 2)).reshape(n + 2, m + 2)
 
-    def arc_mass(self, eng: SecEngine, out: dict[str, np.ndarray]) -> np.ndarray:
-        """Base-pair mass of one strand's arcs ``[i, j]``.  The outside weight
-        ``out`` of each of its strand factors, times the factor's weight, is
-        scattered back through the factor's index into the engine's planes.
-        On the tables that seeds the 2D outside, which sweeps the arcs inside
-        secondary segments; on the admissibility plane it is the mass of the
-        tight blocks' closing arcs.  What lands on the other constant planes
-        (unpaired and empty segments) is dropped."""
-        acc = np.zeros(eng.planes.size)
-        for name, (owner, index, weight) in self.ctx.factors.items():
-            if owner is eng and name in out:
-                np.add.at(acc, index, weight * out[name])
-        planes = acc.reshape(-1, eng.n + 2, eng.n + 2)
-        out2d = eng.outside(dict(zip(eng.kinds, planes)))
-        adm = eng.offset["adm"] // planes[0].size
-        return planes[adm] + eng.arc_probabilities(out2d, 1.0)
+def _strand_weights(res: InsideResult) -> dict[str, np.ndarray]:
+    """The outside weight of every strand factor that carries some, by name.
+    A second reverse sweep runs the strand part of the transposes
+    (``_SEGMENTS``) against the finished outside families.  The prefixes get
+    the top-level chains right of them; span 0 is the strand without
+    interaction, ``q(1, n)`` beside ``q(1, m)``.  The closing-arc mass
+    ``[span, start]`` of the tight blocks (R-closed and S-closed kinds), read
+    off the finished item accumulators, is the outside weight of the
+    admissibility factors ``adm_*``."""
+    ctx, stacks = res.ctx, res.store.stacks
+    out = _out(res)
+    out.update({k: np.zeros_like(getattr(ctx, k)) for k in _SEGMENTS})
+    _transpose(res, out, True)
+    wr, ws = ctx.prefix_r, ctx.prefix_s
+    chains = _top_chains(res.store, ctx)
+    out["prefix_r"] = np.concatenate((ws[:1], chains @ ws[1:]))
+    out["prefix_s"] = np.concatenate((wr[:1], wr[1:] @ chains))
+    o, v = stacks["out_items"], stacks["items"]
+    out["adm_r"] = np.einsum("cpqih,cpqih->pi", o[_R_CLOSED], v[_R_CLOSED])
+    out["adm_s"] = np.einsum("cpqih,cpqih->qh", o[_S_CLOSED], v[_S_CLOSED])
+    return out
+
+
+def _exterior_mass(res: InsideResult) -> np.ndarray:
+    """Exterior-arc mass ``[i, h]`` of the hybrids.  The exterior arc of a
+    hybrid is its last one, at the end ``(i+p-1, h+q-1)`` of its
+    start-anchored cell ``[p, q, i, h]``."""
+    n, m = res.ctx.n, res.ctx.m
+    o, v = res.store.stacks["out_items"], res.store.stacks["items"]
+    mass = np.einsum("cpqih,cpqih->pqih", o[_HY], v[_HY])
+    p, q, i, h = np.nonzero(mass)
+    ends = (i + p - 1) * (m + 2) + h + q - 1
+    return np.bincount(ends, mass[p, q, i, h], (n + 2) * (m + 2)).reshape(n + 2, m + 2)
+
+
+def _arc_mass(res: InsideResult, eng: SecEngine, out: dict[str, np.ndarray]) -> np.ndarray:
+    """Base-pair mass of one strand's arcs ``[i, j]``.  The outside weight
+    ``out`` of each of its strand factors, times the factor's weight, is
+    scattered back through the factor's index into the engine's planes.  On
+    the tables that seeds the 2D outside, which sweeps the arcs inside
+    secondary segments; on the admissibility plane it is the mass of the
+    tight blocks' closing arcs.  What lands on the other constant planes
+    (unpaired and empty segments) is dropped."""
+    acc = np.zeros(eng.planes.size)
+    for name, (owner, index, weight) in res.ctx.factors.items():
+        if owner is eng and name in out:
+            np.add.at(acc, index, weight * out[name])
+    planes = acc.reshape(-1, eng.n + 2, eng.n + 2)
+    out2d = eng.outside(dict(zip(eng.kinds, planes)))
+    adm = eng.offset["adm"] // planes[0].size
+    return planes[adm] + eng.arc_probabilities(out2d, 1.0)
 
 
 def outside(res: InsideResult, verify_conservation: bool = False) -> ProbTables:
@@ -257,20 +268,23 @@ def outside(res: InsideResult, verify_conservation: bool = False) -> ProbTables:
             is allocated then.
     """
     check_partition_function(res.q_total)
-    budget = res.memory_budget_bytes
-    est = estimate_memory_bytes(res.ctx.n, res.ctx.m, include_outside=True)
+    ctx, budget = res.ctx, res.memory_budget_bytes
+    n, m = ctx.n, ctx.m
+    est = estimate_memory_bytes(n, m, include_outside=True)
     if budget is not None and est > budget:
         raise CapacityExceeded(est, budget)
     res.store.alloc_families(_OUT_FAMILIES)
-    sweep = _OutSweep(res)
-    sweep.seed_top()
-    sweep.transpose(sweep.out)
+    # the top-level chains [p, q] that end at (n, m) get the prefixes
+    # q(1, n-p) and q(1, m-q) left of them
+    chain = res.store.stacks["out_chain"]
+    chain[_NA_HY, 0, 1 : n + 1, 1 : m + 1, n, m] += ctx.prefix_r[1:, None] * ctx.prefix_s[1:]
+    _transpose(res, _out(res))
 
     tpf = None
     if verify_conservation:
         tpf = verify_reconstruction(res, rel_tol=1e-9)
 
-    return ProbTables(res=res, z=res.q_total, _sweep=sweep, tpf_max_deviation=tpf)
+    return ProbTables(res=res, tpf_max_deviation=tpf)
 
 
 def hybrid_probabilities(res: InsideResult, prob: ProbTables) -> HybridProbMatrix:
@@ -288,15 +302,10 @@ def target_sites(hyb: HybridProbMatrix, threshold: float = 0.1) -> TargetTable:
     footprints.  Rows above the threshold are sorted by descending
     probability; ``p_opt`` is the top row.
     """
-    mass_r: dict[tuple[int, int], float] = {}
-    mass_s: dict[tuple[int, int], float] = {}
-    for (i, j, h, l, w) in hyb.entries(0.0):
-        mass_r[(i, j)] = mass_r.get((i, j), 0.0) + w
-        mass_s[(h, l)] = mass_s.get((h, l), 0.0) + w
-    rows = [
-        TargetRow("R", i, j, w) for (i, j), w in mass_r.items() if w > threshold
-    ] + [
-        TargetRow("S", h, l, w) for (h, l), w in mass_s.items() if w > threshold
-    ]
+    rows = []
+    for strand, mass in zip("RS", hyb.region_mass()):
+        # a region that no footprint covers is no row, whatever the threshold
+        a, b = np.nonzero(mass > max(threshold, 0.0))
+        rows += map(TargetRow, [strand] * len(a), a.tolist(), b.tolist(), mass[a, b].tolist())
     rows.sort(key=lambda r: (-r.probability, r.strand, r.start, r.end))
     return TargetTable(rows=rows, threshold=threshold)

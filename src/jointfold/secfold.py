@@ -180,7 +180,6 @@ class SecEngine:
         self._diag = np.arange(1, self.n + 1) * (size + 1)  # flat index of (i, i)
         self._cases: list[_Cases] | None = None
         self._spans = {end: self._span_cells(end) for end in (False, True)}
-        self._filled = False
 
     # -- admissibility ----------------------------------------------------
 
@@ -430,8 +429,6 @@ class SecEngine:
 
     def fill(self) -> None:
         """Fill every table, one span at a time for all start positions."""
-        if self._filled:
-            return
         flat = self.planes
         declared = self._declared()
         for s in range(1, self.n + 1):
@@ -439,7 +436,6 @@ class SecEngine:
             at = cell[:, 0] + (s - 1)
             for cases in declared:
                 cases.evaluate(flat, cell, at, s)
-        self._filled = True
 
     # -- outside ------------------------------------------------------------
 

@@ -17,7 +17,6 @@ from enum import Enum
 __all__ = [
     "ALPHABET",
     "BASE_CODE",
-    "StrandRole",
     "Strand",
     "JointStructure",
     "Hybrid",
@@ -32,28 +31,20 @@ ALPHABET = "ACGU"
 BASE_CODE = {b: k for k, b in enumerate(ALPHABET)}
 
 
-class StrandRole(Enum):
-    QUERY = "R"
-    TARGET = "S"
-
-
 @dataclass(frozen=True)
 class Strand:
-    """An RNA strand with orientation metadata.
+    """An RNA strand in the internal index order.
 
-    ``residues`` are stored in the internal index order: 5'->3' for the
-    query (R) and 3'->5' for the target (S), so that internal position 1
-    of S is its 3' end.
+    ``residues`` run 5'->3' for the query (R) and 3'->5' for the target
+    (S), so that internal position 1 of S is its 3' end.
 
     Attributes:
         id: Text label (FASTA record id).
         residues: Sequence over {A,C,G,U} in internal order.
-        role: QUERY (R) or TARGET (S).
     """
 
     id: str
     residues: str
-    role: StrandRole
 
     def __post_init__(self) -> None:
         seq = self.residues.upper().replace("T", "U")
@@ -79,17 +70,17 @@ class Strand:
 
     @classmethod
     def query(cls, seq: str, id: str = "R") -> "Strand":
-        return cls(id=id, residues=seq, role=StrandRole.QUERY)
+        return cls(id=id, residues=seq)
 
     @classmethod
     def target_from_5to3(cls, seq: str, id: str = "S") -> "Strand":
         """Build the target strand from its 5'->3' sequence (reverses it)."""
-        return cls(id=id, residues=seq[::-1], role=StrandRole.TARGET)
+        return cls(id=id, residues=seq[::-1])
 
     @classmethod
     def target_internal(cls, seq: str, id: str = "S") -> "Strand":
         """Build the target strand from an already reversed sequence."""
-        return cls(id=id, residues=seq, role=StrandRole.TARGET)
+        return cls(id=id, residues=seq)
 
 
 @dataclass(frozen=True)

@@ -191,7 +191,8 @@ class TestPf:
 
 
 class TestBudget:
-    # 13x13: the inside tables need 19.9 MB, inside and outside 36.5 MB
+    # 13x13: the inside tables need 17,472,600 B, inside and outside 34,077,600 B;
+    # the budget is 0.025 GiB = 26,843,545 B
     @pytest.mark.parametrize("command, fits", [("pf", True), ("sample", True),
                                                ("targets", False)])
     def test_budget_covers_what_the_command_allocates(self, command, fits, fasta, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 import jointfold.grammar_inside as grammar_inside
 import jointfold.outside_prob as outside_prob
-from jointfold.energy import unit_model
+from jointfold.energy import default_model, unit_model
 from jointfold.grammar_inside import inside
 from jointfold.oracle import enumerate_interactions, exact_probabilities
 from jointfold.outside_prob import hybrid_probabilities, outside, target_sites
@@ -295,6 +295,65 @@ class TestTargetSites:
         res, prob = pipeline("GACU", "AGUC", model)
         hyb = hybrid_probabilities(res, prob)
         assert target_sites(hyb).rows == []
+
+
+class TestRegionMass:
+    """The footprint lists, the region masses and the target rows equal the
+    per-footprint loop and dict sums that they replace, bit for bit."""
+
+    CASES = [("default", 6, 36, 2, False), ("unit", 9, 9, 0, True),
+             ("random", 8, 10, 1, False)]
+
+    @staticmethod
+    def hybrids(kind, n, m, theta, nolp):
+        rng = np.random.default_rng([74, n, m])
+        model = {"default": default_model, "unit": unit_model,
+                 "random": lambda: random_model(rng)}[kind]()
+        model = dataclasses.replace(model, min_hairpin=theta, forbid_lone_pairs=nolp)
+        res, prob = pipeline(random_seq(rng, n), random_seq(rng, m), model)
+        return hybrid_probabilities(res, prob)
+
+    @staticmethod
+    def loop_entries(hyb, threshold):
+        rows = []
+        for p, q, i, h in np.argwhere(hyb.total > threshold):
+            if 1 <= i and i + p - 1 <= hyb.n and 1 <= h and h + q - 1 <= hyb.m:
+                rows.append((int(i), int(i + p - 1), int(h), int(h + q - 1),
+                             float(hyb.total[p, q, i, h])))
+        rows.sort(key=lambda r: (-r[4], r[0], r[1], r[2], r[3]))
+        return rows
+
+    @staticmethod
+    def dict_sums(entries):
+        mass_r, mass_s = {}, {}
+        for (i, j, h, l, w) in entries:
+            mass_r[(i, j)] = mass_r.get((i, j), 0.0) + w
+            mass_s[(h, l)] = mass_s.get((h, l), 0.0) + w
+        return mass_r, mass_s
+
+    @pytest.mark.parametrize("kind, n, m, theta, nolp", CASES)
+    def test_equal_to_the_footprint_loop(self, kind, n, m, theta, nolp):
+        hyb = self.hybrids(kind, n, m, theta, nolp)
+        for threshold in (0.0, 0.05):
+            assert hyb.entries(threshold) == self.loop_entries(hyb, threshold)
+        mass_r, mass_s = self.dict_sums(self.loop_entries(hyb, 0.0))
+        assert mass_r and mass_s
+        for got, want in zip(hyb.region_mass(), (mass_r, mass_s)):
+            nonzero = {(int(a), int(b)): float(got[a, b]) for a, b in np.argwhere(got != 0.0)}
+            assert nonzero == want
+        for threshold in (0.0, 0.1):
+            rows = [("R", i, j, w) for (i, j), w in mass_r.items() if w > threshold]
+            rows += [("S", h, l, w) for (h, l), w in mass_s.items() if w > threshold]
+            rows.sort(key=lambda r: (-r[3], r[0], r[1], r[2]))
+            got = target_sites(hyb, threshold).rows
+            assert [(r.strand, r.start, r.end, r.probability) for r in got] == rows
+
+    @pytest.mark.parametrize("kind, n, m, theta, nolp", CASES)
+    def test_total_is_zero_off_the_footprints(self, kind, n, m, theta, nolp):
+        hyb = self.hybrids(kind, n, m, theta, nolp)
+        p, q, i, h = np.indices(hyb.total.shape)
+        on = (p >= 1) & (q >= 1) & (i >= 1) & (i + p - 1 <= n) & (h >= 1) & (h + q - 1 <= m)
+        assert hyb.total[on].any() and not hyb.total[~on].any()
 
 
 class TestInvalidNumbers:
