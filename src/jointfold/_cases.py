@@ -57,9 +57,8 @@ A component whose guard fails (an inadmissible closing arc, a hybrid that
 cannot end at ``(j, l)``) has an empty vector.  None of these reads the
 fill's combined items or its chain sums (the stored ``CH_all``, the formed
 ``CH_nohy``), so summing a vector is an independent check of the stored
-cell.  :func:`decode_case` maps a vector index back to its case tuple, and
-:func:`component_cases` decodes every index, so the cases are written down
-once.
+cell.  The decoder that :func:`scored_cases` returns maps a vector index
+back to its case tuple, so the cases are written down once.
 """
 
 from __future__ import annotations
@@ -135,12 +134,6 @@ def _part_of(lab, kind: str, terminal: bool) -> str:
         if lab.tail_r == "flush" and kind in ("vee", "box"):
             return "nb"
     return "na"
-
-
-def component_cases(res: InsideResult, comp: tuple) -> list[tuple]:
-    """All mutually exclusive cases of one component cell."""
-    weights, decode = scored_cases(res, comp)
-    return [case for t in range(weights.size) if (case := decode(t)) is not None]
 
 
 def _top_weights(res: InsideResult, comp: tuple) -> np.ndarray:
@@ -415,17 +408,6 @@ _KINDS = {
 }
 
 
-def decode_case(res: InsideResult, comp: tuple, t: int) -> tuple | None:
-    """The case at index ``t`` of a component's weight vector, or ``None``
-    where a chain or gap vector holds a structural 0 (see the module
-    docstring)."""
-    try:
-        decode = _KINDS[comp[0]][1]
-    except KeyError:
-        raise KeyError(f"no cases for component {comp!r}") from None
-    return decode(res, comp, t)
-
-
 def scored_cases(
     res: InsideResult, comp: tuple
 ) -> tuple[np.ndarray, Callable[[int], tuple]]:
@@ -437,15 +419,6 @@ def scored_cases(
     except KeyError:
         raise KeyError(f"no cases for component {comp!r}") from None
     return weights(res, comp), partial(decode, res, comp)
-
-
-def case_value(res: InsideResult, case: tuple) -> float:
-    w, children, _em = case
-    for child in children:
-        w *= component_value(res, child)
-        if w == 0.0:
-            return 0.0
-    return w
 
 
 def recompute_value(res: InsideResult, comp: tuple) -> float:

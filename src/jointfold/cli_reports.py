@@ -177,18 +177,6 @@ def write_matrix_tsv(path: str, header: str, mat: np.ndarray,
             fh.write(f"{r}\t{cells}\n")
 
 
-def read_matrix_tsv(path: str) -> np.ndarray:
-    """Round-trip reader for the tool's own matrix TSV files."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("#"):
-                continue
-            parts = line.rstrip("\n").split("\t")
-            rows.append([float(v) for v in parts[1:]])
-    return np.array(rows)
-
-
 def format_target_line(start: int, end: int, probability: float) -> str:
     """One ranked-target line: ``i,j: pp.p%``."""
     return f"{start},{end}: {probability * 100:.1f}%"

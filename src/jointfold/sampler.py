@@ -2,18 +2,19 @@
 
 At each component the case distribution is the partition-function ratio of
 the mutually exclusive decomposition cases (:mod:`jointfold._cases` for the
-4D components, :meth:`SecEngine.cases` for the secondary cells); a draw picks
-one case with a single uniform against the prefix sums of the positive
-cases, fixes the case's arcs and continues into its children.  This is the
-stochastic traceback of Ding & Lawrence 2003 (NAR 31:7280).
+4D components, the declarations of :mod:`jointfold.secfold` that filled the
+secondary cells); a draw picks one case with a single uniform against the
+prefix sums of the positive cases, fixes the case's arcs and continues into
+its children.  This is the stochastic traceback of Ding & Lawrence 2003 (NAR
+31:7280).
 
 All draws of a call walk together, and their bookkeeping is held in index
 arrays.  A priority queue holds the distinct pending components, each with
 the arrays of draws waiting on it.  Popping a component scores its cases
-once, however many draws wait on it: a 4D component as one weight vector
+once, however many draws wait on it, as one weight vector: a 4D component
 gathered from the stored tensor families (:func:`jointfold._cases.scored_cases`),
-a secondary cell ``("sec", sid, kind, i, j)`` through
-:meth:`SecEngine.sample`.  After the one normalisation check, the waiting
+a secondary cell ``("sec", sid, kind, i, j)`` from its engine's planes
+(:meth:`SecEngine.sample`).  After the one normalisation check, the waiting
 draws take one uniform each from their own streams with one gather
 (:meth:`jointfold._streams.Streams.take`), and one ``searchsorted`` over
 the prefix sums picks all of their cases
@@ -194,7 +195,7 @@ def _draw(
         sec = comp[0] == "sec"
         try:
             if sec:
-                cases, chosen, dev = engines[comp[1]].sample(*comp[2:], us)
+                decode, chosen, dev = engines[comp[1]].sample(*comp[2:], us)
             else:
                 weights, decode = scored_cases(res, comp)
                 chosen, dev = pick_with_slack(weights, component_value(res, comp), us)
@@ -209,12 +210,11 @@ def _draw(
         if sec:
             sid = comp[1]
             for t, draws in groups:
-                _w, children, arc = cases[t]
+                children, arc = decode(t)
                 if arc is not None:
                     arcs[sid].append((draws, arc))
-                for table, ci, cj in children:
-                    if cj >= ci:
-                        enqueue(("sec", sid, table, ci, cj), draws)
+                for child in children:
+                    enqueue(("sec", sid, *child), draws)
             continue
 
         for t, draws in groups:

@@ -23,24 +23,26 @@ declared as a flat index into the planes and a weight per ``[g, x]``
 same index passes its outside weight back onto the cells.
 
 The multi- and kissing-class tables are one recursion instantiated with two
-affine weight classes.  Every recursion is written twice.  The per-cell case
-enumeration (:meth:`SecEngine.cases`) is the scalar reference, and the
-stochastic traceback (:meth:`SecEngine.sample`) draws from it.  The fill and
-the outside sweep read the declarations of :meth:`SecEngine._declared`
-instead: the same productions, each written once for all spans, as child-cell
-offsets and a weight per case (:class:`_Cases`).  Both run one span at a
-time for all start positions at once.  The fill evaluates a span's cases as
-a gather, a product and a sum; the outside sweep evaluates their transpose
-as a scatter-add (``numpy.add.at``), because interior-loop children repeat
-across start positions.  The tests check every cell of both against
-:meth:`SecEngine.cases`.
+affine weight classes.  Every production is declared once, for all spans, in
+:meth:`SecEngine._declared`: child-cell offsets and a weight per case
+(:class:`_Cases`).  The fill, the outside sweep and the stochastic traceback
+(:meth:`SecEngine.sample`) all read these declarations.  The fill and the
+outside sweep run one span at a time for all start positions at once.  The
+fill evaluates a span's cases as a gather, a product and a sum; the outside
+sweep evaluates their transpose as a scatter-add (``numpy.add.at``), because
+interior-loop children repeat across start positions.  The traceback scores
+the cases of one cell with the same gather.  The tests keep a scalar per-cell
+case list as the reference, and check every cell of the fill, the outside
+sweep and the traceback against it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -55,9 +57,6 @@ __all__ = [
     "pick_with_slack",
     "secondary_bpp",
 ]
-
-# Case record: (weight, children, own_arc) where children are (kind, i, j).
-Case = tuple[float, tuple, tuple | None]
 
 _EMPTY_ONE = ("q", "qk")  # tables whose empty interval has value 1
 # the least positive float
@@ -97,7 +96,8 @@ class _Cases:
     flat[cell + left[c]] * flat[cell + right[c]]`` over the cases ``c`` in
     ``bounds[s-1]:bounds[s]``.  ``scale`` (the closing arc's admissibility,
     one plane) is None for 1.  A case with one child, or none, reads the
-    constant plane of ones for the others.
+    constant plane of ones for the others.  ``key`` orders the cases of a
+    span for the sampler (:meth:`by_key`).
     """
 
     plane: int  # flat index of the table's first cell
@@ -106,14 +106,27 @@ class _Cases:
     weights: np.ndarray
     left: np.ndarray
     right: np.ndarray
+    key: np.ndarray
+
+    def by_key(self) -> _Cases:
+        """The same cases, those of each span sorted by ``key`` (stably)."""
+        span = np.repeat(np.arange(len(self.bounds) - 1), np.diff(self.bounds))
+        order = np.lexsort((self.key, span))
+        return _Cases(self.plane, self.scale, self.bounds, self.weights[order],
+                      self.left[order], self.right[order], self.key[order])
+
+    def products(self, flat: np.ndarray, cell: np.ndarray | int, s: int) -> np.ndarray:
+        """The weight times the child cells of every case of span ``s``, one
+        row per start position of ``cell``; the unscaled terms of a cell."""
+        lo, hi = self.bounds[s - 1], self.bounds[s]
+        return (flat.take(cell + self.left[lo:hi]) * flat.take(cell + self.right[lo:hi])
+                * self.weights[lo:hi])
 
     def evaluate(self, flat: np.ndarray, cell: np.ndarray, at: np.ndarray, s: int) -> None:
         """Fill the span's cells: a gather, a product and a sum."""
-        lo, hi = self.bounds[s - 1], self.bounds[s]
-        if lo == hi:
+        if self.bounds[s - 1] == self.bounds[s]:
             return
-        total = (flat.take(cell + self.left[lo:hi]) * flat.take(cell + self.right[lo:hi])
-                 * self.weights[lo:hi]).sum(axis=1)
+        total = self.products(flat, cell, s).sum(axis=1)
         if self.scale is not None:
             total *= self.scale.take(at)
         flat[self.plane + at] = total
@@ -170,110 +183,10 @@ class SecEngine:
         for k in _EMPTY_ONE:
             for i in range(1, size):
                 self.tables[k][i, i - 1] = 1.0
-        # loop weights that depend on sizes only, read by cases() for every cell
-        self._w_multi_init = model.w_multi_init
-        self._w_multi_branch = model.w_multi_branch
-        self._w_interior = [  # a + b < L: the loops that fit
-            [model.w_interior(a, b) for b in range(self.n - a)] for a in range(self.n)
-        ]
-        self._w_multi_unpaired = [model.w_multi_unpaired ** k for k in range(size)]
         self._diag = np.arange(1, self.n + 1) * (size + 1)  # flat index of (i, i)
         self._cases: list[_Cases] | None = None
+        self._sampled: dict[str, _Cases] = {}  # per kind, by key; see sample()
         self._spans = {end: self._span_cells(end) for end in (False, True)}
-
-    # -- admissibility ----------------------------------------------------
-
-    def adm(self, i: int, j: int) -> bool:
-        """Interior-arc admissibility: pair type plus hairpin size."""
-        if j - i - 1 < self.model.min_hairpin:
-            return False
-        return self.model.pairable(self.seq[i - 1], self.seq[j - 1])
-
-    def _ilw(self, i: int, j: int, p: int, q: int) -> float:
-        """Interior-loop step weight from closing (i,j) to inner (p,q)."""
-        if p == i + 1 and q == j - 1:
-            return self.model.w_stack(
-                self.seq[i - 1] + self.seq[j - 1], self.seq[p - 1] + self.seq[q - 1]
-            )
-        return self._w_interior[p - i - 1][j - q - 1]
-
-    # -- recursion cases ----------------------------------------------------
-
-    def cases(self, kind: str, i: int, j: int) -> list[Case]:
-        """All production cases of one cell; mutually exclusive and complete.
-
-        Each case is (weight, children, own_arc); the cell value is the sum
-        over cases of weight times the product of child values.
-        """
-        m = self.model
-        bk = self.branch_kind
-        out: list[Case] = []
-        if kind == "qb":
-            if not self.adm(i, j):
-                return out
-            out.append((m.w_hairpin(j - i - 1), (), (i, j)))
-            for p in range(i + 1, j):
-                for q in range(p + 1, j):
-                    out.append((self._ilw(i, j, p, q), (("qb", p, q),), (i, j)))
-            for k in range(i + 2, j - 1):
-                out.append(
-                    (self._w_multi_init, (("qm", i + 1, k - 1), ("qm1", k, j - 1)), (i, j))
-                )
-        elif kind == "qbh":
-            # Helix of length >= 2 starting at (i,j).
-            if not (self.adm(i, j) and self.adm(i + 1, j - 1)):
-                return out
-            w = m.w_stack(
-                self.seq[i - 1] + self.seq[j - 1], self.seq[i] + self.seq[j - 2]
-            )
-            out.append((w, (("qend", i + 1, j - 1),), (i, j)))
-            out.append((w, (("qbh", i + 1, j - 1),), (i, j)))
-        elif kind == "qend":
-            # Last pair of a helix; its loop must not be a stack.
-            if not self.adm(i, j):
-                return out
-            out.append((m.w_hairpin(j - i - 1), (), (i, j)))
-            for p in range(i + 1, j):
-                for q in range(p + 1, j):
-                    if p == i + 1 and q == j - 1:
-                        continue
-                    out.append(
-                        (self._w_interior[p - i - 1][j - q - 1], (("qbh", p, q),), (i, j))
-                    )
-            for k in range(i + 2, j - 1):
-                out.append(
-                    (self._w_multi_init, (("qm", i + 1, k - 1), ("qm1", k, j - 1)), (i, j))
-                )
-        elif kind == "qm1":
-            # Exactly one branch starting at i, trailing unpaired bases.
-            for l in range(i + 1, j + 1):
-                out.append(
-                    (
-                        self._w_multi_branch * self._w_multi_unpaired[j - l],
-                        ((bk, i, l),),
-                        None,
-                    )
-                )
-        elif kind == "qm":
-            # Split at the last branch; prefix all-unpaired or >= 1 branch.
-            for k in range(i, j + 1):
-                out.append((self._w_multi_unpaired[k - i], (("qm1", k, j),), None))
-                if k > i:
-                    out.append((1.0, (("qm", i, k - 1), ("qm1", k, j)), None))
-        elif kind in ("q", "q1", "qk", "q1k"):
-            if j < i:
-                return out
-            kiss = kind in ("qk", "q1k")
-            wu = m.w_kiss_unpaired if kiss else 1.0
-            wb = m.w_kiss_branch if kiss else 1.0
-            base = "qk" if kiss else "q"
-            out.append((wu, ((kind, i, j - 1),), None))
-            # last branch (k, j); empty prefix is the base value q(i, i-1) = 1
-            for k in range(i, j):
-                out.append((wb, ((base, i, k - 1), (bk, k, j)), None))
-        else:
-            raise KeyError(f"unknown table kind {kind!r}")
-        return out
 
     # -- declarations ------------------------------------------------------
 
@@ -281,7 +194,7 @@ class SecEngine:
         """Per arc ``(i, j)``, 1-based: the admissibility of the helix ``(i,
         j), (i+1, j-1)``.  Also fills the constant planes: ones, the weight of
         stacking ``(i+1, j-1)`` inside each admissible arc that has room for
-        it, and the admissibility of each arc (:meth:`adm`)."""
+        it, and the admissibility of each arc: its pair type and hairpin size."""
         m, n, size = self.model, self.n, self.n + 2
         ones, stack, adm = self._planes[-3:]
         ones[...] = 1.0
@@ -301,7 +214,7 @@ class SecEngine:
         return helix
 
     def _declared(self) -> list[_Cases]:
-        """The cases of :meth:`cases`, per kind in :data:`FILL_ORDER`, for
+        """The cases of every table, per kind in :data:`FILL_ORDER`, for
         every span at once; built once per engine.
 
         Each production is declared once, over arrays of the span ``s`` and
@@ -309,6 +222,12 @@ class SecEngine:
         c)`` of the cell ``(i, j)``, ``j = i + s - 1``, is the cell ``(i + r,
         i + c)`` of that kind's plane.  An empty prefix reads the constant 1
         (the value of ``q[i, i-1]``).
+
+        The fill sums a span's cases in the order they are declared.  The
+        sampler indexes them in the order of a ``key`` per case (stable
+        within equal keys): the closed loops by hairpin, then inner arc,
+        then multiloop split; ``qm1`` by branch end; ``qm`` by the start of
+        its last branch, the all-unpaired prefix first.
         """
         if self._cases is not None:
             return self._cases
@@ -323,8 +242,8 @@ class SecEngine:
         a, b = np.indices((n, n)).reshape(2, -1)
         order = np.lexsort((a, a + b))[1: n * (n + 1) // 2]
         a, b = a[order], b[order]
-        w_interior = np.concatenate(self._w_interior)[a * n - a * (a - 1) // 2 + b]
-        w_unp = np.array(self._w_multi_unpaired)
+        w_interior = np.array([m.w_interior(x, y) for x, y in zip(a.tolist(), b.tolist())])
+        w_unp = np.array([m.w_multi_unpaired ** k for k in range(size)])
         wmb, wmi = m.w_multi_branch, m.w_multi_init
 
         spans = np.arange(1, n + 1)
@@ -332,9 +251,9 @@ class SecEngine:
         one = ("one", 0, 0)
         groups: dict[str, list] = {k: [] for k in self.kinds}
 
-        def add(kind, s, weights, left, right=one):
+        def add(kind, s, weights, left, right=one, key=0):
             """Cases of ``kind`` at spans ``s``; a child is (kind, r, c)."""
-            columns = (weights, *(plane[k] + r * size + c for k, r, c in (left, right)))
+            columns = (key, weights, *(plane[k] + r * size + c for k, r, c in (left, right)))
             groups[kind].append([s, *(x if isinstance(x, np.ndarray) else np.full(s.size, x)
                                       for x in columns)])
 
@@ -343,22 +262,23 @@ class SecEngine:
         s = spans[closes]  # hairpin
         add(closed, s, w_hairpin[s - 2], one)
         s, t = _ragged(np.where(closes, (spans - 4) * (spans - 1) // 2, 0))
-        add(closed, s, w_interior[t], (inner, 1 + a[t], s - 2 - b[t]))  # (i+1+a, j-1-b)
+        p, q = 1 + a[t], s - 2 - b[t]  # the inner arc (i + p, i + q)
+        add(closed, s, w_interior[t], (inner, p, q), key=p * size + q)
         s, t = _ragged(np.where(closes, spans - 4, 0))  # multiloop, last branch from i+2+t
-        add(closed, s, wmi, ("qm", 1, 1 + t), ("qm1", 2 + t, s - 2))
+        add(closed, s, wmi, ("qm", 1, 1 + t), ("qm1", 2 + t, s - 2), key=size * size + t)
         if self.nolp:  # helix (i, j), (i+1, j-1): its end, or a longer helix
             s = spans[spans >= theta + 4]
             add("qbh", s, 1.0, ("stack", 0, s - 1), ("qend", 1, s - 2))
             add("qbh", s, 1.0, ("stack", 0, s - 1), ("qbh", 1, s - 2))
         else:
             s = spans[closes & (spans >= 4)]
-            add("qb", s, 1.0, ("stack", 0, s - 1), ("qb", 1, s - 2))
+            add("qb", s, 1.0, ("stack", 0, s - 1), ("qb", 1, s - 2), key=size + s - 2)
         s, t = _ragged(spans - 1)  # one branch (i, j - t), then t unpaired
-        add("qm1", s, wmb * w_unp[t], (bk, 0, s - 1 - t))
+        add("qm1", s, wmb * w_unp[t], (bk, 0, s - 1 - t), key=-t)
         s, t = _ragged(spans)  # the last branch starts at i + t
-        add("qm", s, w_unp[t], ("qm1", t, s - 1))
+        add("qm", s, w_unp[t], ("qm1", t, s - 1), key=2 * t)
         s, t = _ragged(spans - 1)
-        add("qm", s, 1.0, ("qm", 0, t), ("qm1", t + 1, s - 1))
+        add("qm", s, 1.0, ("qm", 0, t), ("qm1", t + 1, s - 1), key=2 * t + 3)
         for kind in ("q", "q1", "qk", "q1k"):
             kiss = kind in ("qk", "q1k")
             wu = m.w_kiss_unpaired if kiss else 1.0
@@ -375,12 +295,12 @@ class SecEngine:
         scale = {"qb": adm, "qend": adm, "qbh": helix.reshape(-1)}
         self._cases = []
         for kind in self.kinds:
-            s, weights, left, right = (np.concatenate(c) for c in zip(*groups.pop(kind)))
+            s, key, weights, left, right = (np.concatenate(c) for c in zip(*groups.pop(kind)))
             order = np.argsort(s, kind="stable")
             bounds = np.searchsorted(s[order], np.arange(1, n + 2)).tolist()
             self._cases.append(_Cases(
-                plane[kind], scale.get(kind), bounds,
-                weights[order], left[order].astype(np.int32), right[order].astype(np.int32)))
+                plane[kind], scale.get(kind), bounds, weights[order],
+                *(x[order].astype(np.int32) for x in (left, right, key))))
         return self._cases
 
     # -- fill ---------------------------------------------------------------
@@ -472,21 +392,45 @@ class SecEngine:
 
     def sample(
         self, kind: str, i: int, j: int, us: np.ndarray
-    ) -> tuple[list[Case], np.ndarray, float]:
-        """The cases of cell (kind, i, j), the index of the case that each
-        uniform of ``us`` picks, and the cell's normalisation slack.
+    ) -> tuple[Callable[[int], tuple], np.ndarray, float]:
+        """The decoder of the cases of cell (kind, i, j), the index of the
+        case that each uniform of ``us`` picks, and the cell's normalisation
+        slack.
 
-        The cases are built and scored once, however many uniforms there
-        are; see :func:`pick_with_slack` for the rule and the check.
+        The cases are scored once, however many uniforms there are, with one
+        gather of their child cells; see :func:`pick_with_slack` for the rule
+        and the check.  ``decode(t)`` gives the children ``(kind, i, j)`` of
+        case ``t`` and the arc that it fixes, ``(i, j)`` for a closed loop,
+        else None.
 
         Raises:
             NumericalUnderflow: the cases do not sum to the stored cell.
         """
-        cases = self.cases(kind, i, j)
-        weights = np.array(
-            [w * math.prod(self.value(*c) for c in children) for w, children, _arc in cases]
-        )
-        return (cases, *pick_with_slack(weights, self.value(kind, i, j), us))
+        cases = self._sampled.get(kind)
+        if cases is None:  # on the first draw that reaches the kind
+            cases = self._sampled[kind] = self._declared()[self.kinds.index(kind)].by_key()
+        s, cell = j - i + 1, int(self._diag[i - 1])
+        weights = cases.products(self.planes, cell, s)
+        arc = None
+        if cases.scale is not None:  # the cell is closed by the arc (i, j)
+            weights *= cases.scale[cell + s - 1]
+            arc = (i, j)
+        return (partial(self._decode, cases, cell, s, arc),
+                *pick_with_slack(weights, self.value(kind, i, j), us))
+
+    def _decode(self, cases: _Cases, cell: int, s: int, arc: tuple | None,
+                t: int) -> tuple[list[tuple], tuple | None]:
+        """The children of case ``t`` of a cell that :meth:`sample` scored,
+        and its arc.  A child is the table cell that the case reads, named by
+        its flat index; the constant planes are not children."""
+        size = self.n + 2
+        at = cases.bounds[s - 1] + t
+        children = []
+        for offset in (cases.left[at], cases.right[at]):
+            p, c = divmod(cell + int(offset), size * size)
+            if p < len(self.kinds):
+                children.append((self.kinds[p], *divmod(c, size)))
+        return children, arc
 
 
 def pick_with_slack(

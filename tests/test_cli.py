@@ -18,7 +18,6 @@ from jointfold.cli_reports import (
     format_target_line,
     ingest_fasta,
     main,
-    read_matrix_tsv,
     run,
 )
 from jointfold.energy import default_model
@@ -35,6 +34,18 @@ UNIT_PARAMS = "\n".join(
         "sigma0", "sigma", "beta3", "g_int_init", "g_int_slope", "ext_arc",
     )
 ) + "\n"
+
+
+def read_matrix_tsv(path: str) -> np.ndarray:
+    """Read back a matrix TSV file that the tool wrote."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("#"):
+                continue
+            parts = line.rstrip("\n").split("\t")
+            rows.append([float(v) for v in parts[1:]])
+    return np.array(rows)
 
 
 @pytest.fixture()

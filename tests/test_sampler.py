@@ -9,14 +9,7 @@ import numpy as np
 import pytest
 
 from jointfold import _streams, sampler
-from jointfold._cases import (
-    case_value,
-    component_cases,
-    component_value,
-    decode_case,
-    iter_all_components,
-    scored_cases,
-)
+from jointfold._cases import component_value, iter_all_components, scored_cases
 from jointfold.energy import unit_model
 from jointfold.grammar_inside import inside
 from jointfold.oracle import enumerate_interactions, exact_probabilities
@@ -25,7 +18,7 @@ from jointfold.sampler import NumericalUnderflow, sample_batch, sample_one
 from jointfold.secfold import pick_with_slack
 from jointfold.seq_model import Strand, extract_hybrids, validate
 
-from helpers import random_model, random_seq
+from helpers import case_value, component_cases, random_model, random_seq, sec_cases
 
 
 def strands(r: str, s_internal: str):
@@ -45,11 +38,11 @@ class TestWeightVectors:
         checked = 0
         kinds = Counter()
         for comp in (("top",), *iter_all_components(res)):
-            weights, _decode = scored_cases(res, comp)
+            weights, decode = scored_cases(res, comp)
             kinds[comp[0]] += int((weights > 0.0).sum())
             assert close(float(weights.sum()), component_value(res, comp)), comp
             for t, w in enumerate(weights):
-                case = decode_case(res, comp, t)
+                case = decode(t)
                 if case is None:
                     assert w == 0.0, (comp, t)
                 else:
@@ -251,7 +244,7 @@ class TestBatch:
                 for i in range(1, engine.n + 1):
                     for j in range(i, engine.n + 1):
                         cell = ("sec", sid, kind, i, j)
-                        for _w, children, _arc in engine.cases(kind, i, j):
+                        for _w, children, _arc in sec_cases(engine, kind, i, j):
                             for ck, ci, cj in children:
                                 if cj >= ci:
                                     assert key(("sec", sid, ck, ci, cj)) > key(cell)

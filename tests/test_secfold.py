@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,7 @@ from jointfold.outside_prob import outside
 from jointfold.secfold import SecEngine, fold, secondary_bpp
 from jointfold.seq_model import Strand
 
-from helpers import random_model, random_seq
+from helpers import random_model, random_seq, sec_adm, sec_case_value, sec_cases
 from jointfold.energy import unit_model
 
 
@@ -130,12 +128,11 @@ def _model(kind: str, seed: int, min_hairpin: int, nolp: bool):
 
 
 def _cell_from_cases(eng: SecEngine, kind: str, i: int, j: int) -> float:
-    return sum(w * math.prod(eng.value(*c) for c in children)
-               for w, children, _arc in eng.cases(kind, i, j))
+    return sum(sec_case_value(eng, case) for case in sec_cases(eng, kind, i, j))
 
 
 def _reference_outside(eng: SecEngine, seeds: dict) -> dict:
-    """The outside sweep written as a scalar loop over :meth:`SecEngine.cases`:
+    """The outside sweep written as a scalar loop over the reference cases:
     every case passes the cell's outside weight times its weight and its
     other children's values to each child that is a cell."""
     n = eng.n
@@ -149,7 +146,7 @@ def _reference_outside(eng: SecEngine, seeds: dict) -> dict:
                 o = acc[kind][i, j]
                 if o == 0.0:
                     continue
-                for w, children, _arc in eng.cases(kind, i, j):
+                for w, children, _arc in sec_cases(eng, kind, i, j):
                     vals = [eng.value(*c) for c in children]
                     for t, (ck, ci, cj) in enumerate(children):
                         if cj < ci:  # empty interval, no table cell
@@ -212,6 +209,52 @@ class TestLongStrands:
         want = _reference_outside(eng, seeds)
         for kind in eng.kinds:
             _assert_rel(got[kind], want[kind], 1e-12, kind)
+
+
+# (weights, min_hairpin, lone pairs forbidden): every combination
+_GRID = [(w, theta, nolp) for w in ("default", "random") for theta in (0, 1, 3)
+         for nolp in (False, True)]
+
+
+class TestSampledCases:
+    """The sampler reads the declarations that filled the tables, so its
+    per-draw slack cannot see a wrong declaration; these tests hold the
+    cases it draws from to the reference."""
+
+    @pytest.mark.parametrize("weights, theta, nolp", _GRID)
+    def test_every_nonzero_cell_scores_the_reference_cases(self, weights, theta, nolp,
+                                                           monkeypatch):
+        """At every nonzero cell, the weights that :meth:`SecEngine.sample`
+        scores are the reference case values bit for bit, in the reference
+        order, and each index decodes to the reference case's children and
+        arc."""
+        scored, pick = [], secfold.pick_with_slack
+
+        def spy(weights, total, us):
+            scored.append(weights)
+            return pick(weights, total, us)
+
+        monkeypatch.setattr(secfold, "pick_with_slack", spy)
+        rng = np.random.default_rng(7 * theta + nolp)
+        model = _model(weights, 50 + theta, theta, nolp)
+        checked, kinds = 0, set()
+        for n in range(1, 14):
+            eng = fold(Strand.query(random_seq(rng, n)), model)
+            for kind in eng.kinds:
+                for i in range(1, n + 1):
+                    for j in range(i, n + 1):
+                        if eng.value(kind, i, j) == 0.0:
+                            continue
+                        decode, _chosen, _slack = eng.sample(kind, i, j, np.array([0.5]))
+                        cases = sec_cases(eng, kind, i, j)
+                        want = np.array([sec_case_value(eng, case) for case in cases])
+                        assert scored.pop().tobytes() == want.tobytes(), (kind, i, j)
+                        for t, (_w, children, arc) in enumerate(cases):
+                            cells = [c for c in children if c[2] >= c[1]]
+                            assert decode(t) == (cells, arc), (kind, i, j, t)
+                        checked += 1
+                        kinds.add(kind)
+        assert checked > 1000 and kinds == set(eng.kinds), (checked, kinds)
 
 
 class TestTracedEntryPoints:
@@ -341,4 +384,4 @@ class TestSpanLayout:
                         assert weight[g, x] == 1.0
                     else:
                         assert index[g, x] == ones and weight[g, x] == 0.0, (g, x)
-                    assert adm[g, x] == (g >= 1 and 1 <= x and j <= n and eng.adm(x, j))
+                    assert adm[g, x] == (g >= 1 and 1 <= x and j <= n and sec_adm(eng, x, j))
