@@ -152,47 +152,48 @@ def _hy_weights(res: InsideResult, comp: tuple) -> np.ndarray:
     _, cls, i, j, h, l = comp
     ctx = res.ctx
     if i == j and h == l:
-        w = ctx.wext[i, h]
+        w = ctx.wext[i - 1, h - 1]
         return np.array([w] if w != 0.0 else [])
-    wlast = ctx.wext[j, l]
+    wlast = ctx.wext[j - 1, l - 1]
     if i == j or h == l or wlast == 0.0:
         return np.empty(0)
     P, Q = j - i, l - h
-    run = res.store[("hy", cls)][1 : P + 1, 1 : Q + 1, i, h]
+    run = res.store[("hy", cls)][:P, :Q, i - 1, h - 1]
     return ((wlast * ctx.step[HY_CLASSES.index(cls), P - 1 :: -1, Q - 1 :: -1]) * run).ravel()
 
 
 def _vee_weights(res: InsideResult, comp: tuple) -> np.ndarray:
     _, ys, i, j, h, l = comp
     ctx = res.ctx
-    if j - i < 2 or ctx.adm_r[j - i + 1, i] == 0.0:
+    if j - i < 2 or ctx.adm_r[j - i + 1, i - 1] == 0.0:
         return np.empty(0)
     P = j - i - 1
     chain = res.store.stacks["chain"][
-        _PARTS[:2], _LABEL_AXIS[f"vee_{ys}"], P:0:-1, l - h + 1, j - 1, l]
-    return (ctx.ki * ctx.kq_r[:P, i + 1]) * (chain[0] + chain[1])
+        _PARTS[:2], _LABEL_AXIS[f"vee_{ys}"], P - 1 :: -1, l - h, j - 2, l - 1]
+    return (ctx.ki * ctx.kq_r[:P, i]) * (chain[0] + chain[1])
 
 
 def _tri_weights(res: InsideResult, comp: tuple) -> np.ndarray:
     _, yr, i, j, h, l = comp
     ctx = res.ctx
-    if l - h < 2 or ctx.adm_s[l - h + 1, h] == 0.0:
+    if l - h < 2 or ctx.adm_s[l - h + 1, h - 1] == 0.0:
         return np.empty(0)
     Q = l - h - 1
     chain = res.store.stacks["chain"][
-        _PARTS[:2], _LABEL_AXIS[f"tri_{yr}"], j - i + 1, Q:0:-1, j, l - 1]
-    return (ctx.ki * ctx.kq_s[:Q, h + 1]) * (chain[0] + chain[1])
+        _PARTS[:2], _LABEL_AXIS[f"tri_{yr}"], j - i, Q - 1 :: -1, j - 1, l - 2]
+    return (ctx.ki * ctx.kq_s[:Q, h]) * (chain[0] + chain[1])
 
 
 def _box_weights(res: InsideResult, comp: tuple) -> np.ndarray:
     _, i, j, h, l = comp
     ctx = res.ctx
-    if (j - i < 2 or l - h < 2 or ctx.adm_r[j - i + 1, i] == 0.0
-            or ctx.adm_s[l - h + 1, h] == 0.0):
+    if (j - i < 2 or l - h < 2 or ctx.adm_r[j - i + 1, i - 1] == 0.0
+            or ctx.adm_s[l - h + 1, h - 1] == 0.0):
         return np.empty(0)
     P, Q = j - i - 1, l - h - 1
-    chain = res.store.stacks["chain"][_PARTS[:2], _LABEL_AXIS["box"], P:0:-1, Q:0:-1, j - 1, l - 1]
-    segments = np.multiply.outer((ctx.ki * ctx.ki) * ctx.kq_r[:P, i + 1], ctx.kq_s[:Q, h + 1])
+    chain = res.store.stacks["chain"][
+        _PARTS[:2], _LABEL_AXIS["box"], P - 1 :: -1, Q - 1 :: -1, j - 2, l - 2]
+    segments = np.multiply.outer((ctx.ki * ctx.ki) * ctx.kq_r[:P, i], ctx.kq_s[:Q, h])
     return (segments * (chain[0] + chain[1])).ravel()
 
 
@@ -231,32 +232,29 @@ def _chain_layout(name: str, parts: tuple, kb: float, shape: tuple) -> tuple:
     tensors of ``shape`` (:meth:`TensorStore.flat`, :func:`flat_layout`).
 
     For spans up to ``(N, M)``: the flat offsets of its four first items
-    ``[kind, x - a, y - c]`` from cell ``(0, 0, a, c)`` of the item stack;
-    those of the gap rows that continue them ``[kind, N-1 - (b - x), M-1 -
-    (d - y)]`` from cell ``(0, 0, b, d)`` of the rest stack; the items'
-    branch factors ``[kind, 1, 1]``, or ``None`` when all are 1; the 0/1
-    mask ``[kind, terminal/continued, N-1 - (b - x), M-1 - (d - y)]`` of the
-    entries that are cases of ``parts``; and the strides of the anchor axes.
-    A chain of spans ``(P, Q)`` reads the first ``P x Q`` block of the item
-    offsets and the last of the others.  Read-only arrays, because every
-    caller shares the cached ones.
+    ``[kind, x - a, y - c]`` from anchor ``(a, c)`` of the item stack; those
+    of the gap rows that continue them ``[kind, N-1 - (b - x), M-1 - (d -
+    y)]``, for gaps of spans ``b - x, d - y >= 1``, from anchor ``(b, d)`` of
+    the rest stack; the items' branch factors ``[kind, 1, 1]``, or ``None``
+    when all are 1; the 0/1 mask ``[kind, terminal/continued, 1, 1]`` of the
+    planes whose entries are cases of ``parts``; and the strides of the
+    anchor axes.  A chain of spans ``(P, Q)`` reads the first ``P x Q`` block
+    of the item offsets and the last ``(P-1) x (Q-1)`` block of the gap
+    offsets.  Read-only arrays, because every caller shares the cached ones.
     """
     lab = LABELS[name]
-    N, M = shape[0] - 2, shape[1] - 2
+    N, M = shape[0], shape[1]
     keys, factors = zip(*(_chain_item_key(lab, kind, kb) for kind in _ITEM_KINDS))
     item_at, (span_r, span_s, *anchor) = flat_layout("items", shape)
     rest_at, _strides = flat_layout("rest", shape)
-    # the flat offset of span cell (p, q) at anchor (0, 0)
-    spans = np.add.outer(np.arange(shape[0]) * span_r, np.arange(shape[1]) * span_s)
-    items = np.stack([spans[1 : N + 1, 1 : M + 1] + item_at[key] for key in keys])
+    # the flat offset of span cell (p, q) at anchor (1, 1), at [p - 1, q - 1]
+    spans = np.add.outer(np.arange(N) * span_r, np.arange(M) * span_s)
+    items = np.stack([spans + item_at[key] for key in keys])
     # the gap row that continues after an item: GHY after a hybrid, else GNA
-    rest = np.stack([spans[N - 1 :: -1, M - 1 :: -1]
+    rest = np.stack([spans[: N - 1, : M - 1][::-1, ::-1]
                      + rest_at["ghy" if kind == "hy" else "gna", name] for kind in _ITEM_KINDS])
     planes = _chain_planes(name, parts, kb)
-    mask = np.empty((len(_ITEM_KINDS), 2, N, M))
-    mask[...] = np.array([plane is not None for plane in planes]).reshape(-1, 2, 1, 1)
-    mask[:, 1, N - 1] = 0.0
-    mask[:, 1, :, M - 1] = 0.0
+    mask = np.array([plane is not None for plane in planes], float).reshape(-1, 2, 1, 1)
     factors = None if set(factors) == {1.0} else np.array(factors)[:, None, None]
     for arr in (items, rest, factors, mask):
         if arr is not None:
@@ -272,17 +270,22 @@ def _chain_weights(res: InsideResult, comp: tuple) -> np.ndarray:
     items, rest, factors, mask, (anchor_r, anchor_s) = _chain_layout(
         name, parts, ctx.kb, store.shape)
     N, M = ctx.n, ctx.m
-    first = store.flat("items")[a * anchor_r + c * anchor_s :].take(items[:, :P, :Q])
+    first = store.flat("items")[(a - 1) * anchor_r + (c - 1) * anchor_s :].take(
+        items[:, :P, :Q])
     if factors is not None:
         first *= factors
-    w = np.empty((len(_ITEM_KINDS), 2, P, Q))
     # terminal: the tails x+1..b and y+1..d; continued: the gap x+1..b,
-    # y+1..d; both end anchored at (b, d)
-    np.multiply(first, np.multiply.outer(ctx.tail_r[L, P - 1 :: -1, b],
-                                         ctx.tail_s[L, Q - 1 :: -1, d]), out=w[:, 0])
-    np.multiply(first, store.flat("rest")[b * anchor_r + d * anchor_s :].take(
-        rest[:, N - P :, M - Q :]), out=w[:, 1])
-    w *= mask[:, :, N - P :, M - Q :]
+    # y+1..d, of spans >= 1, so the last row and column of its plane are no
+    # cases; both end anchored at (b, d)
+    w = np.empty((len(_ITEM_KINDS), 2, P, Q))
+    np.multiply(first, np.multiply.outer(ctx.tail_r[L, P - 1 :: -1, b - 1],
+                                         ctx.tail_s[L, Q - 1 :: -1, d - 1]), out=w[:, 0])
+    np.multiply(first[:, : P - 1, : Q - 1], store.flat("rest")[
+        (b - 1) * anchor_r + (d - 1) * anchor_s :].take(rest[:, N - P :, M - Q :]),
+        out=w[:, 1, : P - 1, : Q - 1])
+    w[:, 1, P - 1] = 0.0
+    w[:, 1, :, Q - 1] = 0.0
+    w *= mask
     return w.ravel()
 
 
@@ -294,13 +297,13 @@ def _gap_weights(res: InsideResult, comp: tuple) -> np.ndarray:
     # the chain parts over (x1..b, y1..d), end anchored at (b, d)
     stored = ALL_PARTS if lab.has_nb else ALL_PARTS[:2]
     chain = dict(zip(stored, res.store.stacks["chain"][
-        _PARTS[: len(stored)], L, P:0:-1, Q:0:-1, b, d]))
+        _PARTS[: len(stored)], L, P - 1 :: -1, Q - 1 :: -1, b - 1, d - 1]))
     sums: dict[tuple, np.ndarray] = {}
     w = np.empty((len(cases), P, Q))
     for plane, (seg_r, seg_s, parts) in zip(w, cases):
         t = _GAP_TERMS.index((seg_r, seg_s))  # the last term is the bare one
         r, s = (ctx.gap_r[t, L], ctx.gap_s[t, L]) if t < 3 else (ctx.bare_r[L], ctx.bare_s[L])
-        np.multiply.outer(r[:P, x], s[:Q, y], out=plane)
+        np.multiply.outer(r[:P, x - 1], s[:Q, y - 1], out=plane)
         if parts not in sums:
             sums[parts] = sum(chain[part] for part in parts if part in chain)
         plane *= sums[parts]
@@ -326,12 +329,12 @@ def _decode_hy(res: InsideResult, comp: tuple, t: int) -> tuple:
     _, cls, i, j, h, l = comp
     ctx = res.ctx
     if i == j and h == l:
-        return (ctx.wext[i, h], [], [("ext", i, h)])
+        return (ctx.wext[i - 1, h - 1], [], [("ext", i, h)])
     i1, h1 = divmod(t, l - h)
     i1 += i
     h1 += h
     step = ctx.step[HY_CLASSES.index(cls), j - i1 - 1, l - h1 - 1]
-    return (ctx.wext[j, l] * step, [("hy", cls, i, i1, h, h1)], [("ext", j, l)])
+    return (ctx.wext[j - 1, l - 1] * step, [("hy", cls, i, i1, h, h1)], [("ext", j, l)])
 
 
 def _decode_vee(res: InsideResult, comp: tuple, t: int) -> tuple:

@@ -1,11 +1,16 @@
 """Inside algorithm: 4D partition-function tables over the block grammar.
 
 The production system is frozen in ``docs/grammar.md``.  Cells are pairs of
-subsequences ``(i,j;h,l)``; every tensor is indexed ``[span_r, span_s,
-anchor_r, anchor_s]`` where the anchor is the cell *start* for item tensors
-(hybrids and tight blocks) and the cell *end* for chain/gap tensors.  The
-end-anchored layout makes every recursion a contraction over aligned span
-axes with constant position offsets.
+subsequences ``(i,j;h,l)``; every tensor is indexed ``[span_r - 1, span_s -
+1, anchor_r - 1, anchor_s - 1]`` where the anchor is the cell *start* for
+item tensors (hybrids and tight blocks) and the cell *end* for chain/gap
+tensors.  Spans and anchors take the values 1..n on R (1..m on S), so a
+table of lengths (n, m) has shape ``(n, m, n, m)`` and holds no padding;
+the strand factors of ``_Ctx`` share the anchor axis (anchor x at index x -
+1), so one set of wave slices indexes both.  The end-anchored layout makes
+every recursion a contraction over aligned span axes with constant position
+offsets.  The public coordinates (:meth:`InsideResult.value`, the
+probability matrices, the sampler's components) stay 1-based.
 
 Each tensor family is one stacked allocation with the chain label (or item
 kind) as a leading axis (``_FAMILIES``); ``store[key]`` is a view of one
@@ -61,7 +66,7 @@ from functools import cache, lru_cache, partial
 import numpy as np
 
 from .energy import EnergyModel
-from .secfold import SecEngine, check_partition_function, fold
+from .secfold import SecEngine, check_partition_function, fold, planes_bytes
 from .seq_model import ALPHABET, Strand
 
 __all__ = [
@@ -175,6 +180,10 @@ _GAP_TERMS = (("unp", "ge1"), ("ge1", "any"), ("any", "any"), ("unp", "unp"))
 # (docs/grammar.md §3): any structure, or at least one branch.  The other
 # kinds read none: "unp" is all unpaired, "flush" the empty tail.
 SEGMENT_TABLES = {"any": {"E": "q", "K": "qk"}, "ge1": {"E": "q1", "K": "q1k"}}
+# The strand factors of _Ctx, per strand: name -> the shape of its leading
+# axes, one ``[g, x - 1]`` array of entries per leading index.
+_FACTOR_LEADS = {"adm": (), "kq": (), "gap": (len(_GAP_TERMS) - 1, len(_LABS)),
+                 "bare": (len(_LABS),), "tail": (len(_LABS),), "prefix": ()}
 
 
 def _out_keys(keys: tuple[tuple, ...]) -> tuple[tuple, ...]:
@@ -201,8 +210,10 @@ _SEGMENTS = ("kq_r", "kq_s", "gap_r", "gap_s", "tail_r", "tail_s")
 def flat_layout(family: str, shape: tuple[int, ...]) -> tuple[dict[tuple, int], tuple[int, ...]]:
     """Where :meth:`TensorStore.flat` keeps the cells of ``family`` for 4D
     tables of ``shape``: the offset of each key's slice, and the element
-    strides of the axes ``[span_r, span_s, anchor_r, anchor_s]`` of a slice.
-    ``alloc_families`` stacks the keys' slices in C order."""
+    strides of the axes ``[span_r - 1, span_s - 1, anchor_r - 1, anchor_s -
+    1]`` of a slice (cell ``(p, q, x, y)`` lies ``(p - 1) * strides[0] + ...``
+    past the offset).  ``alloc_families`` stacks the keys' slices in C
+    order."""
     _lead, keys = (_FAMILIES | _OUT_FAMILIES)[family]
     size = math.prod(shape)
     strides = tuple(math.prod(shape[k + 1 :]) for k in range(len(shape)))
@@ -236,21 +247,50 @@ def _array_count(families: _Families) -> int:
 
 
 def _tensor_bytes(n: int, m: int, include_outside: bool = True) -> int:
-    """Bytes of the 4D tensors: one per key of the families."""
+    """Bytes of the 4D tensors: one ``(n, m, n, m)`` table per key of the
+    families."""
     count = _array_count(_FAMILIES)
     if include_outside:
         count += _array_count(_OUT_FAMILIES)
-    return count * (n + 2) * (m + 2) * (n + 2) * (m + 2) * 8
+    return count * (n * m) ** 2 * 8
+
+
+def _wave_cells(n: int, m: int) -> int:
+    """The most cells of one wave's block ``[p, q, nI, nH]``: ``max_p p(n-p+1)
+    * max_q q(m-q+1)``."""
+    return max(p * (n - p + 1) for p in range(1, n + 1)) * max(
+        q * (m - q + 1) for q in range(1, m + 1))
+
+
+def _strand_bytes(n: int) -> int:
+    """Bytes of the arrays of one strand of length ``n``: the engine's planes,
+    and per ``[g, x - 1]`` entry of a strand factor its int32 index, weight
+    and value, and of the closing-arc factor its value (``arc_*`` is one byte
+    per span)."""
+    rows = sum(math.prod(lead) for lead in _FACTOR_LEADS.values())
+    return planes_bytes(n) + (n + 2) * n * (rows * (4 + 8 + 8) + 8) + (n + 2)
 
 
 def estimate_memory_bytes(n: int, m: int, include_outside: bool = True) -> int:
-    """Bytes of table storage the engine will allocate for lengths (n, m)."""
-    twod = 2 * 16 * (max(n, m) + 2) ** 2 * 8  # per-strand tables and diagonals
-    return _tensor_bytes(n, m, include_outside) + twod
+    """Bytes the engine will allocate for lengths (n, m): the 4D tables
+    (inside, and with ``include_outside`` outside), the work buffers of the
+    wave productions (``_operands``) and the arrays of both strands and of
+    ``_Ctx`` (``wext``, ``step``, ``branch`` and ``to_items``)."""
+    work = sum(_WORK_ROWS.values()) * _wave_cells(n, m) * 8
+    rows = 3 * len(_LABS)  # of branch, and the columns of to_items
+    grids = (n * m + len(HY_CLASSES) * (n + 1) * (m + 1)
+             + rows * len(_ITEM_ORDER) + (len(_ITEM_ORDER) + len(HY_CLASSES)) * rows)
+    return (_tensor_bytes(n, m, include_outside) + work + _strand_bytes(n) + _strand_bytes(m)
+            + grids * 8)
 
 
 class TensorStore:
     """Dense 4D arrays with byte accounting.
+
+    Every table has the shape ``(n, m, n, m)``: cell ``(p, q, x, y)`` of
+    spans p, q and anchors x, y (all 1-based) lies at index ``[p - 1, q - 1,
+    x - 1, y - 1]``.  No cell lies outside the spans and anchors of the two
+    strands.
 
     Each tensor family is one stacked allocation (see ``_FAMILIES`` and
     ``_OUT_FAMILIES``); every key in it is a view of one slice, so
@@ -263,7 +303,7 @@ class TensorStore:
     def __init__(self, n: int, m: int):
         self.n = n
         self.m = m
-        self.shape = (n + 2, m + 2, n + 2, m + 2)
+        self.shape = (n, m, n, m)
         self.arrays: dict[tuple, np.ndarray] = {}
         self.stacks: dict[str, np.ndarray] = {}
         self.flats: dict[str, np.ndarray] = {}
@@ -313,7 +353,9 @@ class _Ctx:
     engine's :attr:`SecEngine.planes` and a weight (:meth:`SecEngine.segment`
     gives both for one segment kind).  The factor is ``weight *
     planes.take(index)``, and :func:`jointfold.outside_prob.outside` scatters
-    its outside weight back through the same index.  ``adm_*[g, x]`` is the
+    its outside weight back through the same index.  A factor indexes
+    lengths ``g`` from 0 and anchors like the 4D tables, anchor ``x`` at
+    ``x - 1``, written ``[g, x]`` below.  ``adm_*[g, x]`` is the
     admissibility of the arc over the segment of length ``g`` from ``x``, read
     off the engine's constant plane of arcs; ``close_*`` (the closing-arc
     factor of a tight block) and ``arc_*`` (whether any arc of a span is
@@ -323,7 +365,8 @@ class _Ctx:
     those of the bare term; ``tail_*[l, g, j]`` the tail of label ``l`` that
     ends at ``j`` (empty where the label is flush on that strand);
     ``prefix_r[p]`` is ``q(1, n-p)``, the structures of R left of a top-level
-    chain of span ``p`` (``prefix_s`` likewise on S).
+    chain of span ``p`` (``prefix_s`` likewise on S).  ``wext[j, l]`` is the
+    weight of the exterior arc ``(j, l)``, at ``[j - 1, l - 1]``.
     """
 
     def __init__(self, sec_r: SecEngine, sec_s: SecEngine):
@@ -335,8 +378,7 @@ class _Ctx:
         self.ku = model.w_kiss_unpaired
 
         w_ext = np.array([[model.w_ext(a, b) for b in ALPHABET] for a in ALPHABET])
-        self.wext = np.zeros((n + 2, m + 2))
-        self.wext[1:-1, 1:-1] = w_ext[np.array(sec_r.strand.codes())[:, None], sec_s.strand.codes()]
+        self.wext = w_ext[np.array(sec_r.strand.codes())[:, None], sec_s.strand.codes()]
 
         # step[c, gr, gs]: hybrid extension weight of class HY_CLASSES[c] by
         # gap sizes; the gap energy depends on gr + gs only
@@ -349,28 +391,28 @@ class _Ctx:
                               base * br[:, None] * bs[None, :]])
 
         # every strand factor: per strand, name -> (the segment kind and
-        # exposure class of each entry of its leading axes, in C order; end
-        # anchored; the shape of those axes)
+        # exposure class of each entry of its leading axes (_FACTOR_LEADS), in
+        # C order; end anchored)
         self.factors: dict[str, tuple[SecEngine, np.ndarray, np.ndarray]] = {}
         for k, (side, eng, length) in enumerate((("r", sec_r, n), ("s", sec_s, m))):
             classes = [(lab.class_r, lab.class_s)[k] for lab in _LABS]
             tails = ["any" if (lab.tail_r, lab.tail_s)[k] == "free" else "flush" for lab in _LABS]
             declared = {
-                "adm": ([("adm", None)], False, ()),
-                "kq": ([("any", "K")], False, ()),
-                "gap": ([(term[k], c) for term in _GAP_TERMS[:3] for c in classes], False,
-                        (3, len(_LABS))),
-                "bare": ([(_GAP_TERMS[3][k], c) for c in classes], False, (len(_LABS),)),
-                "tail": (list(zip(tails, classes)), True, (len(_LABS),)),
-                "prefix": ([("any", "E")], False, ()),
+                "adm": ([("adm", None)], False),
+                "kq": ([("any", "K")], False),
+                "gap": ([(term[k], c) for term in _GAP_TERMS[:3] for c in classes], False),
+                "bare": ([(_GAP_TERMS[3][k], c) for c in classes], False),
+                "tail": (list(zip(tails, classes)), True),
+                "prefix": ([("any", "E")], False),
             }
             segment = cache(partial(self._segment, eng))  # a few kinds, many labels
-            for name, (segments, end, shape) in declared.items():
+            for name, (segments, end) in declared.items():
                 pairs = [segment(kind, cls, end) for kind, cls in segments]
-                index, weight = (np.stack(a).reshape(shape + a[0].shape) for a in zip(*pairs))
+                lead = _FACTOR_LEADS[name]
+                index, weight = (np.stack(a).reshape(lead + a[0].shape) for a in zip(*pairs))
                 value = weight * eng.planes.take(index)
                 if name == "prefix":  # q(1, n-p): the segment of length n-p from 1
-                    index, weight, value = (a[length::-1, 1] for a in (index, weight, value))
+                    index, weight, value = (a[length::-1, 0] for a in (index, weight, value))
                 self.factors[f"{name}_{side}"] = eng, index, weight
                 setattr(self, f"{name}_{side}", value)
         # arc[p]: any admissible arc of span p (else no tight block closes at
@@ -442,11 +484,10 @@ class InsideResult:
         """Scalar tensor read for cell (i,j;h,l), any anchoring."""
         if j < i or l < h:
             return 0.0
-        p, q = j - i + 1, l - h + 1
         arr = self.store[key]
         if key[0] in ("hy", "vee", "tri", "box"):
-            return float(arr[p, q, i, h])
-        return float(arr[p, q, j, l])
+            return float(arr[j - i, l - h, i - 1, h - 1])
+        return float(arr[j - i, l - h, j - 1, l - 1])
 
     def chain_value(self, parts, name: str, a: int, b: int, c: int, d: int) -> float:
         lab = LABELS[name]
@@ -491,7 +532,7 @@ def inside(
     for p, q in _waves(n, m):
         w = _Wave(ctx, p, q)
         if p == q == 1:  # the hybrid base case
-            store.stacks["items"][_HY, 1, 1, 1 : n + 1, 1 : m + 1] = ctx.wext[1 : n + 1, 1 : m + 1]
+            store.stacks["items"][_HY, 0, 0] = ctx.wext
         _fill_wave(src, w)
 
     q_ni = sec_r.q_total() * sec_s.q_total()
@@ -511,8 +552,8 @@ def _waves(n: int, m: int) -> list[tuple[int, int]]:
 
 
 def _top_chains(store: TensorStore, ctx: _Ctx) -> np.ndarray:
-    """The top-level chains ``[p, q]`` that end at ``(n, m)``, for spans p, q >= 1."""
-    top = store.stacks["chain"][_NA_HY, 0, 1 : ctx.n + 1, 1 : ctx.m + 1, ctx.n, ctx.m]
+    """The top-level chains ``[p - 1, q - 1]`` of spans p, q that end at ``(n, m)``."""
+    top = store.stacks["chain"][_NA_HY, 0, :, :, ctx.n - 1, ctx.m - 1]
     return top[0] + top[1]
 
 
@@ -528,26 +569,30 @@ _ALL = slice(None)
 
 
 def _rev(k: int) -> slice:
-    """Spans k, k-1, ..., 1."""
-    return slice(k, 0, -1)
+    """Spans k, k-1, ..., 1 of a table (at index k - 1 down to 0)."""
+    return slice(k - 1, None, -1) if k > 0 else slice(0, 0)
 
 
 def _down(k: int) -> slice:
-    """Spans k, k-1, ..., 0."""
+    """Lengths k, k-1, ..., 0 of a strand factor or of ``step``."""
     return slice(k, None, -1)
 
 
 class _Wave:
-    """The span pair (p, q) of one wave and the anchor slices of its cells."""
+    """The span pair (p, q) of one wave and the index slices of its cells: a
+    table holds span p at index ``sp = p - 1``, and a table or a strand factor
+    anchor x at index x - 1."""
 
     def __init__(self, ctx: _Ctx, p: int, q: int):
         nI, nH = ctx.n - p + 1, ctx.m - q + 1
         self.p, self.q = p, q
-        self.I, self.H = slice(1, nI + 1), slice(1, nH + 1)  # cell starts
-        self.J, self.L = slice(p, p + nI), slice(q, q + nH)  # cell ends
+        self.sp, self.sq = p - 1, q - 1
+        self.I, self.H = slice(0, nI), slice(0, nH)  # cell starts 1..nI
+        self.J, self.L = slice(p - 1, p - 1 + nI), slice(q - 1, q - 1 + nH)  # cell ends p..n
         # the content of a tight block starts after and ends before its arc
-        self.I2, self.H2 = slice(2, nI + 2), slice(2, nH + 2)
-        self.J1, self.L1 = slice(p - 1, p - 1 + nI), slice(q - 1, q - 1 + nH)
+        # (read at spans p, q >= 3 only)
+        self.I2, self.H2 = slice(1, nI + 1), slice(1, nH + 1)
+        self.J1, self.L1 = slice(p - 2, p - 2 + nI), slice(q - 2, q - 2 + nH)
         self.tight_r = p >= 3 and bool(ctx.arc_r[p])
         self.tight_s = q >= 3 and bool(ctx.arc_s[q])
         # a gap of span >= 1 on both strands fits after an item
@@ -702,7 +747,7 @@ class _CombinedItems:
 
     @staticmethod
     def at(w: _Wave) -> tuple:
-        return (_ALL, slice(1, w.p + 1), slice(1, w.q + 1), w.I, w.H)
+        return (_ALL, slice(0, w.p), slice(0, w.q), w.I, w.H)
 
     def fill(self, src: dict, w: _Wave) -> None:
         items = src["items"][self.at(w)]
@@ -732,7 +777,7 @@ class _ChainAll:
         return (_rev(w.p), _rev(w.q), w.J, w.L)
 
     def fill(self, src: dict, w: _Wave) -> None:
-        cell = (w.p, w.q, w.J, w.L)
+        cell = (w.sp, w.sq, w.J, w.L)
         chain, ch_all = src["chain"], src["ch_all"][(_ALL,) + cell]
         np.add(chain[(_CNA, _ALL) + cell], chain[(_CHY, _ALL) + cell], out=ch_all)
         ch_all[_NB] += chain[(_CNB, _NB) + cell]
@@ -765,23 +810,23 @@ _PER_WAVE = ("ci", "ch_all", "ch_nohy")
 _WAVE = (
     # HY[c](i,j;h,l) = ext_arc(j,l) * sum HY[c](i,i1;h,h1) * step_c
     _Prod("items[cih] = items[cabih] step[cab] wext[ih]",
-          lambda w: ((_HY, w.p, w.q, w.I, w.H),
-                     (_HY, slice(1, w.p), slice(1, w.q), w.I, w.H),
+          lambda w: ((_HY, w.sp, w.sq, w.I, w.H),
+                     (_HY, slice(0, w.sp), slice(0, w.sq), w.I, w.H),
                      (_ALL, _down(w.p - 2), _down(w.q - 2)), (w.J, w.L)),
           when=lambda w: w.p >= 2 and w.q >= 2),
     # VEE[Ys], TRI[Yr], BOX: the content chain is CNA + CHY (axis k)
     _Prod("items[cih] = chain[kcgih] kq_r[gi] close_r[i]",
-          lambda w: ((_VEE_ITEMS, w.p, w.q, w.I, w.H),
-                     (_NA_HY, _VEE_LABELS, _rev(w.p - 2), w.q, w.J1, w.L),
+          lambda w: ((_VEE_ITEMS, w.sp, w.sq, w.I, w.H),
+                     (_NA_HY, _VEE_LABELS, _rev(w.p - 2), w.sq, w.J1, w.L),
                      (slice(0, w.p - 2), w.I2), (w.p, w.I)),
           when=lambda w: w.tight_r),
     _Prod("items[cih] = chain[kcgih] kq_s[gh] close_s[h]",
-          lambda w: ((_TRI_ITEMS, w.p, w.q, w.I, w.H),
-                     (_NA_HY, _TRI_LABELS, w.p, _rev(w.q - 2), w.J, w.L1),
+          lambda w: ((_TRI_ITEMS, w.sp, w.sq, w.I, w.H),
+                     (_NA_HY, _TRI_LABELS, w.sp, _rev(w.q - 2), w.J, w.L1),
                      (slice(0, w.q - 2), w.H2), (w.q, w.H)),
           when=lambda w: w.tight_s),
     _Prod("items[ih] = chain[kabih] kq_r[ai] kq_s[bh] close_r[i] close_s[h]",
-          lambda w: ((_BOX_ITEM, w.p, w.q, w.I, w.H),
+          lambda w: ((_BOX_ITEM, w.sp, w.sq, w.I, w.H),
                      (_NA_HY, _BOX_LABEL, _rev(w.p - 2), _rev(w.q - 2), w.J1, w.L1),
                      (slice(0, w.p - 2), w.I2), (slice(0, w.q - 2), w.H2),
                      (w.p, w.I), (w.q, w.H)),
@@ -793,25 +838,25 @@ _WAVE = (
     # vee labels (flush on S) read one S span of the items, the tri labels
     # (flush on R) one R span; top and box have no CNB.
     _Prod("chain[xlih] = ci[xlabih] tail_r[lai] tail_s[lbh]",
-          lambda w: ((_NA_HY, _TOP_BOX, w.p, w.q, w.J, w.L), (_NA_HY, _TOP_BOX),
+          lambda w: ((_NA_HY, _TOP_BOX, w.sp, w.sq, w.J, w.L), (_NA_HY, _TOP_BOX),
                      (_TOP_BOX, _down(w.p - 1), w.J), (_TOP_BOX, _down(w.q - 1), w.L))),
     _Prod("chain[xlih] = ci[xlaih] tail_r[lai]",
-          lambda w: ((_ALL, _VEE_LABELS, w.p, w.q, w.J, w.L),
+          lambda w: ((_ALL, _VEE_LABELS, w.sp, w.sq, w.J, w.L),
                      (_ALL, _VEE_LABELS, _ALL, w.q - 1), (_VEE_LABELS, _down(w.p - 1), w.J)),
           sparse=True),
     _Prod("chain[xlih] = ci[xlbih] tail_s[lbh]",
-          lambda w: ((_ALL, _TRI_LABELS, w.p, w.q, w.J, w.L),
+          lambda w: ((_ALL, _TRI_LABELS, w.sp, w.sq, w.J, w.L),
                      (_ALL, _TRI_LABELS, w.p - 1), (_TRI_LABELS, _down(w.q - 1), w.L)),
           sparse=True),
     # The first item, then a gap of spans >= 1: EX·GNA + NA·GNA into CNA
     # (axis k), HY·GHY into CHY
     _Prod("chain[lih] = ci[klabih] rest[labih]",
-          lambda w: ((_CNA, _ALL, w.p, w.q, w.J, w.L),
+          lambda w: ((_CNA, _ALL, w.sp, w.sq, w.J, w.L),
                      (slice(0, 2), _ALL, slice(0, w.p - 1), slice(0, w.q - 1)),
                      (1, _ALL, _rev(w.p - 1), _rev(w.q - 1), w.J, w.L)),
           when=lambda w: w.gap, add=True),
     _Prod("chain[lih] = ci[labih] rest[labih]",
-          lambda w: ((_CHY, _ALL, w.p, w.q, w.J, w.L),
+          lambda w: ((_CHY, _ALL, w.sp, w.sq, w.J, w.L),
                      (_CHY, _ALL, slice(0, w.p - 1), slice(0, w.q - 1)),
                      (0, _ALL, _rev(w.p - 1), _rev(w.q - 1), w.J, w.L)),
           when=lambda w: w.gap, add=True),
@@ -819,12 +864,12 @@ _WAVE = (
     # GHY, GNA: the terms of _GAP_TERMS over CH_all, then the bare GHY term
     # over CH_nohy = CNA + CNB
     _Prod("rest[tlih] = ch_all[labih] gap_r[tlai] gap_s[tlbh]",
-          lambda w: ((slice(0, 2), _ALL, w.p, w.q, w.J, w.L),
+          lambda w: ((slice(0, 2), _ALL, w.sp, w.sq, w.J, w.L),
                      (_ALL, _rev(w.p), _rev(w.q), w.J, w.L),
                      (_ALL, _ALL, slice(0, w.p), w.I), (_ALL, _ALL, slice(0, w.q), w.H)),
           rows=(0, 0, 1), live={"gap_r": slice(1, 3)}, copy=("ch_all",), sparse=True),
     _Prod("rest[lih] = ch_nohy[labih] bare_r[lai] bare_s[lbh]",
-          lambda w: ((0, _ALL, w.p, w.q, w.J, w.L), _ALL,
+          lambda w: ((0, _ALL, w.sp, w.sq, w.J, w.L), _ALL,
                      (_ALL, slice(0, w.p), w.I), (_ALL, slice(0, w.q), w.H)),
           add=True, sparse=True),
 )
@@ -841,11 +886,10 @@ _WORK_ROWS = {"ci": 3 * len(_LABS), "out_ci": 3 * len(_LABS), "ch_nohy": len(_LA
 
 def _operands(store: TensorStore, ctx: _Ctx) -> dict:
     """Every array a production may read, by name: the _Ctx arrays, the
-    stored families and (under ``work``) the work buffers.  A wave's block
-    ``[p, q, nI, nH]`` has at most ``max_p p(n-p+1) * max_q q(m-q+1)``
-    cells; ``np.empty`` leaves the pages that no wave reaches untouched."""
-    cells = max(p * (ctx.n - p + 1) for p in range(1, ctx.n + 1)) * max(
-        q * (ctx.m - q + 1) for q in range(1, ctx.m + 1))
+    stored families and (under ``work``) the work buffers, sized for the
+    largest wave block (``_wave_cells``); ``np.empty`` leaves the pages that
+    no wave reaches untouched."""
+    cells = _wave_cells(ctx.n, ctx.m)
     work = {name: np.empty(rows * cells) for name, rows in _WORK_ROWS.items()}
     return {**vars(ctx), **store.stacks, "work": work}
 

@@ -109,10 +109,14 @@ class ProbTables:
 
 @dataclass
 class HybridProbMatrix:
-    """Maximal-hybrid footprint probabilities, start-anchored ``[p, q, i, h]``.
+    """Maximal-hybrid footprint probabilities, start-anchored: the footprint
+    of spans p, q from ``(i, h)`` at ``total[p - 1, q - 1, i - 1, h - 1]``,
+    the layout of the 4D tables (:class:`TensorStore`).  :meth:`p_hy`,
+    :meth:`entries` and :meth:`region_mass` take and give 1-based
+    coordinates.
 
     ``total`` is zero at every cell that is no footprint on the two strands
-    (``p, q >= 1``, ``1 <= i``, ``i+p-1 <= n``, ``1 <= h``, ``h+q-1 <= m``).
+    (``i+p-1 <= n``, ``h+q-1 <= m``).
     """
 
     n: int
@@ -122,13 +126,14 @@ class HybridProbMatrix:
     def p_hy(self, i: int, j: int, h: int, l: int) -> float:
         if j < i or l < h:
             return 0.0
-        return float(self.total[j - i + 1, l - h + 1, i, h])
+        return float(self.total[j - i, l - h, i - 1, h - 1])
 
     def _above(self, threshold: float) -> tuple[np.ndarray, ...]:
         """The footprints above ``threshold`` as arrays ``i, j, h, l, p``,
         by descending probability, then by ``i, j, h, l``."""
-        p, q, i, h = np.nonzero(self.total > threshold)
-        w = self.total[p, q, i, h]
+        above = self.total > threshold
+        p, q, i, h = (a + 1 for a in np.nonzero(above))
+        w = self.total[above]
         j, l = i + p - 1, h + q - 1
         order = np.lexsort((l, h, j, i, -w))
         return tuple(a[order] for a in (i, j, h, l, w))
@@ -205,7 +210,7 @@ def _strand_weights(res: InsideResult) -> dict[str, np.ndarray]:
     interaction, ``q(1, n)`` beside ``q(1, m)``.  The closing-arc mass
     ``[span, start]`` of the tight blocks (R-closed and S-closed kinds), read
     off the finished item accumulators, is the outside weight of the
-    admissibility factors ``adm_*``."""
+    admissibility factors ``adm_*`` at spans 1..n."""
     ctx, stacks = res.ctx, res.store.stacks
     out = _out(res)
     out.update({k: np.zeros_like(getattr(ctx, k)) for k in _SEGMENTS})
@@ -215,20 +220,22 @@ def _strand_weights(res: InsideResult) -> dict[str, np.ndarray]:
     out["prefix_r"] = np.concatenate((ws[:1], chains @ ws[1:]))
     out["prefix_s"] = np.concatenate((wr[:1], wr[1:] @ chains))
     o, v = stacks["out_items"], stacks["items"]
-    out["adm_r"] = np.einsum("cpqih,cpqih->pi", o[_R_CLOSED], v[_R_CLOSED])
-    out["adm_s"] = np.einsum("cpqih,cpqih->qh", o[_S_CLOSED], v[_S_CLOSED])
+    for name, kinds, spec in (("adm_r", _R_CLOSED, "cpqih,cpqih->pi"),
+                              ("adm_s", _S_CLOSED, "cpqih,cpqih->qh")):
+        out[name] = np.zeros_like(getattr(ctx, name))
+        np.einsum(spec, o[kinds], v[kinds], out=out[name][1:-1])
     return out
 
 
 def _exterior_mass(res: InsideResult) -> np.ndarray:
     """Exterior-arc mass ``[i, h]`` of the hybrids.  The exterior arc of a
     hybrid is its last one, at the end ``(i+p-1, h+q-1)`` of its
-    start-anchored cell ``[p, q, i, h]``."""
+    start-anchored cell ``[p - 1, q - 1, i - 1, h - 1]``."""
     n, m = res.ctx.n, res.ctx.m
     o, v = res.store.stacks["out_items"], res.store.stacks["items"]
     mass = np.einsum("cpqih,cpqih->pqih", o[_HY], v[_HY])
     p, q, i, h = np.nonzero(mass)
-    ends = (i + p - 1) * (m + 2) + h + q - 1
+    ends = (i + p + 1) * (m + 2) + h + q + 1
     return np.bincount(ends, mass[p, q, i, h], (n + 2) * (m + 2)).reshape(n + 2, m + 2)
 
 
@@ -274,10 +281,10 @@ def outside(res: InsideResult, verify_conservation: bool = False) -> ProbTables:
     if budget is not None and est > budget:
         raise CapacityExceeded(est, budget)
     res.store.alloc_families(_OUT_FAMILIES)
-    # the top-level chains [p, q] that end at (n, m) get the prefixes
+    # the top-level chains of spans p, q that end at (n, m) get the prefixes
     # q(1, n-p) and q(1, m-q) left of them
     chain = res.store.stacks["out_chain"]
-    chain[_NA_HY, 0, 1 : n + 1, 1 : m + 1, n, m] += ctx.prefix_r[1:, None] * ctx.prefix_s[1:]
+    chain[_NA_HY, 0, :, :, n - 1, m - 1] += ctx.prefix_r[1:, None] * ctx.prefix_s[1:]
     _transpose(res, _out(res))
 
     tpf = None

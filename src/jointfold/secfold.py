@@ -16,9 +16,10 @@ its 2D tables, ``tables[kind][i, j]`` over 1-based cells:
 * ``qm``/``qm1`` - multi-class helpers used inside the closed tables.
 
 The 4D grammar reads these tables, and the constant plane of the arcs'
-admissibility, as span-anchored diagonals ``[g, x]``, the segment of length
-``g`` that starts (or ends) at ``x``.  A strand factor of the grammar is
-declared as a flat index into the planes and a weight per ``[g, x]``
+admissibility, as span-anchored diagonals ``[g, x - 1]``, the segment of
+length ``g`` that starts (or ends) at ``x``, for anchors ``1 <= x <= n``.  A
+strand factor of the grammar is declared as a flat index into the planes and
+a weight per ``[g, x - 1]``
 (:meth:`SecEngine.segment`): a gather forms it, and a scatter through the
 same index passes its outside weight back onto the cells.
 
@@ -68,6 +69,15 @@ _DINUCLEOTIDES = ["".join(x) for x in itertools.product(ALPHABET, repeat=2)]
 # tables replace ``qb``, without it they do not exist.
 FILL_ORDER = ("qend", "qbh", "qb", "qm1", "qm", "q", "q1", "qk", "q1k")
 _HELIX = ("qend", "qbh")
+# the constant planes after the tables (see SecEngine.__init__)
+_CONSTANT_PLANES = ("one", "stack", "adm")
+
+
+def planes_bytes(n: int) -> int:
+    """The most bytes that :attr:`SecEngine.planes` takes for a strand of
+    length ``n``: every kind but ``qb`` (with ``forbid_lone_pairs``) or but
+    the helix kinds (without it), and the constant planes."""
+    return (len(FILL_ORDER) - 1 + len(_CONSTANT_PLANES)) * (n + 2) ** 2 * 8
 
 
 class NumericalUnderflow(RuntimeError):
@@ -175,7 +185,7 @@ class SecEngine:
         # the tables, then the constant planes that the declarations read:
         # ones, the stack weight of (i+1, j-1) inside each arc (i, j), and the
         # admissibility of each arc
-        names = kinds + ["one", "stack", "adm"]
+        names = kinds + list(_CONSTANT_PLANES)
         self._planes = np.zeros((len(names), size, size))
         self.planes = self._planes.reshape(-1)  # all of them, flat
         self.offset = {k: p * size * size for p, k in enumerate(names)}  # of each plane
@@ -315,27 +325,28 @@ class SecEngine:
         return float(self.tables["q"][1, self.n])
 
     def _span_cells(self, end: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Per ``[g, x]``: whether the span ``g >= 1`` anchored at ``x`` lies
-        on the strand, and the flat index within a plane of the cell ``(i,
-        j)`` it names there (else 0)."""
-        g, x = np.arange(self.n + 2)[:, None], np.arange(self.n + 2)
+        """Per ``[g, x - 1]``, anchors ``1 <= x <= n``: whether the span ``g
+        >= 1`` anchored at ``x`` lies on the strand, and the flat index within
+        a plane of the cell ``(i, j)`` it names there (else 0)."""
+        g, x = np.arange(self.n + 2)[:, None], np.arange(1, self.n + 1)
         i, j = (x - g + 1, x) if end else (x, x + g - 1)
         ok = (g >= 1) & (i >= 1) & (j <= self.n)
         return ok, (ok * (i * (self.n + 2) + j)).astype(np.int32)
 
     def segment(self, table: str | None, end: bool = False,
                 unpaired: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-        """A strand factor over spans, as ``[g, x]`` arrays of flat indices
-        into :attr:`planes` and of weights; the factor is ``weight *
+        """A strand factor over spans, as ``[g, x - 1]`` arrays of flat
+        indices into :attr:`planes` and of weights; the factor is ``weight *
         planes.take(index)``, and the transpose scatters its outside weight
-        times ``weight`` back through ``index``.  Entry ``[g, x]`` is the
+        times ``weight`` back through ``index``.  Entry ``[g, x - 1]`` is the
         segment of length ``g`` that starts at ``x``, or ends there when
-        anchored at the ``end``.  With a ``table`` (a kind, or the plane
-        ``adm``) it reads that plane's cell, weight 1 on the strand and 0 off
-        it; without one it is all unpaired, weight ``unpaired ** g`` on the
-        strand.  Every entry that reads no cell (no table, off the strand,
-        span 0) reads the plane of ones; at span 0 the weight is the value of
-        an empty interval, 1 for ``q``, ``qk`` and unpaired bases, else 0."""
+        anchored at the ``end``; the anchors are ``1 <= x <= n``.  With a
+        ``table`` (a kind, or the plane ``adm``) it reads that plane's cell,
+        weight 1 on the strand and 0 off it; without one it is all unpaired,
+        weight ``unpaired ** g`` on the strand.  Every entry that reads no
+        cell (no table, off the strand, span 0) reads the plane of ones; at
+        span 0 the weight is the value of an empty interval, 1 for ``q``,
+        ``qk`` and unpaired bases, else 0."""
         ok, cell = self._spans[end]
         ones = self.offset["one"]
         if table is None:

@@ -1,5 +1,6 @@
-"""Shared test utilities: random sequences, randomized-weight models and the
-scalar case references of the secondary and 4D grammars."""
+"""Shared test utilities: random sequences, randomized-weight models, 1-based
+reads of the 4D tables and the scalar case references of the secondary and
+4D grammars."""
 
 from __future__ import annotations
 
@@ -55,6 +56,21 @@ def random_model(rng: np.random.Generator, min_hairpin: int = 3,
     )
     fields.update(overrides)
     return EnergyModel(**fields)
+
+
+# -- 1-based reads of the 4D tables ------------------------------------------
+
+
+def at(*cell: int) -> tuple[int, ...]:
+    """The index of the 4D table cell ``(span_r, span_s, anchor_r,
+    anchor_s)``, given 1-based: every axis starts at 1 (TensorStore)."""
+    return tuple(c - 1 for c in cell)
+
+
+def padded(arr: np.ndarray) -> np.ndarray:
+    """A copy of a 4D table ``(n, m, n, m)`` indexed 1-based: zero at span 0
+    and at the anchors 0 and n + 1 (m + 1)."""
+    return np.pad(arr, 1)
 
 
 # -- the scalar case references -----------------------------------------------

@@ -202,12 +202,12 @@ class TestPf:
 
 
 class TestBudget:
-    # 13x13: the inside tables need 17,472,600 B, inside and outside 34,077,600 B;
-    # the budget is 0.025 GiB = 26,843,545 B
+    # 15x15: the inside run needs 19,621,978 B (17,415,000 B of tables), inside
+    # and outside 36,226,978 B; the budget is 0.025 GiB = 26,843,545 B
     @pytest.mark.parametrize("command, fits", [("pf", True), ("sample", True),
                                                ("targets", False)])
     def test_budget_covers_what_the_command_allocates(self, command, fits, fasta, capsys):
-        path = fasta(">r\nGGACUUCAGCAUC\n>s\nGAUGCUGAAGUCC\n")
+        path = fasta(">r\nGGACUUCAGCAUCGA\n>s\nUCGAUGCUGAAGUCC\n")
         budget = int(0.025 * 1024**3)
         status, text = capture(cfg(command, [path], memory_budget_bytes=budget, num=2))
         assert status == (0 if fits else 1)

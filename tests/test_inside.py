@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import weakref
 
@@ -13,6 +14,7 @@ from jointfold.grammar_inside import (
     CapacityExceeded,
     HY_CLASSES,
     _OUT_FAMILIES,
+    _operands,
     _tensor_bytes,
     estimate_memory_bytes,
     flat_layout,
@@ -22,7 +24,7 @@ from jointfold.oracle import enumerate_interactions
 from jointfold.outside_prob import outside
 from jointfold.seq_model import Strand
 
-from helpers import au_rich_seq, random_model, random_seq
+from helpers import at, au_rich_seq, random_model, random_seq
 
 
 def strands(r: str, s_internal: str):
@@ -127,13 +129,13 @@ class TestHybridTables:
         R, S = strands("AAA", "UUU")
         tabs = hybrid_tables(R, S, unit_model())
         # anchored at (1,1) and (3,3): {(1,1),(3,3)} and {(1,1),(2,2),(3,3)}
-        assert tabs["EE"][3, 3, 1, 1] == 2.0
-        assert tabs["EE"][2, 2, 1, 1] == 1.0  # {(1,1),(2,2)}
+        assert tabs["EE"][at(3, 3, 1, 1)] == 2.0
+        assert tabs["EE"][at(2, 2, 1, 1)] == 1.0  # {(1,1),(2,2)}
 
     def test_single_arc_base_case(self):
         R, S = strands("AA", "UU")
         tabs = hybrid_tables(R, S, unit_model())
-        assert tabs["KK"][1, 1, 2, 1] == 1.0
+        assert tabs["KK"][at(1, 1, 2, 1)] == 1.0
 
     def test_unpairable_anchor_is_zero(self):
         R, S = strands("AG", "GG")  # A-G and G-G are not admissible
@@ -197,6 +199,65 @@ class TestCapacity:
         assert len(res.store.arrays) == 84
         assert res.store.allocated_bytes == _tensor_bytes(n, m, include_outside=True)
         assert res.store.peak_bytes == res.store.allocated_bytes
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (7, 6), (8, 48), (22, 5), (12, 12)])
+    def test_table_bytes_are_exact(self, n, m):
+        """Every table is ``(n, m, n, m)``: the store's peak after ``inside``
+        and after ``outside`` is exactly the tensor bytes that the estimate
+        counts."""
+        rng = np.random.default_rng([n, m])
+        res = inside(*strands(random_seq(rng, n), random_seq(rng, m)), default_model())
+        assert res.store.peak_bytes == _tensor_bytes(n, m, include_outside=False)
+        outside(res)
+        assert res.store.peak_bytes == _tensor_bytes(n, m, include_outside=True)
+        assert {arr.shape for arr in res.store.arrays.values()} == {(n, m, n, m)}
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (7, 6), (8, 48), (12, 12)])
+    def test_estimate_covers_what_a_run_allocates(self, n, m):
+        """The estimate is at least what a run allocates, tables, work buffers
+        and the strand-side arrays (the engines' planes, the strand factors
+        and the grids of ``_Ctx``), and exceeds it by at most 25%."""
+        rng = np.random.default_rng([n, m, 1])
+        model = random_model(rng, forbid_lone_pairs=True)
+        res = inside(*strands(random_seq(rng, n), random_seq(rng, m)), model)
+        ctx = res.ctx
+        work = sum(buf.nbytes for buf in _operands(res.store, ctx)["work"].values())
+        arrays = [eng.planes for eng in (res.sec_r, res.sec_s)]
+        arrays += [a for a in vars(ctx).values() if isinstance(a, np.ndarray)]
+        arrays += [a for _eng, index, weight in ctx.factors.values() for a in (index, weight)]
+        bases = {}
+        for a in arrays:
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            bases[id(a)] = a.nbytes
+        strand = sum(bases.values())
+        for include_outside in (False, True):
+            if include_outside:
+                outside(res)
+            allocated = res.store.allocated_bytes + work + strand
+            est = estimate_memory_bytes(n, m, include_outside)
+            assert allocated <= est <= 1.25 * allocated, (include_outside, allocated, est)
+
+    @pytest.mark.parametrize("kind", ["default", "random"])
+    def test_no_cell_outside_the_reachable_anchors_is_written(self, kind):
+        """On either strand, a start-anchored cell of span s lies on the
+        strand only at anchors x <= n - s + 1, an end-anchored one only at x
+        >= s.  No production writes the others, inside, outside or in the
+        base-pair pass."""
+        rng = np.random.default_rng(57)
+        model = default_model() if kind == "default" else random_model(rng)
+        model = dataclasses.replace(model, min_hairpin=0, forbid_lone_pairs=True)
+        n, m = 7, 11
+        res = inside(*strands(random_seq(rng, n), random_seq(rng, m)), model)
+        outside(res).bpp_r
+        s_r, s_s, x_r, x_s = (a + 1 for a in np.indices(res.store.shape))
+        off = {False: (x_r < s_r) | (x_s < s_s),  # end anchored
+               True: (x_r > n - s_r + 1) | (x_s > m - s_s + 1)}  # start anchored
+        assert all(arr.any() for arr in off.values())
+        for key, arr in res.store.arrays.items():
+            name = key[1] if key[0] == "out" else key[0]
+            start = name in ("hy", "vee", "tri", "box", "hyb")
+            assert not arr[off[start]].any(), key
 
     @pytest.mark.parametrize("n, m", [(1, 1), (5, 8)])
     def test_flat_layout_is_the_allocation(self, n, m):

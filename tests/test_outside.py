@@ -15,7 +15,7 @@ from jointfold.outside_prob import hybrid_probabilities, outside, target_sites
 from jointfold.secfold import NumericalUnderflow, SecEngine, secondary_bpp
 from jointfold.seq_model import Strand
 
-from helpers import random_model, random_seq
+from helpers import padded, random_model, random_seq
 
 
 def strands(r: str, s_internal: str):
@@ -315,11 +315,11 @@ class TestRegionMass:
 
     @staticmethod
     def loop_entries(hyb, threshold):
-        rows = []
-        for p, q, i, h in np.argwhere(hyb.total > threshold):
+        rows, total = [], padded(hyb.total)
+        for p, q, i, h in np.argwhere(total > threshold):
             if 1 <= i and i + p - 1 <= hyb.n and 1 <= h and h + q - 1 <= hyb.m:
                 rows.append((int(i), int(i + p - 1), int(h), int(h + q - 1),
-                             float(hyb.total[p, q, i, h])))
+                             float(total[p, q, i, h])))
         rows.sort(key=lambda r: (-r[4], r[0], r[1], r[2], r[3]))
         return rows
 
@@ -351,9 +351,10 @@ class TestRegionMass:
     @pytest.mark.parametrize("kind, n, m, theta, nolp", CASES)
     def test_total_is_zero_off_the_footprints(self, kind, n, m, theta, nolp):
         hyb = self.hybrids(kind, n, m, theta, nolp)
-        p, q, i, h = np.indices(hyb.total.shape)
+        total = padded(hyb.total)
+        p, q, i, h = np.indices(total.shape)
         on = (p >= 1) & (q >= 1) & (i >= 1) & (i + p - 1 <= n) & (h >= 1) & (h + q - 1 <= m)
-        assert hyb.total[on].any() and not hyb.total[~on].any()
+        assert total[on].any() and not total[~on].any()
 
 
 class TestInvalidNumbers:

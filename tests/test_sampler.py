@@ -18,7 +18,7 @@ from jointfold.sampler import NumericalUnderflow, sample_batch, sample_one
 from jointfold.secfold import pick_with_slack
 from jointfold.seq_model import Strand, extract_hybrids, validate
 
-from helpers import case_value, component_cases, random_model, random_seq, sec_cases
+from helpers import at, case_value, component_cases, random_model, random_seq, sec_cases
 
 
 def strands(r: str, s_internal: str):
@@ -199,7 +199,7 @@ class TestBatch:
         assert [js.key() for js in sample_batch(res, 40, seed=23).structures] == whole
         # a block's error names the draw's index in the whole batch
         n, m = res.ctx.n, res.ctx.m
-        res.store[("chy", "top")][n, m, n, m] *= 2.0
+        res.store[("chy", "top")][at(n, m, n, m)] *= 2.0
         rngs = [np.random.default_rng(k) for k in range(3)]
         with pytest.raises(NumericalUnderflow, match=r"^draw 7: "):
             sampler._draw(res, rngs, first=7)
@@ -209,7 +209,7 @@ class TestBatch:
         res = inside(*strands("GCAA", "UUGC"), model)
         n, m = res.ctx.n, res.ctx.m
         # the full-span chain cell enters the case sum of the top component
-        res.store[("chy", "top")][n, m, n, m] *= 2.0
+        res.store[("chy", "top")][at(n, m, n, m)] *= 2.0
         with pytest.raises(NumericalUnderflow, match=r"^draw \d+: component \('top',\)"):
             sample_batch(res, 5, seed=1)
 
@@ -328,8 +328,8 @@ class TestCaseSlack:
         n, m = res.ctx.n, res.ctx.m
         # the full-span chain cell is a case of the top component; a change
         # below the 1e-6 check leaves the batch intact and shows in the slack
-        cell = res.store[("chy", "top")][n, m, n, m]
-        res.store[("chy", "top")][n, m, n, m] *= 1.0 + 5e-7
+        cell = res.store[("chy", "top")][at(n, m, n, m)]
+        res.store[("chy", "top")][at(n, m, n, m)] *= 1.0 + 5e-7
         top_slack = 5e-7 * cell / res.q_total
         assert top_slack > 1e-7
         batch = sample_batch(res, 200, seed=1)

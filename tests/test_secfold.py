@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -355,11 +357,12 @@ class TestSpanLayout:
                 value = getattr(ctx, f"{name}_{side}")
                 assert owner is eng and index.shape == weight.shape == value.shape
                 for lead, span, kind, c, end in entries:
-                    cells = [span] if span else np.ndindex(n + 2, n + 2)
+                    # lengths g from 0, anchors x = 1..n at index x - 1
+                    cells = [span] if span else itertools.product(range(n + 2), range(1, n + 1))
                     for g, x in cells:
                         i, j = (x - g + 1, x) if end else (x, x + g - 1)
                         on = 1 <= i and j <= n
-                        at = lead if span else lead + (g, x)
+                        at = lead if span else lead + (g, x - 1)
                         if g >= 1 and on and kind in ("any", "ge1"):
                             table = tables[kind, c]
                             assert index[at] == eng.kinds.index(table) * area + i * (n + 2) + j
@@ -372,16 +375,16 @@ class TestSpanLayout:
                                              else u ** g if on and kind == "unp" else 0.0)
                         assert weight[at] == want_w and value[at] == want, (name, at)
                         checked += 1
-            assert checked == (1 + 3 * 6 + 6 + 6) * (n + 2) ** 2 + n + 1
+            assert checked == (1 + 3 * 6 + 6 + 6) * (n + 2) * n + n + 1
             owner, index, weight = ctx.factors[f"adm_{side}"]
             adm = getattr(ctx, f"adm_{side}")
-            assert owner is eng and index.shape == weight.shape == adm.shape == (n + 2, n + 2)
+            assert owner is eng and index.shape == weight.shape == adm.shape == (n + 2, n)
             for g in range(n + 2):
-                for x in range(n + 2):
+                for x in range(1, n + 1):
                     j = x + g - 1
                     if g >= 1 and 1 <= x and j <= n:
-                        assert index[g, x] == eng.offset["adm"] + x * (n + 2) + j
-                        assert weight[g, x] == 1.0
+                        assert index[g, x - 1] == eng.offset["adm"] + x * (n + 2) + j
+                        assert weight[g, x - 1] == 1.0
                     else:
-                        assert index[g, x] == ones and weight[g, x] == 0.0, (g, x)
-                    assert adm[g, x] == (g >= 1 and 1 <= x and j <= n and sec_adm(eng, x, j))
+                        assert index[g, x - 1] == ones and weight[g, x - 1] == 0.0, (g, x)
+                    assert adm[g, x - 1] == (g >= 1 and 1 <= x and j <= n and sec_adm(eng, x, j))
