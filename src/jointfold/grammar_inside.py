@@ -32,20 +32,22 @@ block the bare GHY term reads; neither has an outside family.  The derived
 operand ci, CH_nohy and ci's outside weight are formed in flat work buffers
 that one run allocates once, sized for its largest wave (``_operands``).
 The inside fill evaluates ``_WAVE`` in order (``_fill_wave``); the outside
-pass (:mod:`jointfold.outside_prob`) forms ci and then walks ``_WAVE`` in
-reverse through one transpose rule (``_transpose_wave``): for ``C =
-einsum(A, B, ...)`` it adds ``einsum(C_out, B, ... -> A)`` into A's outside
-target at A's own index, so a production and its transpose cannot drift
-apart.  The transpose of each production is split by target into two parts:
-the 4D part (the outside families and the per-wave operands ci, CH_all and
-CH_nohy), which the outside sweep runs, and the strand part (the strand
-factors of ``_SEGMENTS``), which only base-pair probabilities read and a
-second reverse pass runs.  Per wave that is at most 11 ``numpy.einsum``
-calls and one matrix product inside (hybrids 1, tight blocks 3, chains 5,
-gaps 2); at most 5 einsum calls and 2 matrix products in the 4D part (gaps
-2, chains 2, tight blocks 1; the other transposes into stored families are
-plain products); and at most 10 einsum calls and one matrix product, which
-forms ci again, in the strand part (gaps 2, chains 4, tight blocks 4).
+pass (:mod:`jointfold.outside_prob`) forms the rows of ci that it reads and
+then walks ``_WAVE`` in reverse through one transpose rule
+(``_transpose_wave``): for ``C = einsum(A, B, ...)`` it adds ``einsum(C_out,
+B, ... -> A)`` into A's outside target at A's own index, so a production and
+its transpose cannot drift apart.  The transpose of each production is split
+by target into two parts: the 4D part (the outside families and the
+per-wave operands ci, CH_all and CH_nohy), which the outside sweep runs, and
+the strand part (the strand factors of ``_SEGMENTS``), which only base-pair
+probabilities read and a second reverse pass runs.  Per wave that is at most
+11 ``numpy.einsum`` calls and one matrix product inside (hybrids 1, tight
+blocks 3, chains 5, gaps 2); at most 2 einsum calls and 4 small matrix
+products in the 4D part (gaps 1, chains 1; the matrix products form and
+transpose the rows of ci that it reads, one block of ``branch`` each, and
+the other transposes are plain products, those of three arrays taken in two
+steps); and at most 10 einsum calls and one matrix product, which forms ci
+again, in the strand part (gaps 2, chains 4, tight blocks 4).
 
 Under a unit model every entry is an ensemble count; the brute-force oracle
 checks both the counts and the weighted sums cell for cell (via the
@@ -131,6 +133,7 @@ _ITEM_ORDER = tuple(("hy", c) for c in HY_CLASSES) + (
     ("vee", "E"), ("vee", "K"), ("box",), ("tri", "E"), ("tri", "K"))
 _HY = slice(0, 4)
 _R_CLOSED, _S_CLOSED = slice(4, 7), slice(6, 9)
+_TIGHT = slice(4, 9)
 _VEE_ITEMS, _VEE_LABELS = slice(4, 6), slice(2, 4)
 _TRI_ITEMS, _TRI_LABELS = slice(7, 9), slice(1, 5, 3)
 _BOX_ITEM, _BOX_LABEL = 6, 5
@@ -275,11 +278,10 @@ def estimate_memory_bytes(n: int, m: int, include_outside: bool = True) -> int:
     """Bytes the engine will allocate for lengths (n, m): the 4D tables
     (inside, and with ``include_outside`` outside), the work buffers of the
     wave productions (``_operands``) and the arrays of both strands and of
-    ``_Ctx`` (``wext``, ``step``, ``branch`` and ``to_items``)."""
+    ``_Ctx`` (``wext``, ``step``, ``branch`` and ``gap_branch``)."""
     work = sum(_WORK_ROWS.values()) * _wave_cells(n, m) * 8
-    rows = 3 * len(_LABS)  # of branch, and the columns of to_items
-    grids = (n * m + len(HY_CLASSES) * (n + 1) * (m + 1)
-             + rows * len(_ITEM_ORDER) + (len(_ITEM_ORDER) + len(HY_CLASSES)) * rows)
+    grids = (n * m + len(HY_CLASSES) * (n + 1) * (m + 1) + 3 * len(_LABS) * len(_ITEM_ORDER)
+             + len(_LABS) * len(_ITEM_ORDER[_TIGHT]))
     return (_tensor_bytes(n, m, include_outside) + work + _strand_bytes(n) + _strand_bytes(m)
             + grids * 8)
 
@@ -310,7 +312,7 @@ class TensorStore:
         self.allocated_bytes = 0
         self.peak_bytes = 0
 
-    def alloc_families(self, families: _Families) -> None:
+    def alloc_families(self, families: _Families, populate: bool = False) -> None:
         """Allocate one stack of zeros per family (``_FAMILIES`` or
         ``_OUT_FAMILIES``); the family's keys name its slices in C order.
 
@@ -318,14 +320,19 @@ class TensorStore:
         numpy asks for transparent huge pages on arrays of 4 MiB and more,
         and a 2 MiB page would make resident the unreachable anchor cells
         around every written one (a 24x24 inside run peaked 25 MB higher
-        that way).  ``tracemalloc`` does not see these mappings.  A family
-        allocated again (a second ``outside``) replaces the old stack, in
-        the byte count too.
+        that way).  ``tracemalloc`` does not see these mappings.  With
+        ``populate`` every page is mapped at once (``MAP_POPULATE``), for
+        families that are only ever added into, whose every page is
+        touched: a first touch that reads before it writes faults twice, once
+        on the shared zero page and once to copy it.  A family allocated
+        again (a second ``outside``) replaces the old stack, in the byte
+        count too.
         """
+        flags = mmap.MAP_PRIVATE | (mmap.MAP_POPULATE if populate else 0)
         for family, (lead, keys) in families.items():
             shape = lead + self.shape
             size = int(np.prod(shape))
-            buf = mmap.mmap(-1, max(1, size * 8), flags=mmap.MAP_PRIVATE)
+            buf = mmap.mmap(-1, max(1, size * 8), flags=flags)
             flat = np.frombuffer(buf, dtype=np.float64, count=size)
             arr = flat.reshape(shape)
             if family not in self.stacks:
@@ -440,9 +447,12 @@ class _Ctx:
                 (("box",), wbr_r * wbr_s, lab.has_nb),
             ):
                 (ex if excluded else na)[row, _ITEM_ORDER.index(key)] = wbr
-        # the transpose of the combined items; the hybrid rows come twice, the
-        # second time for the block-placement rows 9:13 of out_items
-        self.to_items = np.concatenate((self.branch.T, self.branch.T[_HY]))
+        # rows NA and EX weight only the tight kinds, rows HY only the hybrids
+        assert not self.branch[: 2 * nl, _HY].any() and not hy[:, _TIGHT].any()
+        # rows NA + EX over the tight kinds, which the 4D part of the sweep
+        # reads (_CombinedItems.fill_gap); exact, since no kind has a weight
+        # in both
+        self.gap_branch = na[:, _TIGHT] + ex[:, _TIGHT]
 
     def _segment(self, eng: SecEngine, kind: str, cls: str, end: bool):
         """The index and weight of one segment kind of exposure class
@@ -643,13 +653,21 @@ class _Prod:
     ``grads`` holds one entry per operand with an outside target; ``parts``
     splits it into the 4D targets and the strand factors, each with the
     operands of ``copy`` that its entries read, and ``transpose`` runs one
-    part.
+    part.  In the 4D part a
+    grad's product of ``_LARGE`` cells or more is formed in the scratch
+    buffer, which the 4D part copies nothing into, and added into its target
+    from there.  With
+    ``first``, the production is the first in the 4D part of the sweep to
+    write its per-wave target (the gap block of ci's outside weight, see
+    ``_CombinedItems``), so its transpose writes it instead of adding: a
+    grad broadcast over a letter of the target (``pad``) writes each of its
+    rows.
     """
 
     def __init__(self, text: str, at: Callable, when=None, rows=None, add=False,
-                 live=None, copy=(), sparse=False):
+                 live=None, copy=(), sparse=False, first=False):
         (self.lhs, out), *self.ops = re.findall(r"(\w+)\[(\w+)\]", text)
-        self.at, self.when, self.add, self.sparse = at, when, add, sparse
+        self.at, self.when, self.add, self.sparse, self.first = at, when, add, sparse, first
         self.copy = [k for k, (name, _spec) in enumerate(self.ops) if name in copy]
         self.rows = rows and np.array(rows)
         # the result rows summed into each lhs row (one or two)
@@ -668,6 +686,8 @@ class _Prod:
                 res = "".join(c for c in spec if c in "".join(specs))
                 how = (",".join(specs) + "->" + res if len(specs) > 2 or set(res) != set("".join(specs))
                        else [_broadcast(x, res) for x in specs])
+                if len(specs) == 3 and name not in _SEGMENTS:
+                    how = _two_steps(specs, res)
                 lv = (live or {}).get(name)
                 cuts = [lv and spec[0] in x and (_ALL,) * x.index(spec[0]) + (lv,) for x in specs]
                 pad = None if res == spec else _broadcast(res, spec)
@@ -679,6 +699,7 @@ class _Prod:
             grads = [g for g in self.grads if (g[1] in _SEGMENTS) == strand]
             read = {j for g in grads for j in g[2]}
             self.parts.append((grads, [j for j in self.copy if j in read]))
+        assert not self.parts[False][1]  # the scratch buffer is free for the 4D part's products
 
     def _args(self, src: dict, idx: tuple, copy: list) -> list:
         """The einsum arguments, those in ``copy`` copied; None for an
@@ -727,23 +748,66 @@ class _Prod:
             arrays = [o] + [args[j] for j in others]
             if live is not None:
                 arrays = [a[cut] if cut else a for a, cut in zip(arrays, cuts)]
-            c = np.einsum(how, *arrays) if isinstance(how, str) else arrays[0][how[0]] * arrays[1][how[1]]
-            c = c if pad is None else c[pad]
+            if name not in out and name not in adj:  # a chain sum has one reader, which covers it whole
+                adj[name] = _grad(how, arrays, None)
+                continue
             target = idx[op] if live is None else (live,) + idx[op][1:]
-            if name in out:
-                out[name][target] += c
-            elif name in adj:
-                adj[name][target] += c
-            else:  # a chain sum has one reader, which covers it whole
-                adj[name] = c
+            dest = (out if name in out else adj)[name][target]
+            if self.first and name not in out:
+                _grad(how, arrays, dest)
+                continue
+            c = None
+            if not strand and dest.size >= _LARGE:  # the shape of dest without pad's letters
+                c = _work(src, "scratch", [d for d, k in zip(dest.shape, pad or dest.shape) if k is not None])
+            c = _grad(how, arrays, c)
+            dest += c if pad is None else c[pad]
+
+
+# The cells from which a grad's product in the 4D part is formed in the
+# scratch buffer: numpy takes a smaller array from the heap for less than the
+# buffer's bookkeeping costs, a larger one (128 KiB, glibc's default mmap
+# threshold) from fresh pages that each fault on first touch.
+_LARGE = 1 << 14
+
+
+def _two_steps(specs: list[str], res: str) -> tuple:
+    """Three arrays of a 4D target taken in two steps: the product of the
+    first two over their letters (a letter the result lacks first), then
+    that times the third, or summed with it.  numpy's einsum over three
+    arrays runs about half as fast as over two.  ``_broadcast`` checks that
+    no letter order needs a transposed view."""
+    first = "".join(dict.fromkeys(specs[0] + specs[1]))
+    u = "".join(c for c in first if c not in res) + "".join(c for c in res if c in first)
+    then = (u + "," + specs[2] + "->" + res if set(u + specs[2]) != set(res)
+            else [_broadcast(u, res), _broadcast(specs[2], res)])
+    return [_broadcast(x, u) for x in specs[:2]], then
+
+
+def _grad(how, arrays: list, out: np.ndarray | None) -> np.ndarray:
+    """The product of one grad, written into ``out`` or, without one, into
+    a new array: an einsum, a product of two broadcast operands (which
+    ``out`` may broadcast further), or the two steps of ``_two_steps``."""
+    if isinstance(how, str):
+        return np.einsum(how, *arrays, out=out)
+    if isinstance(how, tuple):
+        first, then = how
+        return _grad(then, [_grad(first, arrays[:2], None), arrays[2]], out)
+    return np.multiply(arrays[0][how[0]], arrays[1][how[1]], out=out)
 
 
 class _CombinedItems:
     """Derived ``ci[x, l, a, b, i, h]``: the items of spans (a+1, b+1)
     starting at (i, h), weighted by row block x (NA, EX, HY) of
-    ``ctx.branch`` for chain label l, formed in the ``ci`` work buffer.  Its
-    transpose ``ctx.to_items`` also fills the block placements of the hybrid
-    classes."""
+    ``ctx.branch`` for chain label l, formed in the ``ci`` work buffer.  Rows
+    NA and EX weight only the tight kinds and rows HY only the hybrids, so
+    the transpose takes each block of ``branch`` on its own; it also fills
+    the block placements of the hybrid classes.
+
+    The 4D part of the sweep reads ci only in the two gap productions, over
+    the gap block of spans (p-1, q-1), as NA + EX and as HY; ``fill_gap``
+    forms just those rows.  Their outside weight is written first there
+    (``_Prod.first``), NA's into both rows NA and EX, so only the edge spans
+    a = p-1 or b = q-1 start at zero (``_transpose_wave``)."""
 
     @staticmethod
     def at(w: _Wave) -> tuple:
@@ -756,13 +820,25 @@ class _CombinedItems:
         np.matmul(src["branch"], flat.reshape(len(flat), -1), out=ci.reshape(3 * len(_LABS), -1))
         src["ci"] = ci
 
+    def fill_gap(self, src: dict, w: _Wave) -> None:
+        if not w.gap:
+            return
+        items = src["items"][_ALL, : w.p - 1, : w.q - 1, w.I, w.H]
+        flat = _work(src, "scratch", items.shape, items).reshape(len(items), -1)
+        rows = _work(src, "ci", (2, len(_LABS)) + items.shape[1:])
+        np.matmul(src["gap_branch"], flat[_TIGHT], out=rows[0].reshape(len(_LABS), -1))
+        np.matmul(src["branch"][2 * len(_LABS):, _HY], flat[_HY], out=rows[1].reshape(len(_LABS), -1))
+        src["ci"] = _GapItems((rows[:1], rows[1]))
+
     def transpose(self, src: dict, out: dict, adj: dict, w: _Wave) -> None:
-        o = adj.pop("ci")
+        o = adj.pop("ci").reshape(3 * len(_LABS), -1)
         block = out["items"][self.at(w)]
-        res = _work(src, "scratch", block.shape)
-        np.matmul(src["to_items"], o.reshape(o.shape[0] * o.shape[1], -1),
-                  out=res.reshape(len(res), -1))
-        block += res
+        res = _work(src, "scratch", (len(_ITEM_ORDER),) + block.shape[1:])
+        flat, branch, hy = res.reshape(len(res), -1), src["branch"], 2 * len(_LABS)
+        np.matmul(branch[hy:, _HY].T, o[hy:], out=flat[_HY])
+        np.matmul(branch[:hy, _TIGHT].T, o[:hy], out=flat[_TIGHT])
+        block[: len(res)] += res
+        block[len(res):] += res[_HY]  # the block placements of the hybrid classes
 
 
 class _ChainAll:
@@ -798,6 +874,15 @@ class _ChainAll:
             o_all = np.add(o_nohy, o_all, out=o_nohy)
         chain[(_CNA, _ALL) + block] += o_all
         chain[(_CNB, _NB) + block] += o_all[_NB]
+
+
+class _GapItems(tuple):
+    """ci as ``_CombinedItems.fill_gap`` forms it, ``(NA + EX, HY)``, indexed
+    as the two gap productions index ci: rows NA and EX give NA + EX (one
+    row, which their sum over the rows passes through), row HY gives HY."""
+
+    def __getitem__(self, idx: tuple) -> np.ndarray:
+        return tuple.__getitem__(self, idx[0] == _CHY)
 
 
 _CI, _CH_ALL = _CombinedItems(), _ChainAll()
@@ -854,12 +939,12 @@ _WAVE = (
           lambda w: ((_CNA, _ALL, w.sp, w.sq, w.J, w.L),
                      (slice(0, 2), _ALL, slice(0, w.p - 1), slice(0, w.q - 1)),
                      (1, _ALL, _rev(w.p - 1), _rev(w.q - 1), w.J, w.L)),
-          when=lambda w: w.gap, add=True),
+          when=lambda w: w.gap, add=True, first=True),
     _Prod("chain[lih] = ci[labih] rest[labih]",
           lambda w: ((_CHY, _ALL, w.sp, w.sq, w.J, w.L),
                      (_CHY, _ALL, slice(0, w.p - 1), slice(0, w.q - 1)),
                      (0, _ALL, _rev(w.p - 1), _rev(w.q - 1), w.J, w.L)),
-          when=lambda w: w.gap, add=True),
+          when=lambda w: w.gap, add=True, first=True),
     _CH_ALL,
     # GHY, GNA: the terms of _GAP_TERMS over CH_all, then the bare GHY term
     # over CH_nohy = CNA + CNB
@@ -879,9 +964,10 @@ _WAVE = (
 # the combined items, their outside weight, CH_nohy, and a scratch buffer
 # whose contents live within one production (the item block that ci is
 # formed from, the product that passes ci's outside weight on to the items,
-# the contiguous copies of _Prod.copy).
+# the contiguous copies of _Prod.copy, the large products of
+# _Prod.transpose).
 _WORK_ROWS = {"ci": 3 * len(_LABS), "out_ci": 3 * len(_LABS), "ch_nohy": len(_LABS),
-              "scratch": len(_ITEM_ORDER) + len(HY_CLASSES)}
+              "scratch": len(_ITEM_ORDER)}
 
 
 def _operands(store: TensorStore, ctx: _Ctx) -> dict:
@@ -929,11 +1015,14 @@ def _transpose_wave(src: dict, out: dict, w: _Wave, strand: bool = False) -> Non
     the 4D part has run at every wave: a cell gets outside weight only from
     larger waves and from later productions of its own wave.
     """
-    _CI.fill(src, w)
     if strand:
+        _CI.fill(src, w)
         for prod in _STRAND_PRODS:
             prod.transpose(src, out, None, w, True)
         return
-    adj = {"ci": _work(src, "out_ci", src["ci"].shape, 0.0)}
+    _CI.fill_gap(src, w)
+    o = _work(src, "out_ci", (3, len(_LABS), w.p, w.q, w.I.stop, w.H.stop))
+    o[:, :, w.p - 1] = o[:, :, : w.p - 1, w.q - 1] = 0.0  # the gap block is written first
+    adj = {"ci": o}
     for prod in reversed(_WAVE):
         prod.transpose(src, out, adj, w)

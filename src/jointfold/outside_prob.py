@@ -12,15 +12,19 @@ the component at that cell; the top-level placements seed the sweep.  Like
 the fill, each wave transposes every chain label, hybrid class and tight kind
 at once on the stacked tensor families of the inside store.
 
-:func:`outside` runs only the 4D part of each transpose: at most 5
-``numpy.einsum`` calls and 2 matrix products per wave.  That fills every
-outside family, the block-placement accumulators included, so hybrid
+:func:`outside` runs only the 4D part of each transpose: at most 2
+``numpy.einsum`` calls and 4 small matrix products per wave, which form only
+the rows of the combined items that the 4D part reads (NA + EX and HY over
+the gap block) and pass ci's outside weight on to the items.  That fills
+every outside family, the block-placement accumulators included, so hybrid
 probabilities come from it alone: the block-placement mass is exactly the
-maximal-hybrid placement mass.  The base-pair pass runs on the first read of
-a base-pair table (:class:`ProbTables`).  A second reverse sweep forms the
-combined items again and runs the strand part of each transpose against the
-finished outside families: at most 10 einsum calls and one matrix product
-per wave.  The readouts into the base-pair masses then take 3 einsum calls.
+maximal-hybrid placement mass.  The outside families are mapped in whole
+when they are allocated, since every page of them is added into.  The
+base-pair pass runs on the first read of a base-pair table
+(:class:`ProbTables`).  A second reverse sweep forms all of the combined
+items again and runs the strand part of each transpose against the finished
+outside families: at most 10 einsum calls and one matrix product per wave.
+The readouts into the base-pair masses then take 3 einsum calls.
 
 Base-pair probabilities combine three sources: tight-block closing arcs
 (read off the block tensors directly), arcs inside secondary segments, and
@@ -280,7 +284,7 @@ def outside(res: InsideResult, verify_conservation: bool = False) -> ProbTables:
     est = estimate_memory_bytes(n, m, include_outside=True)
     if budget is not None and est > budget:
         raise CapacityExceeded(est, budget)
-    res.store.alloc_families(_OUT_FAMILIES)
+    res.store.alloc_families(_OUT_FAMILIES, populate=True)
     # the top-level chains of spans p, q that end at (n, m) get the prefixes
     # q(1, n-p) and q(1, m-q) left of them
     chain = res.store.stacks["out_chain"]

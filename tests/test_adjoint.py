@@ -169,6 +169,48 @@ def test_chain_sums_transpose_is_the_adjoint(seed):
         assert _close(lhs, rhs), (w.p, w.q)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_wave_transpose_is_the_adjoint_of_the_fill(seed):
+    """The 4D part of ``_transpose_wave``, whatever path it takes, against
+    ``_fill_wave`` at one wave.  The wave writes some cells of the inside
+    tables from the others; the strand factors are constants here.  Its map
+    is a polynomial of degree 2 in the cells it reads (an item times a gap),
+    so along a random step the central difference of the written values is
+    their exact derivative.  With a random outside weight on every written
+    cell, that derivative weighted must equal the transpose's outside weight
+    on the cells read, times the step.  CH_all has no outside family: it is
+    kept equal to CNA + CNB + CHY, so that its outside weight may pass to the
+    chain parts."""
+    rng, res, src = _setup(seed)
+    flat, chain, ch_all = res.store.flat, res.store.stacks["chain"], res.store.stacks["ch_all"]
+    families = ("items", "chain", "rest")
+    point = {f: flat(f).copy() for f in families}
+    step = {f: rng.random(a.shape) for f, a in point.items()}
+
+    def fill(sign: int, w) -> dict:
+        for f in families:
+            flat(f)[:] = point[f] + sign * step[f]
+        np.add(chain[gi._CNA], chain[gi._CHY], out=ch_all)
+        ch_all[gi._NB] += chain[gi._CNB, gi._NB]
+        gi._fill_wave(src, w)
+        return {f: flat(f).copy() for f in families}
+
+    for w in _waves(res):
+        up, down, filled = fill(1, w), fill(-1, w), fill(0, w)
+        written = {f: filled[f] != point[f] for f in families}
+        out, raw = _outside(res, src)
+        weights = {"items": out["items"][:9].reshape(-1), "chain": raw["chain"].reshape(-1),
+                   "rest": out["rest"].reshape(-1)}
+        lhs = 0.0
+        for f in families:
+            seed_weight = weights[f][written[f]] = rng.random(written[f].sum())
+            lhs += float(seed_weight @ (up[f] - down[f])[written[f]]) / 2
+        gi._transpose_wave(src, out, w)
+        rhs = sum(float(weights[f][~written[f]] @ step[f][~written[f]]) for f in families)
+        assert all(written[f].any() for f in families if w.gap), (w.p, w.q)
+        assert _close(lhs, rhs), (w.p, w.q, lhs, rhs)
+
+
 _SPARSE = [prod for prod in _PRODS if prod.sparse]
 
 
