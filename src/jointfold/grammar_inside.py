@@ -42,12 +42,13 @@ per-wave operands ci, CH_all and CH_nohy), which the outside sweep runs, and
 the strand part (the strand factors of ``_SEGMENTS``), which only base-pair
 probabilities read and a second reverse pass runs.  Per wave that is at most
 11 ``numpy.einsum`` calls and one matrix product inside (hybrids 1, tight
-blocks 3, chains 5, gaps 2); at most 2 einsum calls and 4 small matrix
-products in the 4D part (gaps 1, chains 1; the matrix products form and
-transpose the rows of ci that it reads, one block of ``branch`` each, and
-the other transposes are plain products, those of three arrays taken in two
-steps); and at most 10 einsum calls and one matrix product, which forms ci
-again, in the strand part (gaps 2, chains 4, tight blocks 4).
+blocks 3, chains 5, gaps 2); at most 5 einsum calls and 3 small matrix
+products in the 4D part (gaps 2, chains 2, tight blocks 1; one matrix
+product forms the rows of ci that the part reads and two pass their outside
+weight on to the items, one block of ``branch`` each; the other transposes
+into stored families are plain products); and at most 10 einsum calls and
+one matrix product, which forms ci again, in the strand part (gaps 2,
+chains 4, tight blocks 4).
 
 Under a unit model every entry is an ensemble count; the brute-force oracle
 checks both the counts and the weighted sums cell for cell (via the
@@ -280,8 +281,8 @@ def estimate_memory_bytes(n: int, m: int, include_outside: bool = True) -> int:
     wave productions (``_operands``) and the arrays of both strands and of
     ``_Ctx`` (``wext``, ``step``, ``branch`` and ``gap_branch``)."""
     work = sum(_WORK_ROWS.values()) * _wave_cells(n, m) * 8
-    grids = (n * m + len(HY_CLASSES) * (n + 1) * (m + 1) + 3 * len(_LABS) * len(_ITEM_ORDER)
-             + len(_LABS) * len(_ITEM_ORDER[_TIGHT]))
+    # wext, step, and the 3 + 2 row blocks of branch and gap_branch
+    grids = n * m + len(HY_CLASSES) * (n + 1) * (m + 1) + 5 * len(_LABS) * len(_ITEM_ORDER)
     return (_tensor_bytes(n, m, include_outside) + work + _strand_bytes(n) + _strand_bytes(m)
             + grids * 8)
 
@@ -321,20 +322,22 @@ class TensorStore:
         and a 2 MiB page would make resident the unreachable anchor cells
         around every written one (a 24x24 inside run peaked 25 MB higher
         that way).  ``tracemalloc`` does not see these mappings.  With
-        ``populate`` every page is mapped at once (``MAP_POPULATE``), for
-        families that are only ever added into, whose every page is
-        touched: a first touch that reads before it writes faults twice, once
-        on the shared zero page and once to copy it.  A family allocated
-        again (a second ``outside``) replaces the old stack, in the byte
-        count too.
+        ``populate`` zeros are written into every table but its last R span,
+        for families that are only ever added into: a first touch that reads
+        before it writes faults twice, once on the shared zero page and once
+        to copy it.  The outside sweep reads the last R span but gives it
+        weight only on the top-level chains, so its pages are left untouched.
+        A family allocated again (a second ``outside``) replaces the old
+        stack, in the byte count too.
         """
-        flags = mmap.MAP_PRIVATE | (mmap.MAP_POPULATE if populate else 0)
         for family, (lead, keys) in families.items():
             shape = lead + self.shape
             size = int(np.prod(shape))
-            buf = mmap.mmap(-1, max(1, size * 8), flags=flags)
+            buf = mmap.mmap(-1, max(1, size * 8), flags=mmap.MAP_PRIVATE)
             flat = np.frombuffer(buf, dtype=np.float64, count=size)
             arr = flat.reshape(shape)
+            if populate:
+                arr.reshape((-1,) + self.shape)[:, : self.n - 1] = 0.0
             if family not in self.stacks:
                 self.allocated_bytes += arr.nbytes
             self.flats[family] = flat
@@ -449,10 +452,10 @@ class _Ctx:
                 (ex if excluded else na)[row, _ITEM_ORDER.index(key)] = wbr
         # rows NA and EX weight only the tight kinds, rows HY only the hybrids
         assert not self.branch[: 2 * nl, _HY].any() and not hy[:, _TIGHT].any()
-        # rows NA + EX over the tight kinds, which the 4D part of the sweep
-        # reads (_CombinedItems.fill_gap); exact, since no kind has a weight
-        # in both
-        self.gap_branch = na[:, _TIGHT] + ex[:, _TIGHT]
+        # the rows NA + EX and HY, which the 4D part of the sweep reads
+        # (_CombinedItems.fill with gap); NA + EX is exact, since no kind has
+        # a weight in both
+        self.gap_branch = np.concatenate((na + ex, hy))
 
     def _segment(self, eng: SecEngine, kind: str, cls: str, end: bool):
         """The index and weight of one segment kind of exposure class
@@ -653,15 +656,13 @@ class _Prod:
     ``grads`` holds one entry per operand with an outside target; ``parts``
     splits it into the 4D targets and the strand factors, each with the
     operands of ``copy`` that its entries read, and ``transpose`` runs one
-    part.  In the 4D part a
-    grad's product of ``_LARGE`` cells or more is formed in the scratch
-    buffer, which the 4D part copies nothing into, and added into its target
-    from there.  With
-    ``first``, the production is the first in the 4D part of the sweep to
-    write its per-wave target (the gap block of ci's outside weight, see
-    ``_CombinedItems``), so its transpose writes it instead of adding: a
-    grad broadcast over a letter of the target (``pad``) writes each of its
-    rows.
+    part.  In the 4D part a grad's product of ``_LARGE`` cells or more is
+    formed in the scratch buffer (``out=``), which the 4D part copies nothing
+    into, and added into its target from there.  With ``first``, the production is the first in the 4D
+    part of the sweep to write its per-wave target (the gap block of ci's
+    outside weight, see ``_CombinedItems``), so its transpose writes it
+    instead of adding: a grad broadcast over the leading letter of the
+    target (``pad``) writes the first row and copies it into the others.
     """
 
     def __init__(self, text: str, at: Callable, when=None, rows=None, add=False,
@@ -686,8 +687,6 @@ class _Prod:
                 res = "".join(c for c in spec if c in "".join(specs))
                 how = (",".join(specs) + "->" + res if len(specs) > 2 or set(res) != set("".join(specs))
                        else [_broadcast(x, res) for x in specs])
-                if len(specs) == 3 and name not in _SEGMENTS:
-                    how = _two_steps(specs, res)
                 lv = (live or {}).get(name)
                 cuts = [lv and spec[0] in x and (_ALL,) * x.index(spec[0]) + (lv,) for x in specs]
                 pad = None if res == spec else _broadcast(res, spec)
@@ -753,45 +752,30 @@ class _Prod:
                 continue
             target = idx[op] if live is None else (live,) + idx[op][1:]
             dest = (out if name in out else adj)[name][target]
-            if self.first and name not in out:
-                _grad(how, arrays, dest)
+            if self.first and name not in out:  # pad broadcasts the leading letter: copies of row 0
+                c = _grad(how, arrays, dest if pad is None else dest[0])
+                if pad is not None:
+                    dest[1:] = c
                 continue
-            c = None
-            if not strand and dest.size >= _LARGE:  # the shape of dest without pad's letters
-                c = _work(src, "scratch", [d for d, k in zip(dest.shape, pad or dest.shape) if k is not None])
-            c = _grad(how, arrays, c)
+            if strand or dest.size < _LARGE:
+                c = _grad(how, arrays, None)
+            else:  # into the scratch buffer, in the shape of dest without pad's letters
+                c = _grad(how, arrays, _work(src, "scratch", [d for d, k in zip(dest.shape, pad or dest.shape) if k is not None]))
             dest += c if pad is None else c[pad]
 
 
-# The cells from which a grad's product in the 4D part is formed in the
-# scratch buffer: numpy takes a smaller array from the heap for less than the
-# buffer's bookkeeping costs, a larger one (128 KiB, glibc's default mmap
-# threshold) from fresh pages that each fault on first touch.
+# The cells of a product from which the 4D part forms it in the scratch
+# buffer: numpy takes a smaller array from its own cache or the heap for less
+# than the buffer's bookkeeping costs.
 _LARGE = 1 << 14
-
-
-def _two_steps(specs: list[str], res: str) -> tuple:
-    """Three arrays of a 4D target taken in two steps: the product of the
-    first two over their letters (a letter the result lacks first), then
-    that times the third, or summed with it.  numpy's einsum over three
-    arrays runs about half as fast as over two.  ``_broadcast`` checks that
-    no letter order needs a transposed view."""
-    first = "".join(dict.fromkeys(specs[0] + specs[1]))
-    u = "".join(c for c in first if c not in res) + "".join(c for c in res if c in first)
-    then = (u + "," + specs[2] + "->" + res if set(u + specs[2]) != set(res)
-            else [_broadcast(u, res), _broadcast(specs[2], res)])
-    return [_broadcast(x, u) for x in specs[:2]], then
 
 
 def _grad(how, arrays: list, out: np.ndarray | None) -> np.ndarray:
     """The product of one grad, written into ``out`` or, without one, into
-    a new array: an einsum, a product of two broadcast operands (which
-    ``out`` may broadcast further), or the two steps of ``_two_steps``."""
+    a new array: an einsum, or a product of two broadcast operands (which
+    ``out`` may broadcast further)."""
     if isinstance(how, str):
         return np.einsum(how, *arrays, out=out)
-    if isinstance(how, tuple):
-        first, then = how
-        return _grad(then, [_grad(first, arrays[:2], None), arrays[2]], out)
     return np.multiply(arrays[0][how[0]], arrays[1][how[1]], out=out)
 
 
@@ -804,31 +788,25 @@ class _CombinedItems:
     the block placements of the hybrid classes.
 
     The 4D part of the sweep reads ci only in the two gap productions, over
-    the gap block of spans (p-1, q-1), as NA + EX and as HY; ``fill_gap``
-    forms just those rows.  Their outside weight is written first there
-    (``_Prod.first``), NA's into both rows NA and EX, so only the edge spans
-    a = p-1 or b = q-1 start at zero (``_transpose_wave``)."""
+    the gap block of spans (p-1, q-1), as NA + EX and as HY; ``fill`` with
+    ``gap`` forms just those rows.  Their outside weight is written first
+    there (``_Prod.first``), NA's into row NA and a copy of it into row EX, so
+    only the edge spans a = p-1 or b = q-1 start at zero
+    (``_transpose_wave``)."""
 
     @staticmethod
     def at(w: _Wave) -> tuple:
         return (_ALL, slice(0, w.p), slice(0, w.q), w.I, w.H)
 
-    def fill(self, src: dict, w: _Wave) -> None:
-        items = src["items"][self.at(w)]
+    def fill(self, src: dict, w: _Wave, gap: bool = False) -> None:
+        """Form ci, or with ``gap`` its rows NA + EX and HY over the gap
+        block (``ctx.gap_branch``), indexed as ``_GapItems``."""
+        items = src["items"][_ALL, : w.p - gap, : w.q - gap, w.I, w.H]
         flat = _work(src, "scratch", items.shape, items)
-        ci = _work(src, "ci", (3, len(_LABS)) + items.shape[1:])
-        np.matmul(src["branch"], flat.reshape(len(flat), -1), out=ci.reshape(3 * len(_LABS), -1))
-        src["ci"] = ci
-
-    def fill_gap(self, src: dict, w: _Wave) -> None:
-        if not w.gap:
-            return
-        items = src["items"][_ALL, : w.p - 1, : w.q - 1, w.I, w.H]
-        flat = _work(src, "scratch", items.shape, items).reshape(len(items), -1)
-        rows = _work(src, "ci", (2, len(_LABS)) + items.shape[1:])
-        np.matmul(src["gap_branch"], flat[_TIGHT], out=rows[0].reshape(len(_LABS), -1))
-        np.matmul(src["branch"][2 * len(_LABS):, _HY], flat[_HY], out=rows[1].reshape(len(_LABS), -1))
-        src["ci"] = _GapItems((rows[:1], rows[1]))
+        branch = src["gap_branch" if gap else "branch"]
+        ci = _work(src, "ci", (len(branch) // len(_LABS), len(_LABS)) + items.shape[1:])
+        np.matmul(branch, flat.reshape(len(flat), -1), out=ci.reshape(len(branch), -1))
+        src["ci"] = _GapItems((ci[:1], ci[1])) if gap else ci
 
     def transpose(self, src: dict, out: dict, adj: dict, w: _Wave) -> None:
         o = adj.pop("ci").reshape(3 * len(_LABS), -1)
@@ -877,9 +855,10 @@ class _ChainAll:
 
 
 class _GapItems(tuple):
-    """ci as ``_CombinedItems.fill_gap`` forms it, ``(NA + EX, HY)``, indexed
-    as the two gap productions index ci: rows NA and EX give NA + EX (one
-    row, which their sum over the rows passes through), row HY gives HY."""
+    """ci as ``_CombinedItems.fill`` forms it with ``gap``, ``(NA + EX,
+    HY)``, indexed as the two gap productions index ci: rows NA and EX give
+    NA + EX (one row, which their sum over the rows passes through), row HY
+    gives HY."""
 
     def __getitem__(self, idx: tuple) -> np.ndarray:
         return tuple.__getitem__(self, idx[0] == _CHY)
@@ -964,7 +943,7 @@ _WAVE = (
 # the combined items, their outside weight, CH_nohy, and a scratch buffer
 # whose contents live within one production (the item block that ci is
 # formed from, the product that passes ci's outside weight on to the items,
-# the contiguous copies of _Prod.copy, the large products of
+# the contiguous copies of _Prod.copy, the large products of the 4D part of
 # _Prod.transpose).
 _WORK_ROWS = {"ci": 3 * len(_LABS), "out_ci": 3 * len(_LABS), "ch_nohy": len(_LABS),
               "scratch": len(_ITEM_ORDER)}
@@ -1020,9 +999,9 @@ def _transpose_wave(src: dict, out: dict, w: _Wave, strand: bool = False) -> Non
         for prod in _STRAND_PRODS:
             prod.transpose(src, out, None, w, True)
         return
-    _CI.fill_gap(src, w)
-    o = _work(src, "out_ci", (3, len(_LABS), w.p, w.q, w.I.stop, w.H.stop))
-    o[:, :, w.p - 1] = o[:, :, : w.p - 1, w.q - 1] = 0.0  # the gap block is written first
-    adj = {"ci": o}
+    if w.gap:
+        _CI.fill(src, w, gap=True)
+    adj = {"ci": _work(src, "out_ci", (3, len(_LABS), w.p, w.q, w.I.stop, w.H.stop))}
+    adj["ci"][:, :, w.p - 1] = adj["ci"][:, :, : w.p - 1, w.q - 1] = 0.0  # the gap block is written first
     for prod in reversed(_WAVE):
         prod.transpose(src, out, adj, w)

@@ -12,15 +12,16 @@ the component at that cell; the top-level placements seed the sweep.  Like
 the fill, each wave transposes every chain label, hybrid class and tight kind
 at once on the stacked tensor families of the inside store.
 
-:func:`outside` runs only the 4D part of each transpose: at most 2
-``numpy.einsum`` calls and 4 small matrix products per wave, which form only
+:func:`outside` runs only the 4D part of each transpose: at most 5
+``numpy.einsum`` calls and 3 small matrix products per wave.  It forms only
 the rows of the combined items that the 4D part reads (NA + EX and HY over
-the gap block) and pass ci's outside weight on to the items.  That fills
-every outside family, the block-placement accumulators included, so hybrid
-probabilities come from it alone: the block-placement mass is exactly the
-maximal-hybrid placement mass.  The outside families are mapped in whole
-when they are allocated, since every page of them is added into.  The
-base-pair pass runs on the first read of a base-pair table
+the gap block, one matrix product) and passes ci's outside weight on to the
+items (two more).  That fills every outside family, the block-placement
+accumulators included, so hybrid probabilities come from it alone: the
+block-placement mass is exactly the maximal-hybrid placement mass.  The
+outside families are written with zeros when they are allocated (all but
+each table's last R span), since nearly every page of them is added into.
+The base-pair pass runs on the first read of a base-pair table
 (:class:`ProbTables`).  A second reverse sweep forms all of the combined
 items again and runs the strand part of each transpose against the finished
 outside families: at most 10 einsum calls and one matrix product per wave.

@@ -23,7 +23,7 @@ from jointfold.seq_model import Strand
 from helpers import random_model, random_seq
 
 N, M = 7, 6
-_CONSTANTS = {"branch", "to_items"}  # the combined-item matrices stay as built
+_CONSTANTS = {"branch", "gap_branch"}  # the combined-item matrices stay as built
 
 
 def _setup(seed: int):
