@@ -68,6 +68,12 @@ from functools import cache, lru_cache, partial
 
 import numpy as np
 
+try:  # what np.einsum runs when it does not optimize, without the ~1.5 us of its
+    # Python dispatch, which a wave pays some 17 times
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy < 2
+    _einsum = np.einsum
+
 from .energy import EnergyModel
 from .secfold import SecEngine, check_partition_function, fold, planes_bytes
 from .seq_model import ALPHABET, Strand
@@ -714,16 +720,16 @@ class _Prod:
         idx = self.at(w)
         args, lhs = self._args(src, idx, self.copy), src[self.lhs][idx[0]]
         if self.rows is not None:
-            res = np.einsum(self.spec, *args)
+            res = _einsum(self.spec, *args)
             for row, ks in self.groups:
                 if len(ks) == 1:
                     lhs[row] = res[ks[0]]
                 else:
                     np.add(res[ks[0]], res[ks[1]], out=lhs[row])
         elif self.add:
-            lhs += np.einsum(self.spec, *args)
+            lhs += _einsum(self.spec, *args)
         else:
-            np.einsum(self.spec, *args, out=lhs)
+            _einsum(self.spec, *args, out=lhs)
 
     def transpose(self, src: dict, out: dict, adj: dict | None, w: _Wave,
                   strand: bool = False) -> None:
@@ -775,7 +781,7 @@ def _grad(how, arrays: list, out: np.ndarray | None) -> np.ndarray:
     a new array: an einsum, or a product of two broadcast operands (which
     ``out`` may broadcast further)."""
     if isinstance(how, str):
-        return np.einsum(how, *arrays, out=out)
+        return _einsum(how, *arrays) if out is None else _einsum(how, *arrays, out=out)
     return np.multiply(arrays[0][how[0]], arrays[1][how[1]], out=out)
 
 
