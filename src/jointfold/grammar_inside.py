@@ -59,6 +59,7 @@ the reconstruction check would compare the declarations with themselves.
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 import re
@@ -67,12 +68,6 @@ from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 
 import numpy as np
-
-try:  # what np.einsum runs when it does not optimize, without the ~1.5 us of its
-    # Python dispatch, which a wave pays some 17 times
-    from numpy._core.multiarray import c_einsum as _einsum
-except ImportError:  # numpy < 2
-    _einsum = np.einsum
 
 from .energy import EnergyModel
 from .secfold import SecEngine, check_partition_function, fold, planes_bytes
@@ -328,13 +323,14 @@ class TensorStore:
         and a 2 MiB page would make resident the unreachable anchor cells
         around every written one (a 24x24 inside run peaked 25 MB higher
         that way).  ``tracemalloc`` does not see these mappings.  With
-        ``populate`` zeros are written into every table but its last R span,
-        for families that are only ever added into: a first touch that reads
-        before it writes faults twice, once on the shared zero page and once
-        to copy it.  The outside sweep reads the last R span but gives it
-        weight only on the top-level chains, so its pages are left untouched.
-        A family allocated again (a second ``outside``) replaces the old
-        stack, in the byte count too.
+        ``populate`` zeros are written over the reachable anchors of every
+        span but the last, for families that are only ever added into: a
+        first touch that reads before it writes faults twice, once on the
+        shared zero page and once to copy it.  Pages that hold only anchors
+        no wave reaches stay untouched, and so does the last R span, which
+        the outside sweep reads but gives weight only on the top-level
+        chains.  A family allocated again (a second ``outside``) replaces the
+        old stack, in the byte count too.
         """
         for family, (lead, keys) in families.items():
             shape = lead + self.shape
@@ -343,7 +339,15 @@ class TensorStore:
             flat = np.frombuffer(buf, dtype=np.float64, count=size)
             arr = flat.reshape(shape)
             if populate:
-                arr.reshape((-1,) + self.shape)[:, : self.n - 1] = 0.0
+                # the anchors (x, y) of spans (p, q) in C order: up to (n - p
+                # + 1, m - q + 1) for the start-anchored items, from (p, q) on
+                # for the end-anchored rest
+                n, m, start = self.n, self.m, family.endswith("items")
+                planes = arr.reshape((-1, n, m, n * m))
+                for p, q in itertools.product(range(1, n), range(1, m + 1)):
+                    cells = (slice(0, (n - p) * m + m - q + 1) if start
+                             else slice((p - 1) * m + q - 1, n * m))
+                    planes[:, p - 1, q - 1, cells] = 0.0
             if family not in self.stacks:
                 self.allocated_bytes += arr.nbytes
             self.flats[family] = flat
@@ -720,16 +724,16 @@ class _Prod:
         idx = self.at(w)
         args, lhs = self._args(src, idx, self.copy), src[self.lhs][idx[0]]
         if self.rows is not None:
-            res = _einsum(self.spec, *args)
+            res = np.einsum(self.spec, *args)
             for row, ks in self.groups:
                 if len(ks) == 1:
                     lhs[row] = res[ks[0]]
                 else:
                     np.add(res[ks[0]], res[ks[1]], out=lhs[row])
         elif self.add:
-            lhs += _einsum(self.spec, *args)
+            lhs += np.einsum(self.spec, *args)
         else:
-            _einsum(self.spec, *args, out=lhs)
+            np.einsum(self.spec, *args, out=lhs)
 
     def transpose(self, src: dict, out: dict, adj: dict | None, w: _Wave,
                   strand: bool = False) -> None:
@@ -781,7 +785,7 @@ def _grad(how, arrays: list, out: np.ndarray | None) -> np.ndarray:
     a new array: an einsum, or a product of two broadcast operands (which
     ``out`` may broadcast further)."""
     if isinstance(how, str):
-        return _einsum(how, *arrays) if out is None else _einsum(how, *arrays, out=out)
+        return np.einsum(how, *arrays, out=out)
     return np.multiply(arrays[0][how[0]], arrays[1][how[1]], out=out)
 
 

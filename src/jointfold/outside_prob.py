@@ -19,8 +19,9 @@ the gap block, one matrix product) and passes ci's outside weight on to the
 items (two more).  That fills every outside family, the block-placement
 accumulators included, so hybrid probabilities come from it alone: the
 block-placement mass is exactly the maximal-hybrid placement mass.  The
-outside families are written with zeros when they are allocated (all but
-each table's last R span), since nearly every page of them is added into.
+outside families are written with zeros over their reachable anchors when
+they are allocated (all but each table's last R span), since nearly every
+page of them is added into.
 The base-pair pass runs on the first read of a base-pair table
 (:class:`ProbTables`).  A second reverse sweep forms all of the combined
 items again and runs the strand part of each transpose against the finished

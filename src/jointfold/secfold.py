@@ -159,11 +159,6 @@ class _Cases:
         np.add.at(acc, right, ow * flat.take(left))
 
 
-# The case arrays of SecEngine._declare by ``(n, repr(model))``, for a few
-# pairs: a run folds two strands, and a batch many of one length.
-_CASE_ARRAYS: dict[tuple[int, str], list[tuple]] = {}
-
-
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For ``counts[s - 1]`` cases at span ``s``: the span and the index
     ``t`` within its span of every case."""
@@ -230,10 +225,7 @@ class SecEngine:
 
     def _declared(self) -> list[_Cases]:
         """The cases of every table, per kind in :data:`FILL_ORDER`, for
-        every span at once; built once per engine.  Their arrays depend on
-        the strand's length and the model alone, so engines of one length
-        and model share them (``_CASE_ARRAYS``); the closing arcs' scale is
-        this engine's.
+        every span at once; built once per engine.
 
         Each production is declared once, over arrays of the span ``s`` and
         an index ``t`` of its cases within the span.  A child ``(kind, r,
@@ -249,26 +241,11 @@ class SecEngine:
         """
         if self._cases is not None:
             return self._cases
-        helix = self._arc_planes()
-        size, plane = self.n + 2, self.offset
-        adm = self.planes[plane["adm"]: plane["adm"] + size * size]
-        scale = {"qb": adm, "qend": adm, "qbh": helix.reshape(-1)}
-        key = (self.n, repr(self.model))
-        if key not in _CASE_ARRAYS:
-            if len(_CASE_ARRAYS) >= 8:
-                _CASE_ARRAYS.clear()
-            _CASE_ARRAYS[key] = self._declare()
-        self._cases = [_Cases(plane[kind], scale.get(kind), *arrays)
-                       for kind, arrays in zip(self.kinds, _CASE_ARRAYS[key])]
-        return self._cases
-
-    def _declare(self) -> list[tuple]:
-        """The arrays of :meth:`_declared`: per kind, ``bounds``, ``weights``,
-        ``left``, ``right`` and ``key``."""
         m = self.model
         n, size, bk = self.n, self.n + 2, self.branch_kind
         theta = m.min_hairpin
         plane = self.offset
+        helix = self._arc_planes()
         w_hairpin = np.array([m.w_hairpin(k) for k in range(n)])
         # interior loops with a and b unpaired bases on the two sides, the
         # stack (0, 0) left out, ordered by a + b: a span's loops are a prefix
@@ -324,14 +301,17 @@ class SecEngine:
             add(kind, s, wb, one, (bk, 0, s - 1))  # one branch, empty prefix
             s, t = _ragged(spans - 2)  # last branch (i + t + 1, j)
             add(kind, s, wb, (base, 0, t), (bk, t + 1, s - 1))
-        arrays = []
+        adm = self.planes[plane["adm"]: plane["adm"] + size * size]
+        scale = {"qb": adm, "qend": adm, "qbh": helix.reshape(-1)}
+        self._cases = []
         for kind in self.kinds:
             s, key, weights, left, right = (np.concatenate(c) for c in zip(*groups.pop(kind)))
             order = np.argsort(s, kind="stable")
             bounds = np.searchsorted(s[order], np.arange(1, n + 2)).tolist()
-            arrays.append((bounds, weights[order],
-                           *(x[order].astype(np.int32) for x in (left, right, key))))
-        return arrays
+            self._cases.append(_Cases(
+                plane[kind], scale.get(kind), bounds, weights[order],
+                *(x[order].astype(np.int32) for x in (left, right, key))))
+        return self._cases
 
     # -- fill ---------------------------------------------------------------
 
