@@ -70,13 +70,14 @@ import numpy as np
 
 from .grammar_inside import (
     _GAP_TERMS,
+    _ITEM_ORDER,
     CHAIN_PART_ROWS,
     HY_CLASSES,
     LABELS,
     SEGMENT_TABLES,
     InsideResult,
+    _rev,
     _top_chains,
-    flat_layout,
 )
 
 ALL_PARTS = ("hy", "na", "nb")
@@ -84,7 +85,7 @@ ALL_PARTS = ("hy", "na", "nb")
 _ITEM_KINDS = ("hy", "vee", "tri", "box")
 _LABEL_AXIS = {name: k for k, name in enumerate(LABELS)}
 # the chain rows of the parts, in the order that
-# :meth:`InsideResult.chain_value` adds them (CHY + CNA, then CNB)
+# :func:`component_value` adds them (CHY + CNA, then CNB)
 _PARTS = [CHAIN_PART_ROWS[part] for part in ALL_PARTS]
 
 # The cases of a gap, one per plane of its weight vector: the R segment
@@ -108,8 +109,12 @@ def component_value(res: InsideResult, comp: tuple) -> float:
     if kind == "box":
         return res.value(("box",), *comp[1:])
     if kind == "chain":
-        _, parts, name, a, b, c, d = comp
-        return res.chain_value(parts, name, a, b, c, d)
+        _, parts, name, *cell = comp
+        total = 0.0
+        for part in parts:
+            if part != "nb" or LABELS[name].has_nb:
+                total += res.value(("c" + part, name), *cell)
+        return total
     if kind == "gap":
         _, after, name, x, b, y, d = comp
         return res.value(("ghy" if after == "hy" else "gna", name), x, b, y, d)
@@ -212,77 +217,46 @@ def _chain_item_key(lab, kind: str, kb: float) -> tuple[tuple, float]:
 
 @lru_cache(maxsize=None)
 def _chain_planes(name: str, parts: tuple, kb: float) -> tuple:
-    """Per plane (item kind, terminal/continued) of a chain vector: ``None``
-    where its entries are no cases of ``parts``, else the item's tensor key,
-    its branch factor and the gap kind that continues after it."""
-    lab = LABELS[name]
-    planes = []
-    for kind in _ITEM_KINDS:
-        key, wbr = _chain_item_key(lab, kind, kb)
-        for terminal in (True, False):
-            case = _part_of(lab, kind, terminal) in parts
-            planes.append((key, wbr, "hy" if kind == "hy" else "na") if case else None)
-    return tuple(planes)
+    """How a chain of ``name`` over ``parts`` reads its cases.
 
-
-# a few dozen entries per shape (labels x the parts a chain can name)
-@lru_cache(maxsize=256)
-def _chain_layout(name: str, parts: tuple, kb: float, shape: tuple) -> tuple:
-    """How a chain of ``name`` reads the flat item and rest stacks of 4D
-    tensors of ``shape`` (:meth:`TensorStore.flat`, :func:`flat_layout`).
-
-    For spans up to ``(N, M)``: the flat offsets of its four first items
-    ``[kind, x - a, y - c]`` from anchor ``(a, c)`` of the item stack; those
-    of the gap rows that continue them ``[kind, N-1 - (b - x), M-1 - (d -
-    y)]``, for gaps of spans ``b - x, d - y >= 1``, from anchor ``(b, d)`` of
-    the rest stack; the items' branch factors ``[kind, 1, 1]``, or ``None``
-    when all are 1; the 0/1 mask ``[kind, terminal/continued, 1, 1]`` of the
-    planes whose entries are cases of ``parts``; and the strides of the
-    anchor axes.  A chain of spans ``(P, Q)`` reads the first ``P x Q`` block
-    of the item offsets and the last ``(P-1) x (Q-1)`` block of the gap
-    offsets.  Read-only arrays, because every caller shares the cached ones.
+    Per plane (item kind, terminal/continued) of its vector: ``None`` where
+    its entries are no cases of ``parts``, else the item's tensor key, its
+    branch factor and the gap kind that continues after it.  Then per item
+    kind: its row of the item stack, the row of the rest stack (GHY after a
+    hybrid, else GNA) that continues after it, and its branch factor
+    ``[kind, 1, 1]``; and the 0/1 mask ``[kind, terminal/continued, 1, 1]``
+    of the planes that hold cases.  Shared arrays: read, never written.
     """
     lab = LABELS[name]
-    N, M = shape[0], shape[1]
     keys, factors = zip(*(_chain_item_key(lab, kind, kb) for kind in _ITEM_KINDS))
-    item_at, (span_r, span_s, *anchor) = flat_layout("items", shape)
-    rest_at, _strides = flat_layout("rest", shape)
-    # the flat offset of span cell (p, q) at anchor (1, 1), at [p - 1, q - 1]
-    spans = np.add.outer(np.arange(N) * span_r, np.arange(M) * span_s)
-    items = np.stack([spans + item_at[key] for key in keys])
-    # the gap row that continues after an item: GHY after a hybrid, else GNA
-    rest = np.stack([spans[: N - 1, : M - 1][::-1, ::-1]
-                     + rest_at["ghy" if kind == "hy" else "gna", name] for kind in _ITEM_KINDS])
-    planes = _chain_planes(name, parts, kb)
-    mask = np.array([plane is not None for plane in planes], float).reshape(-1, 2, 1, 1)
-    factors = None if set(factors) == {1.0} else np.array(factors)[:, None, None]
-    for arr in (items, rest, factors, mask):
-        if arr is not None:
-            arr.flags.writeable = False
-    return items, rest, factors, mask, tuple(anchor)
+    gaps = ["hy" if kind == "hy" else "na" for kind in _ITEM_KINDS]
+    planes = tuple((key, wbr, gap) if _part_of(lab, kind, terminal) in parts else None
+                   for kind, key, wbr, gap in zip(_ITEM_KINDS, keys, factors, gaps)
+                   for terminal in (True, False))
+    return (planes, np.array([_ITEM_ORDER.index(key) for key in keys]),
+            np.array([0 if gap == "hy" else 1 for gap in gaps]),
+            np.array(factors)[:, None, None],
+            np.array([plane is not None for plane in planes], float).reshape(-1, 2, 1, 1))
 
 
 def _chain_weights(res: InsideResult, comp: tuple) -> np.ndarray:
     _, parts, name, a, b, c, d = comp
-    store, ctx = res.store, res.ctx
+    stacks, ctx = res.store.stacks, res.ctx
     P, Q = b - a + 1, d - c + 1
     L = _LABEL_AXIS[name]
-    items, rest, factors, mask, (anchor_r, anchor_s) = _chain_layout(
-        name, parts, ctx.kb, store.shape)
-    N, M = ctx.n, ctx.m
-    first = store.flat("items")[(a - 1) * anchor_r + (c - 1) * anchor_s :].take(
-        items[:, :P, :Q])
-    if factors is not None:
-        first *= factors
+    _planes, items, rest, factors, mask = _chain_planes(name, parts, ctx.kb)
+    # the first items (a..x, c..y) of every kind, from (a, c)
+    first = stacks["items"][items, :P, :Q, a - 1, c - 1]
+    first *= factors
     # terminal: the tails x+1..b and y+1..d; continued: the gap x+1..b,
     # y+1..d, of spans >= 1, so the last row and column of its plane are no
     # cases; both end anchored at (b, d)
     w = np.empty((len(_ITEM_KINDS), 2, P, Q))
     np.multiply(first, np.multiply.outer(ctx.tail_r[L, P - 1 :: -1, b - 1],
                                          ctx.tail_s[L, Q - 1 :: -1, d - 1]), out=w[:, 0])
-    np.multiply(first[:, : P - 1, : Q - 1], store.flat("rest")[
-        (b - 1) * anchor_r + (d - 1) * anchor_s :].take(rest[:, N - P :, M - Q :]),
-        out=w[:, 1, : P - 1, : Q - 1])
+    np.multiply(first[:, : P - 1, : Q - 1],
+                stacks["rest"][rest, L, _rev(P - 1), _rev(Q - 1), b - 1, d - 1],
+                out=w[:, 1, : P - 1, : Q - 1])
     w[:, 1, P - 1] = 0.0
     w[:, 1, :, Q - 1] = 0.0
     w *= mask
@@ -373,7 +347,7 @@ def _decode_chain_or_gap(res: InsideResult, comp: tuple, t: int) -> tuple | None
     x1 += x
     y1 += y
     if kind == "chain":
-        case = _chain_planes(name, tag, res.ctx.kb)[plane]
+        case = _chain_planes(name, tag, res.ctx.kb)[0][plane]
         if case is None:
             return None
         key, wbr, after = case

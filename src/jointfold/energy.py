@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
 from .seq_model import ALPHABET, BASE_CODE
@@ -218,27 +218,8 @@ def unit_model(min_hairpin: int = 3, **overrides) -> EnergyModel:
     Pair admissibility and the hairpin size constraint stay structural, so
     the ensemble itself is unchanged.
     """
-    return EnergyModel(
-        min_hairpin=min_hairpin,
-        hairpin_init=0.0,
-        hairpin_slope=0.0,
-        interior_init=0.0,
-        interior_slope=0.0,
-        stack_default=0.0,
-        multi_init=0.0,
-        multi_branch=0.0,
-        multi_unpaired=0.0,
-        kiss_init=0.0,
-        kiss_branch=0.0,
-        kiss_unpaired=0.0,
-        sigma0=0.0,
-        sigma=0.0,
-        beta3=0.0,
-        g_int_init=0.0,
-        g_int_slope=0.0,
-        ext_default=0.0,
-        **overrides,
-    )
+    zeros = {name: 0.0 for name in _SCALAR_FLOAT_KEYS.values() if name != "rt"}
+    return EnergyModel(**{"min_hairpin": min_hairpin, **zeros, **overrides})
 
 
 def weight_hybrid_step(
@@ -273,28 +254,13 @@ def weight_hybrid_step(
     return w
 
 
-# the float keys of a parameter file and the fields they set, in the order
-# of ``EnergyModel.canonical_params`` (which puts the integer, boolean and
-# pair-type keys after ``rt``)
+# the float keys of a parameter file and the fields they set, in field order,
+# which is the order of ``EnergyModel.canonical_params`` (it puts the integer,
+# boolean and pair-type keys after ``rt``); a key is its field's name, except
+# ``stack`` and ``ext_arc``, the defaults that per-pair overrides refine
 _SCALAR_FLOAT_KEYS = {
-    "rt": "rt",
-    "hairpin_init": "hairpin_init",
-    "hairpin_slope": "hairpin_slope",
-    "interior_init": "interior_init",
-    "interior_slope": "interior_slope",
-    "stack": "stack_default",
-    "multi_init": "multi_init",
-    "multi_branch": "multi_branch",
-    "multi_unpaired": "multi_unpaired",
-    "kiss_init": "kiss_init",
-    "kiss_branch": "kiss_branch",
-    "kiss_unpaired": "kiss_unpaired",
-    "sigma0": "sigma0",
-    "sigma": "sigma",
-    "beta3": "beta3",
-    "g_int_init": "g_int_init",
-    "g_int_slope": "g_int_slope",
-    "ext_arc": "ext_default",
+    {"stack_default": "stack", "ext_default": "ext_arc"}.get(f.name, f.name): f.name
+    for f in fields(EnergyModel) if f.type == "float"
 }
 
 PARAM_DOC = """\
@@ -325,7 +291,7 @@ def _parse_float(value: str, line: int) -> float:
 def parse_params(text: str) -> EnergyModel:
     """Parse parameter-file text into a model (unknown keys are errors)."""
     model = default_model()
-    fields: dict = {}
+    given: dict = {}
     stack_overrides = dict(model.stack_overrides)
     ext_overrides = dict(model.ext_overrides)
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -336,22 +302,22 @@ def parse_params(text: str) -> EnergyModel:
             raise ParamError(f"expected `key = value`, got {raw.strip()!r}", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
         if key in _SCALAR_FLOAT_KEYS:
-            fields[_SCALAR_FLOAT_KEYS[key]] = _parse_float(value, lineno)
+            given[_SCALAR_FLOAT_KEYS[key]] = _parse_float(value, lineno)
         elif key == "min_hairpin":
             try:
-                fields["min_hairpin"] = int(value)
+                given["min_hairpin"] = int(value)
             except ValueError:
                 raise ParamError(f"expected an integer, got {value!r}", lineno) from None
         elif key == "forbid_lone_pairs":
             if value.lower() not in ("true", "false"):
                 raise ParamError(f"expected true/false, got {value!r}", lineno)
-            fields["forbid_lone_pairs"] = value.lower() == "true"
+            given["forbid_lone_pairs"] = value.lower() == "true"
         elif key == "pairs":
             pts = tuple(p.strip().upper() for p in value.split(",") if p.strip())
             for pt in pts:
                 if len(pt) != 2 or any(b not in ALPHABET for b in pt):
                     raise ParamError(f"invalid pair type {pt!r}", lineno)
-            fields["pairs"] = pts
+            given["pairs"] = pts
         elif key.startswith("stack_") and len(key) == len("stack_") + 5:
             outer, inner = key[6:8], key[9:11]
             if key[8] != "_" or any(b not in ALPHABET for b in outer + inner):
@@ -364,9 +330,9 @@ def parse_params(text: str) -> EnergyModel:
             ext_overrides[(pt[0], pt[1])] = _parse_float(value, lineno)
         else:
             raise ParamError(f"unknown key {key!r}", lineno)
-    fields["stack_overrides"] = stack_overrides
-    fields["ext_overrides"] = ext_overrides
-    return replace(model, **fields)
+    given["stack_overrides"] = stack_overrides
+    given["ext_overrides"] = ext_overrides
+    return replace(model, **given)
 
 
 def load_params(path: str) -> EnergyModel:

@@ -40,15 +40,8 @@ its transpose cannot drift apart.  The transpose of each production is split
 by target into two parts: the 4D part (the outside families and the
 per-wave operands ci, CH_all and CH_nohy), which the outside sweep runs, and
 the strand part (the strand factors of ``_SEGMENTS``), which only base-pair
-probabilities read and a second reverse pass runs.  Per wave that is at most
-11 ``numpy.einsum`` calls and one matrix product inside (hybrids 1, tight
-blocks 3, chains 5, gaps 2); at most 5 einsum calls and 3 small matrix
-products in the 4D part (gaps 2, chains 2, tight blocks 1; one matrix
-product forms the rows of ci that the part reads and two pass their outside
-weight on to the items, one block of ``branch`` each; the other transposes
-into stored families are plain products); and at most 10 einsum calls and
-one matrix product, which forms ci again, in the strand part (gaps 2,
-chains 4, tight blocks 4).
+probabilities read and a second reverse pass runs.  ``docs/grammar.md`` §6
+counts the numpy calls that the fill and each part make per wave.
 
 Under a unit model every entry is an ensemble count; the brute-force oracle
 checks both the counts and the weighted sums cell for cell (via the
@@ -65,7 +58,7 @@ import mmap
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -211,20 +204,6 @@ _OUT_OF = {"items": "out_items", "chain": "out_chain", "rest": "out_gap"}
 _SEGMENTS = ("kq_r", "kq_s", "gap_r", "gap_s", "tail_r", "tail_s")
 
 
-@lru_cache(maxsize=8)
-def flat_layout(family: str, shape: tuple[int, ...]) -> tuple[dict[tuple, int], tuple[int, ...]]:
-    """Where :meth:`TensorStore.flat` keeps the cells of ``family`` for 4D
-    tables of ``shape``: the offset of each key's slice, and the element
-    strides of the axes ``[span_r - 1, span_s - 1, anchor_r - 1, anchor_s -
-    1]`` of a slice (cell ``(p, q, x, y)`` lies ``(p - 1) * strides[0] + ...``
-    past the offset).  ``alloc_families`` stacks the keys' slices in C
-    order."""
-    _lead, keys = (_FAMILIES | _OUT_FAMILIES)[family]
-    size = math.prod(shape)
-    strides = tuple(math.prod(shape[k + 1 :]) for k in range(len(shape)))
-    return {key: k * size for k, key in enumerate(keys)}, strides
-
-
 def _chain_rows(stack: np.ndarray) -> np.ndarray:
     """The view ``[x, l, ...]`` of a chain stack: slot 5x + l."""
     step, *cell = stack.strides
@@ -301,7 +280,7 @@ class TensorStore:
     ``store[key]`` reads the same cells as a separate array would, and the
     stack counts the same bytes.  ``stacks[family]`` is the stack, or for a
     chain family its view ``[part, label, ...]``; ``flat(family)`` is the
-    allocation itself, laid out as :func:`flat_layout` says.
+    allocation itself.
     """
 
     def __init__(self, n: int, m: int):
@@ -361,7 +340,7 @@ class TensorStore:
 
     def flat(self, family: str) -> np.ndarray:
         """The stack of an allocated family as one flat array (a view, never
-        a copy); :func:`flat_layout` gives where each cell lies in it."""
+        a copy)."""
         return self.flats[family]
 
 
@@ -512,16 +491,6 @@ class InsideResult:
             return float(arr[j - i, l - h, i - 1, h - 1])
         return float(arr[j - i, l - h, j - 1, l - 1])
 
-    def chain_value(self, parts, name: str, a: int, b: int, c: int, d: int) -> float:
-        lab = LABELS[name]
-        total = 0.0
-        for part in parts:
-            if part == "nb" and not lab.has_nb:
-                continue
-            total += self.value((
-                {"hy": "chy", "na": "cna", "nb": "cnb"}[part], name), a, b, c, d)
-        return total
-
 
 def inside(
     R: Strand,
@@ -666,13 +635,11 @@ class _Prod:
     ``grads`` holds one entry per operand with an outside target; ``parts``
     splits it into the 4D targets and the strand factors, each with the
     operands of ``copy`` that its entries read, and ``transpose`` runs one
-    part.  In the 4D part a grad's product of ``_LARGE`` cells or more is
-    formed in the scratch buffer (``out=``), which the 4D part copies nothing
-    into, and added into its target from there.  With ``first``, the production is the first in the 4D
-    part of the sweep to write its per-wave target (the gap block of ci's
-    outside weight, see ``_CombinedItems``), so its transpose writes it
-    instead of adding: a grad broadcast over the leading letter of the
-    target (``pad``) writes the first row and copies it into the others.
+    part.  With ``first``, the production is the first in the 4D part of the
+    sweep to write its per-wave target (the gap block of ci's outside weight,
+    see ``_CombinedItems``), so its transpose writes it instead of adding: a
+    grad broadcast over the leading letter of the target (``pad``) writes the
+    first row and copies it into the others.
     """
 
     def __init__(self, text: str, at: Callable, when=None, rows=None, add=False,
@@ -708,7 +675,6 @@ class _Prod:
             grads = [g for g in self.grads if (g[1] in _SEGMENTS) == strand]
             read = {j for g in grads for j in g[2]}
             self.parts.append((grads, [j for j in self.copy if j in read]))
-        assert not self.parts[False][1]  # the scratch buffer is free for the 4D part's products
 
     def _args(self, src: dict, idx: tuple, copy: list) -> list:
         """The einsum arguments, those in ``copy`` copied; None for an
@@ -767,17 +733,8 @@ class _Prod:
                 if pad is not None:
                     dest[1:] = c
                 continue
-            if strand or dest.size < _LARGE:
-                c = _grad(how, arrays, None)
-            else:  # into the scratch buffer, in the shape of dest without pad's letters
-                c = _grad(how, arrays, _work(src, "scratch", [d for d, k in zip(dest.shape, pad or dest.shape) if k is not None]))
+            c = _grad(how, arrays, None)
             dest += c if pad is None else c[pad]
-
-
-# The cells of a product from which the 4D part forms it in the scratch
-# buffer: numpy takes a smaller array from its own cache or the heap for less
-# than the buffer's bookkeeping costs.
-_LARGE = 1 << 14
 
 
 def _grad(how, arrays: list, out: np.ndarray | None) -> np.ndarray:
@@ -953,8 +910,7 @@ _WAVE = (
 # the combined items, their outside weight, CH_nohy, and a scratch buffer
 # whose contents live within one production (the item block that ci is
 # formed from, the product that passes ci's outside weight on to the items,
-# the contiguous copies of _Prod.copy, the large products of the 4D part of
-# _Prod.transpose).
+# the contiguous copies of _Prod.copy).
 _WORK_ROWS = {"ci": 3 * len(_LABS), "out_ci": 3 * len(_LABS), "ch_nohy": len(_LABS),
               "scratch": len(_ITEM_ORDER)}
 

@@ -12,11 +12,10 @@ the component at that cell; the top-level placements seed the sweep.  Like
 the fill, each wave transposes every chain label, hybrid class and tight kind
 at once on the stacked tensor families of the inside store.
 
-:func:`outside` runs only the 4D part of each transpose: at most 5
-``numpy.einsum`` calls and 3 small matrix products per wave.  It forms only
-the rows of the combined items that the 4D part reads (NA + EX and HY over
-the gap block, one matrix product) and passes ci's outside weight on to the
-items (two more).  That fills every outside family, the block-placement
+:func:`outside` runs only the 4D part of each transpose (``docs/grammar.md``
+§6 counts its calls per wave).  It forms only the rows of the combined items
+that the 4D part reads (NA + EX and HY over the gap block) and passes ci's
+outside weight on to the items.  That fills every outside family, the block-placement
 accumulators included, so hybrid probabilities come from it alone: the
 block-placement mass is exactly the maximal-hybrid placement mass.  The
 outside families are written with zeros over their reachable anchors when
@@ -25,8 +24,7 @@ page of them is added into.
 The base-pair pass runs on the first read of a base-pair table
 (:class:`ProbTables`).  A second reverse sweep forms all of the combined
 items again and runs the strand part of each transpose against the finished
-outside families: at most 10 einsum calls and one matrix product per wave.
-The readouts into the base-pair masses then take 3 einsum calls.
+outside families, then reads out the base-pair masses.
 
 Base-pair probabilities combine three sources: tight-block closing arcs
 (read off the block tensors directly), arcs inside secondary segments, and

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -82,6 +83,31 @@ class TestUnitModel:
         m = unit_model().without_interaction()
         assert m.w_ext("A", "U") == 0.0
         assert m.w_ext("G", "C") == 0.0
+
+
+# the energy parameters: every float field of the model
+_FLOAT_FIELDS = [f.name for f in dataclasses.fields(EnergyModel) if isinstance(f.default, float)]
+
+
+class TestFloatFields:
+    @pytest.mark.parametrize("name", _FLOAT_FIELDS)
+    def test_file_key_sets_its_field_alone(self, name, tmp_path):
+        """Each float field has a parameter-file key, which sets that field
+        and no other and moves the fingerprint."""
+        key = {"stack_default": "stack", "ext_default": "ext_arc"}.get(name, name)
+        base = default_model()
+        value = getattr(base, name) + 0.5
+        path = tmp_path / "p.txt"
+        path.write_text(f"{key} = {value!r}\n")
+        model = load_params(str(path))
+        assert model == dataclasses.replace(base, **{name: value})
+        assert model.fingerprint() != base.fingerprint()
+
+    def test_unit_model_zeroes_every_energy(self):
+        model = unit_model()
+        assert model.rt == default_model().rt
+        assert {name: getattr(model, name) for name in _FLOAT_FIELDS if name != "rt"} == {
+            name: 0.0 for name in _FLOAT_FIELDS if name != "rt"}
 
 
 class TestParamsFile:

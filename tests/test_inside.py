@@ -17,7 +17,6 @@ from jointfold.grammar_inside import (
     _operands,
     _tensor_bytes,
     estimate_memory_bytes,
-    flat_layout,
     inside,
 )
 from jointfold.oracle import enumerate_interactions
@@ -258,25 +257,6 @@ class TestCapacity:
             name = key[1] if key[0] == "out" else key[0]
             start = name in ("hy", "vee", "tri", "box", "hyb")
             assert not arr[off[start]].any(), key
-
-    @pytest.mark.parametrize("n, m", [(1, 1), (5, 8)])
-    def test_flat_layout_is_the_allocation(self, n, m):
-        """Every key's tensor is the cells that ``flat_layout`` places in its
-        family's flat stack, read in place."""
-        rng = np.random.default_rng(n * 10 + m)
-        res = inside(*strands(random_seq(rng, n), random_seq(rng, m)), random_model(rng))
-        outside(res)
-        store = res.store
-        found = 0
-        for family, flat in store.flats.items():
-            offsets, strides = flat_layout(family, store.shape)
-            for key, at in offsets.items():
-                view = np.lib.stride_tricks.as_strided(
-                    flat[at:], store.shape, [s * flat.itemsize for s in strides])
-                assert np.shares_memory(view, store[key])
-                assert view.__array_interface__ == store[key].__array_interface__, key
-                found += 1
-        assert found == len(store.arrays)
 
     def test_second_outside_replaces_its_tables(self):
         """A second ``outside`` on one result gives the same tables and

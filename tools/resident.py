@@ -10,9 +10,11 @@ workloads.  Then, per tensor family of the store, it prints
 * estimated: the family's share of the estimate's tensor bytes (its keys
   times the bytes of one table);
 * allocated: the bytes of the family's mapping;
-* resident: the pages of that mapping in memory, from Linux ``mincore``
-  called through ``ctypes`` (``n/a`` where that call is unavailable).  A
-  table page that nothing wrote was never touched, so it is not resident.
+* resident: the pages of that mapping that this process holds, from Linux
+  ``/proc/self/pagemap``: a page counts when its entry marks it present
+  (bit 63) and exclusively mapped (bit 56), so a page that was only read,
+  which maps the shared zero page, does not (``n/a`` where pagemap cannot
+  be read).  A table page that nothing wrote holds no memory of its own.
 
 and the run's total: ``estimate_memory_bytes`` against the tables plus the
 work buffers of ``_operands`` plus the strand-side arrays (the engines'
@@ -24,7 +26,6 @@ two trees; ``--json`` prints one JSON object instead of the tables.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import mmap
 import sys
@@ -37,31 +38,23 @@ PIPELINES = {"pf-sq24": "pf", "targets-sq20": "targets", "sample-sq12": "sample"
              "targets-8x48": "targets"}
 
 
-def _mincore():
-    """libc's ``mincore``, or None where it cannot be called."""
-    try:
-        fn = ctypes.CDLL(None, use_errno=True).mincore
-    except (OSError, AttributeError):
-        return None
-    fn.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.POINTER(ctypes.c_ubyte))
-    fn.restype = ctypes.c_int
-    return fn
-
-
-MINCORE = _mincore()
-
-
 def resident_bytes(arr: np.ndarray) -> int | None:
-    """Bytes of the pages under ``arr``'s buffer that are in memory."""
-    if MINCORE is None or arr.nbytes == 0:
+    """Bytes of the pages under ``arr``'s buffer that are present and mapped
+    by this process alone, or None where pagemap cannot be read."""
+    if arr.nbytes == 0:
         return None
     page = mmap.PAGESIZE
-    start = arr.ctypes.data // page * page
-    length = arr.ctypes.data + arr.nbytes - start
-    vec = (ctypes.c_ubyte * -(-length // page))()
-    if MINCORE(start, length, vec) != 0:
+    first = arr.ctypes.data // page
+    count = -(-(arr.ctypes.data + arr.nbytes) // page) - first
+    try:
+        with open("/proc/self/pagemap", "rb") as fh:
+            fh.seek(first * 8)
+            entries = np.frombuffer(fh.read(count * 8), dtype=np.uint64)
+    except OSError:
         return None
-    return sum(v & 1 for v in vec) * page
+    if len(entries) != count:
+        return None
+    return int(np.count_nonzero((entries >> 63) & (entries >> 56) & 1)) * page
 
 
 def _unique_nbytes(arrays) -> int:
