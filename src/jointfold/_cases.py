@@ -224,7 +224,7 @@ def _chain_planes(name: str, parts: tuple, kb: float) -> tuple:
     branch factor and the gap kind that continues after it.  Then per item
     kind: its row of the item stack, the row of the rest stack (GHY after a
     hybrid, else GNA) that continues after it, and its branch factor
-    ``[kind, 1, 1]``; and the 0/1 mask ``[kind, terminal/continued, 1, 1]``
+    ``[kind, 1, 1]`` (``None`` where all are 1); and the 0/1 mask ``[kind, terminal/continued, 1, 1]``
     of the planes that hold cases.  Shared arrays: read, never written.
     """
     lab = LABELS[name]
@@ -235,7 +235,7 @@ def _chain_planes(name: str, parts: tuple, kb: float) -> tuple:
                    for terminal in (True, False))
     return (planes, np.array([_ITEM_ORDER.index(key) for key in keys]),
             np.array([0 if gap == "hy" else 1 for gap in gaps]),
-            np.array(factors)[:, None, None],
+            None if set(factors) == {1.0} else np.array(factors)[:, None, None],
             np.array([plane is not None for plane in planes], float).reshape(-1, 2, 1, 1))
 
 
@@ -245,9 +245,11 @@ def _chain_weights(res: InsideResult, comp: tuple) -> np.ndarray:
     P, Q = b - a + 1, d - c + 1
     L = _LABEL_AXIS[name]
     _planes, items, rest, factors, mask = _chain_planes(name, parts, ctx.kb)
-    # the first items (a..x, c..y) of every kind, from (a, c)
-    first = stacks["items"][items, :P, :Q, a - 1, c - 1]
-    first *= factors
+    # the first items (a..x, c..y) of every kind, from (a, c); a view of all
+    # kinds and ``take`` cost less than one advanced index (likewise the gaps)
+    first = stacks["items"][:, :P, :Q, a - 1, c - 1].take(items, axis=0)
+    if factors is not None:
+        first *= factors
     # terminal: the tails x+1..b and y+1..d; continued: the gap x+1..b,
     # y+1..d, of spans >= 1, so the last row and column of its plane are no
     # cases; both end anchored at (b, d)
@@ -255,7 +257,7 @@ def _chain_weights(res: InsideResult, comp: tuple) -> np.ndarray:
     np.multiply(first, np.multiply.outer(ctx.tail_r[L, P - 1 :: -1, b - 1],
                                          ctx.tail_s[L, Q - 1 :: -1, d - 1]), out=w[:, 0])
     np.multiply(first[:, : P - 1, : Q - 1],
-                stacks["rest"][rest, L, _rev(P - 1), _rev(Q - 1), b - 1, d - 1],
+                stacks["rest"][:, L, _rev(P - 1), _rev(Q - 1), b - 1, d - 1].take(rest, axis=0),
                 out=w[:, 1, : P - 1, : Q - 1])
     w[:, 1, P - 1] = 0.0
     w[:, 1, :, Q - 1] = 0.0
