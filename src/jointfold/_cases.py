@@ -109,11 +109,11 @@ def component_value(res: InsideResult, comp: tuple) -> float:
     if kind == "box":
         return res.value(("box",), *comp[1:])
     if kind == "chain":
-        _, parts, name, *cell = comp
+        _, parts, name, a, b, c, d = comp
         total = 0.0
         for part in parts:
             if part != "nb" or LABELS[name].has_nb:
-                total += res.value(("c" + part, name), *cell)
+                total += res.value(("c" + part, name), a, b, c, d)
         return total
     if kind == "gap":
         _, after, name, x, b, y, d = comp
