@@ -55,9 +55,9 @@ These are the strand factors that the fill reads, formed once per run by
 
 A component whose guard fails (an inadmissible closing arc, a hybrid that
 cannot end at ``(j, l)``) has an empty vector.  None of these reads the
-fill's combined items or its chain sums (the stored ``CH_all``, the formed
-``CH_nohy``), so summing a vector is an independent check of the stored
-cell.  The decoder that :func:`scored_cases` returns maps a vector index
+fill's combined items or its chain sums (``CH_all`` and ``CH_nohy``, which
+each wave forms and nothing stores), so summing a vector is an independent
+check of the stored cell.  The decoder that :func:`scored_cases` returns maps a vector index
 back to its case tuple, so the cases are written down once.
 """
 

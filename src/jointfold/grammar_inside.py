@@ -26,11 +26,11 @@ a guard, and where each operand's outside weight goes (``_Prod``).  The
 index into those tables and a weight (``_Ctx.factors``), and the outside pass
 scatters their outside weight back through the same index.  The
 derived operand (the branch-weighted items) and the chain sums are declared
-with their forward and their transpose: CH_all = CNA + CNB + CHY is stored
-once per wave, at its own cell, and CH_nohy = CNA + CNB is formed over the
-block the bare GHY term reads; neither has an outside family.  The derived
-operand ci, CH_nohy and ci's outside weight are formed in flat work buffers
-that one run allocates once, sized for its largest wave (``_operands``).
+with their forward and their transpose: CH_nohy = CNA + CNB and CH_all =
+CH_nohy + CHY are formed per wave over the block that GHY/GNA read; neither
+is stored, and neither has an outside family.  The derived operand ci, the
+chain sums and ci's outside weight are formed in flat work buffers that one
+run allocates once, sized for its largest wave (``_operands``).
 The inside fill evaluates ``_WAVE`` in order (``_fill_wave``); the outside
 pass (:mod:`jointfold.outside_prob`) forms the rows of ci that it reads and
 then walks ``_WAVE`` in reverse through one transpose rule
@@ -160,13 +160,12 @@ _CHAIN_KEYS = (tuple(("cna", L) for L in LABELS) + tuple(("cnb", lab.name) for l
                + tuple(("chy", L) for L in LABELS))
 
 # Stacked tensor families: name -> (leading stack shape, keys in C order).
-# Items are start anchored [.., p, q, i, h]; chains, the gap rows of "rest"
-# (GHY, GNA) and CH_all = CNA + CNB + CHY end anchored [.., p, q, j, l].
+# Items are start anchored [.., p, q, i, h]; chains and the gap rows of
+# "rest" (GHY, GNA) end anchored [.., p, q, j, l].
 _FAMILIES: _Families = {
     "items": ((9,), _ITEM_ORDER),
     "chain": ((16,), _CHAIN_KEYS),
     "rest": ((2, 6), _GAP_KEYS),
-    "ch_all": ((6,), tuple(("ch_all", L) for L in LABELS)),
 }
 
 # The terms of GHY/GNA (docs/grammar.md §4): the segment kind on R and on S.
@@ -189,16 +188,18 @@ def _out_keys(keys: tuple[tuple, ...]) -> tuple[tuple, ...]:
 
 
 # Outside accumulators (:mod:`jointfold.outside_prob`), laid out like the
-# inside families: one per inside tensor except CH_all, plus the
-# block-placement accumulators of the four hybrid classes (rows 9:13 of the
-# outside items).
+# inside families: one per inside tensor, plus the hybrid-placement mass, the
+# sum over the hybrid classes of each class's block-placement weight times its
+# items, start anchored like them (_CombinedItems.transpose).
 _OUT_FAMILIES: _Families = {
-    "out_items": ((13,), _out_keys(_ITEM_ORDER + tuple(("hyb", c) for c in HY_CLASSES))),
+    "out_items": ((9,), _out_keys(_ITEM_ORDER)),
     "out_chain": ((16,), _out_keys(_CHAIN_KEYS)),
     "out_gap": ((2, 6), _out_keys(_GAP_KEYS)),
+    "out_hyb": ((), (("out", "hyb"),)),
 }
-# The outside family of each inside one; CH_all has none (_ChainAll).
-_OUT_OF = {"items": "out_items", "chain": "out_chain", "rest": "out_gap"}
+# The outside family of each inside one, by the name that the transposes give
+# their targets, and of the placement mass ("hyb"), which no production reads.
+_OUT_OF = {"items": "out_items", "chain": "out_chain", "rest": "out_gap", "hyb": "out_hyb"}
 # The _Ctx arrays whose outside weight feeds base-pair probabilities (through
 # the secondary tables); every other _Ctx operand is a constant.
 _SEGMENTS = ("kq_r", "kq_s", "gap_r", "gap_s", "tail_r", "tail_s")
@@ -319,9 +320,9 @@ class TensorStore:
             arr = flat.reshape(shape)
             if populate:
                 # the anchors (x, y) of spans (p, q) in C order: up to (n - p
-                # + 1, m - q + 1) for the start-anchored items, from (p, q) on
-                # for the end-anchored rest
-                n, m, start = self.n, self.m, family.endswith("items")
+                # + 1, m - q + 1) for the start-anchored items and placement
+                # mass, from (p, q) on for the end-anchored rest
+                n, m, start = self.n, self.m, family in ("out_items", "out_hyb")
                 planes = arr.reshape((-1, n, m, n * m))
                 for p, q in itertools.product(range(1, n), range(1, m + 1)):
                     cells = (slice(0, (n - p) * m + m - q + 1) if start
@@ -606,16 +607,12 @@ class _Prod:
 
     ``text`` is the einsum with named operands, ``"lhs[ij] = a[ik] b[kj]"``;
     a name is a stored family, a ``_Ctx`` array, or an operand formed per
-    wave in a work buffer (``ci``, ``ch_nohy``).
+    wave in a work buffer (``ci``, ``ch_all``, ``ch_nohy``).
     ``at(wave)`` gives the index of the lhs and of each operand; ``when``
     guards the wave.  With ``rows``, result row k is summed into lhs row
     ``rows[k]``; with ``add``, the result is added to the lhs.  ``live`` maps
     an operand to the rows of its leading axis (taken whole by ``at``) that
-    carry outside weight; the other rows are constants.  The operands named
-    in ``copy`` are read through a contiguous copy of their block, made in
-    the scratch buffer: numpy's einsum passes over a strided view of the
-    store about half as fast, and it passes over an operand once per letter
-    that the operand lacks.
+    carry outside weight; the other rows are constants.
 
     The transpose into operand A of ``C = einsum(A, B, ...)`` adds
     ``einsum(C_out, B, ... -> A)`` to A's outside target at A's own index: a
@@ -624,29 +621,28 @@ class _Prod:
     not in ``_SEGMENTS``) have no target; those whose letters are all C's
     are multiplied into ``C_out`` once, before the transposes.  The values a
     transpose reads are all formed before the wave's transposes run: the
-    stored families, the ``_Ctx`` arrays and ``ci`` (no transpose reads
-    CH_nohy).  ``sparse`` marks a production whose lhs can lack outside
-    weight at a wave: the flush-tail rows, which no top-level chain reaches,
-    and GHY/GNA (with the bare term's GHY), which have none where no longer
-    chain follows.  Where its ``C_out`` is zero throughout the wave's cells,
-    the transpose adds nothing and is skipped.  Every other lhs holds cells
-    that the top-level chains weight at each wave, so it is not checked.
+    stored families, the ``_Ctx`` arrays, ``ci`` and, in the strand part,
+    CH_all (no transpose reads CH_nohy).  ``sparse`` marks a production
+    whose lhs can lack outside weight at a wave: the flush-tail rows, which
+    no top-level chain reaches, and GHY/GNA (with the bare term's GHY),
+    which have none where no longer chain follows.  Where its ``C_out`` is
+    zero throughout the wave's cells, the transpose adds nothing and is
+    skipped.  Every other lhs holds cells that the top-level chains weight at
+    each wave, so it is not checked.
 
     ``grads`` holds one entry per operand with an outside target; ``parts``
-    splits it into the 4D targets and the strand factors, each with the
-    operands of ``copy`` that its entries read, and ``transpose`` runs one
-    part.  With ``first``, the production is the first in the 4D part of the
-    sweep to write its per-wave target (the gap block of ci's outside weight,
-    see ``_CombinedItems``), so its transpose writes it instead of adding: a
-    grad broadcast over the leading letter of the target (``pad``) writes the
-    first row and copies it into the others.
+    splits it into the 4D targets and the strand factors, and ``transpose``
+    runs one part.  With ``first``, the production is the first in the 4D
+    part of the sweep to write its per-wave target (the gap block of ci's
+    outside weight, see ``_CombinedItems``), so its transpose writes it
+    instead of adding: a grad broadcast over the leading letter of the target
+    (``pad``) writes the first row and copies it into the others.
     """
 
     def __init__(self, text: str, at: Callable, when=None, rows=None, add=False,
-                 live=None, copy=(), sparse=False, first=False):
+                 live=None, sparse=False, first=False):
         (self.lhs, out), *self.ops = re.findall(r"(\w+)\[(\w+)\]", text)
         self.at, self.when, self.add, self.sparse, self.first = at, when, add, sparse, first
-        self.copy = [k for k, (name, _spec) in enumerate(self.ops) if name in copy]
         self.rows = rows and np.array(rows)
         # the result rows summed into each lhs row (one or two)
         self.groups = rows and [(r, [k for k, x in enumerate(rows) if x == r]) for r in set(rows)]
@@ -668,27 +664,19 @@ class _Prod:
                 cuts = [lv and spec[0] in x and (_ALL,) * x.index(spec[0]) + (lv,) for x in specs]
                 pad = None if res == spec else _broadcast(res, spec)
                 self.grads.append((k + 1, name, others, how, pad, lv, cuts))
-        # the two parts of the transpose: the 4D targets, then the strand
-        # factors; each with the copied operands that its grads read
-        self.parts = []
-        for strand in (False, True):
-            grads = [g for g in self.grads if (g[1] in _SEGMENTS) == strand]
-            read = {j for g in grads for j in g[2]}
-            self.parts.append((grads, [j for j in self.copy if j in read]))
+        # the two parts of the transpose: the 4D targets, then the strand factors
+        self.parts = [[g for g in self.grads if (g[1] in _SEGMENTS) == strand]
+                      for strand in (False, True)]
 
-    def _args(self, src: dict, idx: tuple, copy: list) -> list:
-        """The einsum arguments, those in ``copy`` copied; None for an
-        operand that is not formed."""
-        args = [None if name not in src else src[name][i] for (name, _spec), i in zip(self.ops, idx[1:])]
-        for j in copy:
-            args[j] = _work(src, "scratch", args[j].shape, args[j])
-        return args
+    def _args(self, src: dict, idx: tuple) -> list:
+        """The einsum arguments; None for an operand that is not formed."""
+        return [None if name not in src else src[name][i] for (name, _spec), i in zip(self.ops, idx[1:])]
 
     def fill(self, src: dict, w: _Wave) -> None:
         if self.when is not None and not self.when(w):
             return
         idx = self.at(w)
-        args, lhs = self._args(src, idx, self.copy), src[self.lhs][idx[0]]
+        args, lhs = self._args(src, idx), src[self.lhs][idx[0]]
         if self.rows is not None:
             res = np.einsum(self.spec, *args)
             for row, ks in self.groups:
@@ -707,7 +695,7 @@ class _Prod:
         of the transpose: the 4D targets (the outside families and the
         per-wave operands of ``adj``), or with ``strand`` the strand factors
         of ``_SEGMENTS``."""
-        grads, copy = self.parts[strand]
+        grads = self.parts[strand]
         if not grads or (self.when is not None and not self.when(w)):
             return
         idx = self.at(w)
@@ -716,7 +704,7 @@ class _Prod:
             return
         if self.rows is not None:
             o = o[self.rows]
-        args = self._args(src, idx, copy)
+        args = self._args(src, idx)
         for j, bc in self.fold:
             o = o * args[j][bc]
         for op, name, others, how, pad, live, cuts in grads:
@@ -751,8 +739,10 @@ class _CombinedItems:
     starting at (i, h), weighted by row block x (NA, EX, HY) of
     ``ctx.branch`` for chain label l, formed in the ``ci`` work buffer.  Rows
     NA and EX weight only the tight kinds and rows HY only the hybrids, so
-    the transpose takes each block of ``branch`` on its own; it also fills
-    the block placements of the hybrid classes.
+    the transpose takes each block of ``branch`` on its own.  It also adds
+    the hybrid-placement mass: the outside weight that the block placements
+    give each hybrid class, times that class's items, summed over the
+    classes into the ``hyb`` target at the items' own cells.
 
     The 4D part of the sweep reads ci only in the two gap productions, over
     the gap block of spans (p-1, q-1), as NA + EX and as HY; ``fill`` with
@@ -777,35 +767,37 @@ class _CombinedItems:
 
     def transpose(self, src: dict, out: dict, adj: dict, w: _Wave) -> None:
         o = adj.pop("ci").reshape(3 * len(_LABS), -1)
-        block = out["items"][self.at(w)]
+        cells = self.at(w)[1:]
+        block = out["items"][(_ALL,) + cells]
         res = _work(src, "scratch", (len(_ITEM_ORDER),) + block.shape[1:])
         flat, branch, hy = res.reshape(len(res), -1), src["branch"], 2 * len(_LABS)
         np.matmul(branch[hy:, _HY].T, o[hy:], out=flat[_HY])
         np.matmul(branch[:hy, _TIGHT].T, o[:hy], out=flat[_TIGHT])
-        block[: len(res)] += res
-        block[len(res):] += res[_HY]  # the block placements of the hybrid classes
+        block += res
+        out["hyb"][cells] += np.einsum("cpqih,cpqih->pqih", res[_HY], src["items"][(_HY,) + cells])
 
 
 class _ChainAll:
-    """CH_all = CNA + CNB + CHY, stored at its own wave, and CH_nohy = CNA +
-    CNB, formed in its work buffer over the span block that the bare GHY
-    term reads.  Neither has an outside family: the transpose passes the
-    outside weight that GHY/GNA gave CH_all and the bare term gave CH_nohy
-    on to the parts, over that block, if they gave any."""
+    """CH_nohy = CNA + CNB and CH_all = CH_nohy + CHY over the span block
+    that GHY/GNA read, formed per wave in the ``ch_nohy`` and ``scratch``
+    work buffers: contiguous, so the einsums that read them pass over them
+    at full speed (over a strided view of the store about half as fast, once
+    per letter that the operand lacks).  Neither is stored, and neither has
+    an outside family: the transpose passes the outside weight that GHY/GNA
+    gave CH_all and the bare term gave CH_nohy on to the parts, over that
+    block, if they gave any."""
 
     @staticmethod
     def at(w: _Wave) -> tuple:
         return (_rev(w.p), _rev(w.q), w.J, w.L)
 
     def fill(self, src: dict, w: _Wave) -> None:
-        cell = (w.sp, w.sq, w.J, w.L)
-        chain, ch_all = src["chain"], src["ch_all"][(_ALL,) + cell]
-        np.add(chain[(_CNA, _ALL) + cell], chain[(_CHY, _ALL) + cell], out=ch_all)
-        ch_all[_NB] += chain[(_CNB, _NB) + cell]
-        block = self.at(w)
+        chain, block = src["chain"], self.at(w)
         cna = chain[(_CNA, _ALL) + block]
         nohy = src["ch_nohy"] = _work(src, "ch_nohy", cna.shape, cna)
         nohy[_NB] += chain[(_CNB, _NB) + block]
+        src["ch_all"] = np.add(nohy, chain[(_CHY, _ALL) + block],
+                               out=_work(src, "scratch", cna.shape))
 
     def transpose(self, src: dict, out: dict, adj: dict, w: _Wave) -> None:
         # a skipped reader leaves no weight; the bare term fills GHY, one of
@@ -895,10 +887,9 @@ _WAVE = (
     # GHY, GNA: the terms of _GAP_TERMS over CH_all, then the bare GHY term
     # over CH_nohy = CNA + CNB
     _Prod("rest[tlih] = ch_all[labih] gap_r[tlai] gap_s[tlbh]",
-          lambda w: ((slice(0, 2), _ALL, w.sp, w.sq, w.J, w.L),
-                     (_ALL, _rev(w.p), _rev(w.q), w.J, w.L),
+          lambda w: ((slice(0, 2), _ALL, w.sp, w.sq, w.J, w.L), _ALL,
                      (_ALL, _ALL, slice(0, w.p), w.I), (_ALL, _ALL, slice(0, w.q), w.H)),
-          rows=(0, 0, 1), live={"gap_r": slice(1, 3)}, copy=("ch_all",), sparse=True),
+          rows=(0, 0, 1), live={"gap_r": slice(1, 3)}, sparse=True),
     _Prod("rest[lih] = ch_nohy[labih] bare_r[lai] bare_s[lbh]",
           lambda w: ((0, _ALL, w.sp, w.sq, w.J, w.L), _ALL,
                      (_ALL, slice(0, w.p), w.I), (_ALL, slice(0, w.q), w.H)),
@@ -908,9 +899,9 @@ _WAVE = (
 
 # The per-run work buffers, in rows of the largest wave's block (_operands):
 # the combined items, their outside weight, CH_nohy, and a scratch buffer
-# whose contents live within one production (the item block that ci is
+# whose contents live within one step of a wave (the item block that ci is
 # formed from, the product that passes ci's outside weight on to the items,
-# the contiguous copies of _Prod.copy).
+# CH_all from its forming to GHY/GNA's fill or strand transposes).
 _WORK_ROWS = {"ci": 3 * len(_LABS), "out_ci": 3 * len(_LABS), "ch_nohy": len(_LABS),
               "scratch": len(_ITEM_ORDER)}
 
@@ -943,7 +934,7 @@ def _fill_wave(src: dict, w: _Wave) -> None:
 
 # The productions with strand-factor targets, in reverse fill order.
 _STRAND_PRODS = tuple(prod for prod in reversed(_WAVE)
-                      if isinstance(prod, _Prod) and prod.parts[True][0])
+                      if isinstance(prod, _Prod) and prod.parts[True])
 
 
 def _transpose_wave(src: dict, out: dict, w: _Wave, strand: bool = False) -> None:
@@ -952,7 +943,8 @@ def _transpose_wave(src: dict, out: dict, w: _Wave, strand: bool = False) -> Non
 
     ``out`` maps each inside family (``_OUT_OF``) to its outside
     accumulator, and with ``strand`` each of ``_SEGMENTS`` too.  The combined
-    items are formed first, for the transposes that read them.  Without
+    items are formed first, for the transposes that read them, and with
+    ``strand`` CH_all after them, for GHY/GNA's.  Without
     ``strand`` the 4D part runs: the outside weight of the combined items
     and the chain sums starts at zero and is passed on to the stored parts.
     With ``strand`` only the transposes into the strand factors run; they
@@ -962,6 +954,7 @@ def _transpose_wave(src: dict, out: dict, w: _Wave, strand: bool = False) -> Non
     """
     if strand:
         _CI.fill(src, w)
+        _CH_ALL.fill(src, w)  # in the scratch buffer, which ci was formed through
         for prod in _STRAND_PRODS:
             prod.transpose(src, out, None, w, True)
         return

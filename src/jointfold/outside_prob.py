@@ -15,9 +15,11 @@ at once on the stacked tensor families of the inside store.
 :func:`outside` runs only the 4D part of each transpose (``docs/grammar.md``
 §6 counts its calls per wave).  It forms only the rows of the combined items
 that the 4D part reads (NA + EX and HY over the gap block) and passes ci's
-outside weight on to the items.  That fills every outside family, the block-placement
-accumulators included, so hybrid probabilities come from it alone: the
-block-placement mass is exactly the maximal-hybrid placement mass.  The
+outside weight on to the items.  That fills every outside family, the
+hybrid-placement mass included (each hybrid class's block-placement weight
+times its items, summed over the classes), so hybrid probabilities come from
+it alone: the block-placement mass is exactly the maximal-hybrid placement
+mass.  The
 outside families are written with zeros over their reachable anchors when
 they are allocated (all but each table's last R span), since nearly every
 page of them is added into.
@@ -51,7 +53,6 @@ from .grammar_inside import (
     _R_CLOSED,
     _S_CLOSED,
     _SEGMENTS,
-    HY_CLASSES,
     CapacityExceeded,
     InsideResult,
     _operands,
@@ -299,11 +300,11 @@ def outside(res: InsideResult, verify_conservation: bool = False) -> ProbTables:
 
 
 def hybrid_probabilities(res: InsideResult, prob: ProbTables) -> HybridProbMatrix:
-    """P(a maximal hybrid occupies exactly footprint (i..j, h..l)): the sum
-    over the four hybrid classes, which are independent contributions."""
-    store = res.store
-    total = sum(store[("out", "hyb", cls)] * store[("hy", cls)] / prob.z for cls in HY_CLASSES)
-    return HybridProbMatrix(n=res.ctx.n, m=res.ctx.m, total=total)
+    """P(a maximal hybrid occupies exactly footprint (i..j, h..l)): the
+    hybrid-placement mass that the outside sweep summed over the four hybrid
+    classes, which are independent contributions, over the partition
+    function."""
+    return HybridProbMatrix(n=res.ctx.n, m=res.ctx.m, total=res.store[("out", "hyb")] / prob.z)
 
 
 def target_sites(hyb: HybridProbMatrix, threshold: float = 0.1) -> TargetTable:

@@ -44,11 +44,12 @@ def _setup(seed: int):
 
 
 def _outside(res, src) -> tuple[dict, dict]:
-    """Zeroed outside targets; ``raw`` holds the unaliased chain stack."""
+    """Zeroed outside targets, the hybrid-placement mass among them; ``raw``
+    holds the unaliased chain stack."""
     shape = res.store.shape
     raw = {"chain": np.zeros((16,) + shape)}
-    out = {"items": np.zeros((13,) + shape), "chain": gi._chain_rows(raw["chain"]),
-           "rest": np.zeros((2, 6) + shape)}
+    out = {"items": np.zeros((9,) + shape), "chain": gi._chain_rows(raw["chain"]),
+           "rest": np.zeros((2, 6) + shape), "hyb": np.zeros(shape)}
     out.update({name: np.zeros_like(src[name]) for name in gi._SEGMENTS})
     return out, raw
 
@@ -74,6 +75,11 @@ def _nohy(src, block: tuple) -> np.ndarray:
     return value
 
 
+def _ch_all(src, block: tuple) -> np.ndarray:
+    """CH_all over a block of its index, from the chain rows: CH_nohy + CHY."""
+    return _nohy(src, block) + src["chain"][(gi._CHY,) + block]
+
+
 def _forward(prod, src, w) -> np.ndarray:
     """F(operands) at the lhs index, alone (the lhs cells start at zero)."""
     idx = prod.at(w)
@@ -88,7 +94,7 @@ _PRODS = [prod for prod in gi._WAVE if isinstance(prod, gi._Prod)]
 def _both_parts(prod, src, out, adj, w) -> None:
     """The 4D part of the transpose, then the strand part; together they
     hold every grad exactly once, the strand factors in the second."""
-    (grads_4d, _copy), (grads_strand, _copy) = prod.parts
+    grads_4d, grads_strand = prod.parts
     assert sorted(map(id, grads_4d + grads_strand)) == sorted(map(id, prod.grads))
     strand = set(map(id, grads_strand))
     assert all((g[1] in gi._SEGMENTS) == (id(g) in strand) for g in prod.grads)
@@ -108,7 +114,8 @@ def test_production_transpose_is_the_adjoint(seed, k):
         idx = prod.at(w)
         ci_shape = (3, 6, w.p, w.q, N - w.p + 1, M - w.q + 1)
         src["ci"] = rng.random(ci_shape)
-        src["ch_nohy"] = _nohy(src, (slice(None),) + gi._CH_ALL.at(w))
+        block = (slice(None),) + gi._CH_ALL.at(w)
+        src["ch_nohy"], src["ch_all"] = _nohy(src, block), _ch_all(src, block)
         out, _raw = _outside(res, src)
         c_out = rng.random(np.shape(src[prod.lhs][idx[0]]))
         out[prod.lhs][idx[0]] = c_out
@@ -136,6 +143,9 @@ def test_production_transpose_is_the_adjoint(seed, k):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_combined_items_transpose_is_the_adjoint(seed):
+    """The push of ci's outside weight onto the items, and the hybrid-placement
+    mass it adds: the sum over the hybrid classes of that weight times the
+    class's items, cell by cell, and nothing off the block."""
     rng, res, src = _setup(seed)
     for w in _waves(res):
         gi._CI.fill(src, w)
@@ -144,26 +154,30 @@ def test_combined_items_transpose_is_the_adjoint(seed):
         o = rng.random(value.shape)
         gi._CI.transpose(src, out, {"ci": o.copy()}, w)
         block = gi._CI.at(w)[1:]
-        items = src["items"][(slice(0, 9),) + block]
-        rhs = float((out["items"][(slice(0, 9),) + block] * items).sum())
+        items = src["items"][(slice(None),) + block]
+        rhs = float((out["items"][(slice(None),) + block] * items).sum())
         assert _close(float((o * value).sum()), rhs), (w.p, w.q)
+        mass = (out["items"][(gi._HY,) + block] * items[gi._HY]).sum(axis=0)
+        assert np.allclose(out["hyb"][block], mass, rtol=1e-14, atol=0.0), (w.p, w.q)
+        out["hyb"][block] = 0.0
+        assert mass.all() and not out["hyb"].any(), (w.p, w.q)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_chain_sums_transpose_is_the_adjoint(seed):
-    """CH_all (formed at each wave) and CH_nohy over the block that GHY/GNA
-    read, against the push of their outside weight onto the chain parts."""
+    """CH_all and CH_nohy over the block that GHY/GNA read, as one wave forms
+    them, against the push of their outside weight onto the chain parts."""
     rng, res, src = _setup(seed)
     for w in _waves(res):
-        for a in range(1, w.p + 1):
-            for b in range(1, w.q + 1):
-                gi._CH_ALL.fill(src, gi._Wave(res.ctx, a, b))
+        gi._CH_ALL.fill(src, w)
         block = (slice(None),) + gi._CH_ALL.at(w)
-        o_all = rng.random(src["ch_all"][block].shape)
+        assert np.allclose(src["ch_all"], _ch_all(src, block), rtol=1e-15, atol=0.0)
+        assert np.array_equal(src["ch_nohy"], _nohy(src, block))
+        o_all = rng.random(src["ch_all"].shape)
         o_nohy = rng.random(o_all.shape)
         out, raw = _outside(res, src)
         gi._CH_ALL.transpose(src, out, {"ch_all": o_all, "ch_nohy": o_nohy.copy()}, w)
-        lhs = float((o_all * src["ch_all"][block]).sum() + (o_nohy * _nohy(src, block)).sum())
+        lhs = float((o_all * _ch_all(src, block)).sum() + (o_nohy * _nohy(src, block)).sum())
         rhs = sum(float((raw["chain"][slot] * res.store[key]).sum())
                   for slot, key in enumerate(gi._CHAIN_KEYS))
         assert _close(lhs, rhs), (w.p, w.q)
@@ -178,11 +192,12 @@ def test_wave_transpose_is_the_adjoint_of_the_fill(seed):
     so along a random step the central difference of the written values is
     their exact derivative.  With a random outside weight on every written
     cell, that derivative weighted must equal the transpose's outside weight
-    on the cells read, times the step.  CH_all has no outside family: it is
-    kept equal to CNA + CNB + CHY, so that its outside weight may pass to the
-    chain parts."""
+    on the cells read, times the step.  The chain sums have no outside
+    family: the wave forms them from the chain parts, so their outside weight
+    passes to those.  The hybrid-placement mass is a readout, not a cell
+    read."""
     rng, res, src = _setup(seed)
-    flat, chain, ch_all = res.store.flat, res.store.stacks["chain"], res.store.stacks["ch_all"]
+    flat = res.store.flat
     families = ("items", "chain", "rest")
     point = {f: flat(f).copy() for f in families}
     step = {f: rng.random(a.shape) for f, a in point.items()}
@@ -190,8 +205,6 @@ def test_wave_transpose_is_the_adjoint_of_the_fill(seed):
     def fill(sign: int, w) -> dict:
         for f in families:
             flat(f)[:] = point[f] + sign * step[f]
-        np.add(chain[gi._CNA], chain[gi._CHY], out=ch_all)
-        ch_all[gi._NB] += chain[gi._CNB, gi._NB]
         gi._fill_wave(src, w)
         return {f: flat(f).copy() for f in families}
 
@@ -199,7 +212,7 @@ def test_wave_transpose_is_the_adjoint_of_the_fill(seed):
         up, down, filled = fill(1, w), fill(-1, w), fill(0, w)
         written = {f: filled[f] != point[f] for f in families}
         out, raw = _outside(res, src)
-        weights = {"items": out["items"][:9].reshape(-1), "chain": raw["chain"].reshape(-1),
+        weights = {"items": out["items"].reshape(-1), "chain": raw["chain"].reshape(-1),
                    "rest": out["rest"].reshape(-1)}
         lhs = 0.0
         for f in families:

@@ -202,8 +202,8 @@ class TestPf:
 
 
 class TestBudget:
-    # 15x15: the inside run needs 19,621,978 B (17,415,000 B of tables), inside
-    # and outside 36,226,978 B; the budget is 0.025 GiB = 26,843,545 B
+    # 15x15: the inside run needs 17,059,898 B (14,985,000 B of tables), inside
+    # and outside 32,449,898 B; the budget is 0.025 GiB = 26,843,545 B
     @pytest.mark.parametrize("command, fits", [("pf", True), ("sample", True),
                                                ("targets", False)])
     def test_budget_covers_what_the_command_allocates(self, command, fits, fasta, capsys):

@@ -10,12 +10,15 @@ import pytest
 from jointfold._cases import verify_reconstruction
 from jointfold.energy import default_model, unit_model
 from jointfold.grammar_inside import (
+    _CH_ALL,
     LABELS,
     CapacityExceeded,
     HY_CLASSES,
     _OUT_FAMILIES,
     _operands,
     _tensor_bytes,
+    _Wave,
+    _waves,
     estimate_memory_bytes,
     inside,
 )
@@ -189,13 +192,13 @@ class TestCapacity:
     @pytest.mark.parametrize("n, m", [(1, 1), (5, 8), (9, 4)])
     def test_tensor_estimate_is_the_allocation(self, n, m):
         """The 4D part of the estimate, counted from the declared families,
-        is exactly what the store allocates: 43 inside tensors, 84 in all."""
+        is exactly what the store allocates: 37 inside tensors, 75 in all."""
         rng = np.random.default_rng(n * 10 + m)
         res = inside(*strands(random_seq(rng, n), random_seq(rng, m)), random_model(rng))
-        assert len(res.store.arrays) == 43
+        assert len(res.store.arrays) == 37
         assert res.store.allocated_bytes == _tensor_bytes(n, m, include_outside=False)
         outside(res)
-        assert len(res.store.arrays) == 84
+        assert len(res.store.arrays) == 75
         assert res.store.allocated_bytes == _tensor_bytes(n, m, include_outside=True)
         assert res.store.peak_bytes == res.store.allocated_bytes
 
@@ -282,14 +285,25 @@ class TestCapacity:
 
 class TestChainSums:
     @pytest.mark.parametrize("seed", [3, 4])
-    def test_stored_ch_all_is_the_sum_of_its_parts(self, seed):
+    def test_formed_chain_sums_are_the_sums_of_their_parts(self, seed):
+        """At every wave the formed CH_nohy is CNA + CNB and CH_all is CH_nohy
+        + CHY, bit for bit, over the block of spans (1..p, 1..q) that GHY/GNA
+        read; every label's CH_all is nonzero at some wave."""
         rng = np.random.default_rng(seed)
         r, s = random_seq(rng, 7), random_seq(rng, 9)
         res = inside(*strands(r, s), random_model(rng, min_hairpin=int(rng.integers(0, 3))))
-        store = res.store
-        for name, lab in LABELS.items():
-            want = store[("cna", name)] + store[("chy", name)]
-            if lab.has_nb:
-                want = want + store[("cnb", name)]
-            assert np.array_equal(store[("ch_all", name)], want), name
-            assert store[("ch_all", name)].any(), name
+        store, src = res.store, _operands(res.store, res.ctx)
+        seen = set()
+        for p, q in _waves(7, 9):
+            block = _CH_ALL.at(_Wave(res.ctx, p, q))
+            _CH_ALL.fill(src, _Wave(res.ctx, p, q))
+            for k, (name, lab) in enumerate(LABELS.items()):
+                nohy = store[("cna", name)][block]
+                if lab.has_nb:
+                    nohy = nohy + store[("cnb", name)][block]
+                assert np.array_equal(src["ch_nohy"][k], nohy), (name, p, q)
+                assert np.array_equal(src["ch_all"][k], nohy + store[("chy", name)][block]), (
+                    name, p, q)
+                if src["ch_all"][k].any():
+                    seen.add(name)
+        assert seen == set(LABELS)

@@ -12,6 +12,7 @@ from jointfold.energy import default_model, unit_model
 from jointfold.grammar_inside import inside
 from jointfold.oracle import enumerate_interactions, exact_probabilities
 from jointfold.outside_prob import hybrid_probabilities, outside, target_sites
+from jointfold.sampler import sample_batch
 from jointfold.secfold import NumericalUnderflow, SecEngine, secondary_bpp
 from jointfold.seq_model import Strand
 
@@ -122,8 +123,11 @@ class TestEnergyShifts:
             log_q.append(math.log(inside(R, S, dataclasses.replace(model, **changes)).q_total))
         return (log_q[0] - log_q[1]) / (2 * cls.DELTA)
 
+    # the last pair is the paper's shape, a short query against a longer
+    # target; its sigma0 slope checks the summed hybrid-placement mass
     @pytest.mark.parametrize("seed, n, m, min_hairpin, forbid_lone_pairs", [
-        (301, 9, 10, 0, False), (302, 11, 9, 1, False), (303, 12, 10, 2, True)])
+        (301, 9, 10, 0, False), (302, 11, 9, 1, False), (303, 12, 10, 2, True),
+        (304, 5, 24, 3, True)])
     def test_slopes_are_expected_counts(self, seed, n, m, min_hairpin, forbid_lone_pairs):
         rng = np.random.default_rng(seed)
         model = random_model(rng, min_hairpin=min_hairpin,
@@ -144,6 +148,47 @@ class TestEnergyShifts:
         ):
             assert expected > 1e-3, names
             assert self.slope(R, S, model, names) == pytest.approx(expected, rel=1e-6), names
+
+
+class TestExteriorLabel:
+    """The ``top`` label's chains and gap rows are read only at the end
+    anchor ``(n, m)``, by the top-level chains; the fill also computes them
+    at every other end anchor.  Zeroing those cells after ``inside`` leaves
+    every output as it was, bit for bit, and the outside pass gives them no
+    weight.  (``verify_conservation`` would flag them: its per-cell
+    reconstruction reads every cell.)"""
+
+    KEYS = (("cna", "top"), ("chy", "top"), ("ghy", "top"), ("gna", "top"))
+
+    @staticmethod
+    def outputs(res) -> dict:
+        prob = outside(res)
+        batch = sample_batch(res, 300, seed=5)
+        return {"q_total": res.q_total, "bpp_r": prob.bpp_r, "bpp_s": prob.bpp_s,
+                "bpp_ext": prob.bpp_ext, "hybrids": hybrid_probabilities(res, prob).total,
+                "keys": [js.key() for js in batch.structures], "case_slack": batch.case_slack}
+
+    @pytest.mark.parametrize("n, m", [(9, 11), (12, 12), (6, 20)])
+    def test_top_cells_off_the_strand_ends_are_never_read(self, n, m):
+        rng = np.random.default_rng([n, m, 7])
+        R, S = strands(random_seq(rng, n), random_seq(rng, m))
+        res = inside(R, S, default_model())
+        want = self.outputs(res)
+        off = np.ones((n, m), bool)
+        off[n - 1, m - 1] = False  # anchors (j, l) at [j - 1, l - 1]
+        for key in self.KEYS:
+            assert not res.store[("out",) + key][..., off].any(), key
+
+        res = inside(R, S, default_model())
+        zeroed = 0
+        for key in self.KEYS:
+            zeroed += np.count_nonzero(res.store[key][..., off])
+            res.store[key][..., off] = 0.0
+        assert zeroed
+        got = self.outputs(res)
+        assert got.pop("keys") == want.pop("keys")
+        for name, value in want.items():
+            assert np.array_equal(got[name], value), name
 
 
 class TestFactorisedEnsemble:
@@ -213,7 +258,7 @@ class TestWorkBuffers:
         monkeypatch.setattr(grammar_inside, "_fill_wave", stale(grammar_inside._fill_wave))
         monkeypatch.setattr(outside_prob, "_transpose_wave", stale(outside_prob._transpose_wave))
         got = self.outputs(r, s, model)
-        assert len(got) == 84 + 4 and got.keys() == want.keys()
+        assert len(got) == 75 + 4 and got.keys() == want.keys()
         for key, arr in want.items():
             assert np.array_equal(got[key], arr), key
 

@@ -6,12 +6,16 @@
 For each workload and seed it runs ``perfbench/run.py --workload W --seed S
 --seconds T --trace 0`` once from the root of each tree, each run in a fresh
 process with the tree as its working directory; odd seeds run the parent
-first, even seeds the change first.  It prints each pair's end-to-end
-metrics, then per workload and metric the median, quartiles and quartile
+first, even seeds the change first.  Before each run it reads the machine's
+load average (``os.getloadavg()``: 1, 5 and 15 minutes), so that a run made
+under a foreign load can be seen and made again.  It prints each pair's
+end-to-end metrics and the 1-minute load before each of its two runs, then
+per workload and metric the median, quartiles and quartile
 spread ``(Q3 - Q1) / median`` of each side, the change's median as a share
 of the parent's, and the number of seeds whose change run beat the parent
 run of the same seed.  ``--out`` writes the record in the layout of the
-``BENCH_*.json`` files: the summary per workload and every run's JSON line.
+``BENCH_*.json`` files: the summary per workload and every run's JSON line,
+with the load average before it (``loadavg``).
 
 The run length T (``run_seconds``) and the direction ("better") and bound
 of each metric come from ``BENCHMARK.json`` in the change tree.  The script
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -105,13 +110,16 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for side in order:
+                load = [round(x, 2) for x in os.getloadavg()]
                 result = one_run(roots[side], workload, seed, seconds)
                 wl_runs.append({"side": side, "workload": workload, "seed": seed,
-                                "json": result})
-            by = {r["side"]: r["json"]["metrics"] for r in wl_runs[-2:]}
+                                "loadavg": load, "json": result})
+            by = {r["side"]: r for r in wl_runs[-2:]}
             print(f"{workload} seed {seed} ({order[0]} first): " + "  ".join(
-                f"{m} {by['parent'][m]['value']:.6g} -> {by['change'][m]['value']:.6g}"
-                for m in spec), flush=True)
+                f"{m} {by['parent']['json']['metrics'][m]['value']:.6g}"
+                f" -> {by['change']['json']['metrics'][m]['value']:.6g}" for m in spec)
+                + f"  load {by['parent']['loadavg'][0]:.2f} / {by['change']['loadavg'][0]:.2f}",
+                flush=True)
         summary[workload] = summarise(wl_runs, args.seeds, spec)
         runs += wl_runs
         s = summary[workload]
@@ -136,6 +144,7 @@ def main(argv=None) -> int:
                        " --trace 0, run from the root of each tree",
             "order": "per workload, seed by seed; odd seeds run parent first, even seeds"
                      " change first",
+            "loadavg": "each run's os.getloadavg() (1, 5, 15 min) just before it started",
             "summary": summary,
             "runs": runs,
         }
